@@ -132,6 +132,19 @@ def _log_spaced_grid(n_min: int, n_max: int, points: int) -> List[int]:
     return sorted(x for x in raw if n_min <= x <= n_max)
 
 
+def _fit_line(mp, xs, ys):
+    """Least-squares coefficients (c1, c2) of y = c1 + c2 * x."""
+    N = len(xs)
+    sx = mp.fsum(xs)
+    sxx = mp.fsum(v * v for v in xs)
+    sy = mp.fsum(ys)
+    sxy = mp.fsum(u * v for u, v in zip(xs, ys))
+    det = N * sxx - sx * sx
+    c2 = (N * sxy - sx * sy) / det
+    c1 = (sy - c2 * sx) / N
+    return c1, c2
+
+
 def extract_zeta(s, n_min: int, n_max: int,
                  ctx: Optional[PrecisionContext] = None, *,
                  points: int = 16) -> ZetaExtraction:
@@ -160,17 +173,9 @@ def extract_zeta(s, n_min: int, n_max: int,
         d = total - lead * n
         ys.append(d * mp.power(n, -x))  # rescale by the leading model power
         xs.append(mp.mpf(n) ** -2)
-    # 2-parameter least squares on y = c1 + c2 * x
-    N = len(grid)
-    sx = mp.fsum(xs)
-    sxx = mp.fsum(v * v for v in xs)
-    sy = mp.fsum(ys)
-    sxy = mp.fsum(u * v for u, v in zip(xs, ys))
-    det = N * sxx - sx * sx
-    c2 = (N * sxy - sx * sy) / det
-    c1 = (sy - c2 * sx) / N
+    c1, c2 = _fit_line(mp, xs, ys)
     residuals = [y - c1 - c2 * v for y, v in zip(ys, xs)]
-    rms = mp.sqrt(mp.fsum(r * r for r in residuals) / N)
+    rms = mp.sqrt(mp.fsum(r * r for r in residuals) / len(grid))
     scale = abs(c1) + abs(c2) * max(xs) + mp.mpf(2) ** (-ctx.precision_bits // 2)
     if rms > scale / 100:
         raise IllConditioned(f"fit residual {rms} too large for scale {scale}")
@@ -306,6 +311,21 @@ def csc_power_polynomial(m: int) -> RationalPolynomial:
     with _CSC_LOCK:
         _CSC_POLY_CACHE.setdefault(m, poly)
     return poly
+
+
+def _seed_poly_cache(m: int, poly: Optional[RationalPolynomial]) -> Optional[RationalPolynomial]:
+    """Test hook: put a (possibly corrupt) polynomial in the cache, or drop
+    the entry when ``poly`` is None.  Returns the entry it replaced."""
+    with _CSC_LOCK:
+        previous = _CSC_POLY_CACHE.pop(m, None)
+        if poly is not None:
+            _CSC_POLY_CACHE[m] = poly
+    return previous
+
+
+def _clear_poly_cache() -> None:
+    with _CSC_LOCK:
+        _CSC_POLY_CACHE.clear()
 
 
 def zeta_zn_positive_from_asymptotics(n: int, m: int,

@@ -79,39 +79,32 @@ def _format_decimal(ctx, x, scientific: bool = False) -> str:
     return f"{'-' if neg else ''}{body}e{e:+d}"
 
 
+def _format_rational(q) -> str:
+    q = Fraction(q)
+    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+
+
+def _format_number(ctx, v, scientific: bool) -> str:
+    """A real or complex value as decimal text."""
+    if getattr(v, "imag", 0) != 0:
+        return (f"{_format_decimal(ctx, v.real, scientific)}"
+                f"{'+' if v.imag >= 0 else '-'}"
+                f"{_format_decimal(ctx, abs(v.imag), scientific)}i")
+    return _format_decimal(ctx, getattr(v, "real", v), scientific)
+
+
 def _format_value(ctx, result, scientific: bool = False) -> tuple:
     """(value string, err string, method, exact flag) for any op result."""
-    mp = ctx.mp
     if isinstance(result, (int, Fraction)):
-        q = Fraction(result)
-        return (f"{q.numerator}/{q.denominator}" if q.denominator != 1
-                else str(q.numerator)), "0", "exact", True
+        return _format_rational(result), "0", "exact", True
     if isinstance(result, EvalResult):
         if result.exact is not None:
-            q = result.exact
-            text = (f"{q.numerator}/{q.denominator}" if q.denominator != 1
-                    else str(q.numerator))
-            return text, "0", result.method, True
-        v = result.value.value
-        if v.imag != 0:
-            text = (f"{_format_decimal(ctx, v.real, scientific)}"
-                    f"{'+' if v.imag >= 0 else '-'}"
-                    f"{_format_decimal(ctx, abs(v.imag), scientific)}i")
-        else:
-            text = _format_decimal(ctx, v.real, scientific)
-        return text, _format_decimal(ctx, result.err, True), result.method, False
-    # HPReal / HPComplex
-    value = getattr(result, "value")
-    err = getattr(result, "err")
-    exact = bool(getattr(result, "exact", False))
-    if hasattr(value, "imag") and value.imag != 0:
-        text = (f"{_format_decimal(ctx, value.real, scientific)}"
-                f"{'+' if value.imag >= 0 else '-'}"
-                f"{_format_decimal(ctx, abs(value.imag), scientific)}i")
-    else:
-        real = value.real if hasattr(value, "imag") else value
-        text = _format_decimal(ctx, real, scientific)
-    return text, _format_decimal(ctx, err, True), "direct", exact
+            return _format_rational(result.exact), "0", result.method, True
+        value, method, exact = result.value.value, result.method, False
+    else:  # HPReal / HPComplex
+        value, method, exact = result.value, "direct", bool(getattr(result, "exact", False))
+    return (_format_number(ctx, value, scientific),
+            _format_decimal(ctx, result.err, True), method, exact)
 
 
 def _emit_records(args, records: List[dict], columns: List[str]) -> None:
@@ -349,8 +342,7 @@ def _cmd_volumes(args) -> int:
 def _cmd_poly(args) -> int:
     ctx = _context_from_args(args)
     poly = zeta_zn.zeta_zn_closed_poly(args.m, ctx)
-    coeffs = [f"{c.numerator}/{c.denominator}" if c.denominator != 1
-              else str(c.numerator) for c in poly.coeffs]
+    coeffs = [_format_rational(c) for c in poly.coeffs]
     rec = {"m": args.m, "degree": poly.degree, "polynomial": str(poly),
            "coeffs": coeffs if args.format == "json" else " ".join(coeffs)}
     _emit_records(args, [rec], ["m", "degree", "polynomial", "coeffs"])

@@ -219,17 +219,9 @@ class EvalResult:
         return self.exact is not None
 
 
-def real_result(ctx: PrecisionContext, value, err, certified: bool, method: str,
-                exact: Optional[Fraction] = None, note: Optional[str] = None) -> EvalResult:
-    """Package a real value as an EvalResult."""
-    mp = ctx.mp
-    v = mp.mpc(value)
-    e = mp.convert(err)
-    return EvalResult(HPComplex(v, e), e, certified, method, exact, note)
-
-
 def complex_result(ctx: PrecisionContext, value, err, certified: bool, method: str,
                    exact: Optional[Fraction] = None, note: Optional[str] = None) -> EvalResult:
+    """Package a real or complex value as an EvalResult."""
     mp = ctx.mp
     v = mp.mpc(value)
     e = mp.convert(err)

@@ -4,7 +4,7 @@
 
 The integrand splits into an s-independent heat factor (expensive: Bessel)
 and a cheap power of t, so nodes, weights, and heat values are cached per
-(precision, level) and shared across evaluation points and threads.
+(segment, precision, level) and shared across evaluation points and threads.
 
 Layout: tanh-sinh on (0, 1] absorbs the t^(s-1) endpoint singularity; the
 range [1, T] runs through u = log t; beyond T = 64 the integrand follows its
@@ -26,12 +26,10 @@ T_SPLIT = 64
 _MAX_LEVEL = 13
 
 _CACHE_LOCK = threading.Lock()
-# (working_bits, level) -> (ymax, nodes);  nodes are tuples described below.
-_UNIT_CACHE: dict = {}
-_EXP_CACHE: dict = {}
-# working_bits -> (w0, h(1/2), log(1/2)) / (w0, h(sqrt(T)), log of midpoint u)
-_UNIT_CENTER: dict = {}
-_EXP_CENTER: dict = {}
+# (segment, working_bits, level) -> (ymax, nodes (y, w, h(t-), a-, h(t+), a+))
+_NODE_CACHE: dict = {}
+# (segment, working_bits) -> (w0, h(t0), a0) of the centre node
+_CENTER_CACHE: dict = {}
 
 
 def _level_js(level: int):
@@ -60,114 +58,70 @@ def _raw_abscissa(mp, u):
     return y, w, frac_m, frac_p, log_m
 
 
-def _extend_unit(mp, wb: int, level: int, ymax) -> tuple:
-    """Unit-interval nodes (y, w, h(tm), log tm, h(tp), log tp) up to ymax."""
-    key = (wb, level)
+# Segments: "unit" integrates heat(t) t^(s-1) over t in (0, 1], with node
+# t = frac, exponent coordinate a = log t and x = s - 1; "exp" integrates
+# heat(e^u) e^(u s) over u in [0, ln T], with a = u = frac ln T, t = e^u,
+# x = s, and weights scaled by the length ln T.  Either way a node at the
+# tanh-sinh abscissa frac in (0, 1) contributes w heat(t) e^(a x).
+
+def _segment_point(mp, segment: str, frac, log_frac):
+    """(t, a) at fraction ``frac`` (with log ``log_frac``) of a segment."""
+    if segment == "unit":
+        return frac, log_frac
+    a = mp.log(T_SPLIT) * frac
+    return mp.exp(a), a
+
+
+def _segment_scale(mp, segment: str):
+    """Length of the segment in its integration variable."""
+    return mp.one if segment == "unit" else mp.log(T_SPLIT)
+
+
+def _nodes(mp, wb: int, segment: str, level: int, ymax) -> tuple:
+    """Segment nodes (y, w, h(t-), a-, h(t+), a+) of one level, up to ymax."""
+    key = (segment, wb, level)
     with _CACHE_LOCK:
-        cached = _UNIT_CACHE.get(key)
+        cached = _NODE_CACHE.get(key)
         if cached is not None and cached[0] >= ymax:
             return cached[1]
     # (re)build outside any potential reader's view, then publish atomically
     h = mp.mpf(2) ** (-level)
     switch = max(30, wb // 2)
+    scale = _segment_scale(mp, segment)
     nodes = []
     for j in _level_js(level):
-        u = j * h
-        y, w, tm, tp, log_m = _raw_abscissa(mp, u)
         if j == 0:
             continue  # center node handled separately
+        y, w, frac_m, frac_p, log_m = _raw_abscissa(mp, j * h)
+        tm, am = _segment_point(mp, segment, frac_m, log_m)
+        tp, ap = _segment_point(mp, segment, frac_p, 2 * y + log_m)
         hm, _ = _i0e_raw(mp, tm, switch)
         hp, _ = _i0e_raw(mp, tp, switch)
-        log_p = 2 * y + log_m
-        nodes.append((y, w, hm, log_m, hp, log_p))
+        nodes.append((y, w * scale, hm, am, hp, ap))
         if y > ymax:
             break
     result = tuple(nodes)
     with _CACHE_LOCK:
-        cached = _UNIT_CACHE.get(key)
+        cached = _NODE_CACHE.get(key)
         if cached is None or cached[0] < ymax:
-            _UNIT_CACHE[key] = (ymax, result)
+            _NODE_CACHE[key] = (ymax, result)
             return result
         return cached[1]
 
 
-def _unit_center(mp, wb: int):
+def _center(mp, wb: int, segment: str):
+    """(w0, h(t0), a0) of the centre node, at the segment's midpoint fraction."""
+    key = (segment, wb)
     with _CACHE_LOCK:
-        cached = _UNIT_CENTER.get(wb)
+        cached = _CENTER_CACHE.get(key)
     if cached is None:
         half = mp.mpf(1) / 2
-        hval, _ = _i0e_raw(mp, half, max(30, wb // 2))
-        cached = (mp.pi / 4, hval, mp.log(half))
+        t0, a0 = _segment_point(mp, segment, half, mp.log(half))
+        hval, _ = _i0e_raw(mp, t0, max(30, wb // 2))
+        cached = (mp.pi / 4 * _segment_scale(mp, segment), hval, a0)
         with _CACHE_LOCK:
-            _UNIT_CENTER[wb] = cached
+            _CENTER_CACHE[key] = cached
     return cached
-
-
-def _extend_exp(mp, wb: int, level: int, ymax) -> tuple:
-    """Nodes for int_0^lnT g(u) du, g(u) = heat(e^u) e^(us), as tuples
-    (y, w, h(e^{u-}), u-, h(e^{u+}), u+)."""
-    key = (wb, level)
-    with _CACHE_LOCK:
-        cached = _EXP_CACHE.get(key)
-        if cached is not None and cached[0] >= ymax:
-            return cached[1]
-    h = mp.mpf(2) ** (-level)
-    lnT = mp.log(T_SPLIT)
-    halfw = lnT / 2
-    switch = max(30, wb // 2)
-    nodes = []
-    for j in _level_js(level):
-        u = j * h
-        y, w, frac_m, frac_p, _ = _raw_abscissa(mp, u)
-        if j == 0:
-            continue
-        um = lnT * frac_m
-        up = lnT * frac_p
-        hm, _ = _i0e_raw(mp, mp.exp(um), switch)
-        hp, _ = _i0e_raw(mp, mp.exp(up), switch)
-        nodes.append((y, w * 2 * halfw, hm, um, hp, up))
-        if y > ymax:
-            break
-    result = tuple(nodes)
-    with _CACHE_LOCK:
-        cached = _EXP_CACHE.get(key)
-        if cached is None or cached[0] < ymax:
-            _EXP_CACHE[key] = (ymax, result)
-            return result
-        return cached[1]
-
-
-def _exp_center(mp, wb: int):
-    with _CACHE_LOCK:
-        cached = _EXP_CENTER.get(wb)
-    if cached is None:
-        lnT = mp.log(T_SPLIT)
-        u0 = lnT / 2
-        hval, _ = _i0e_raw(mp, mp.exp(u0), max(30, wb // 2))
-        cached = (mp.pi / 2 * lnT / 2, hval, u0)
-        with _CACHE_LOCK:
-            _EXP_CENTER[wb] = cached
-    return cached
-
-
-def _ts_sum(mp, tol, max_level: int, level_term, center_term):
-    """Generic nested tanh-sinh level loop with a heuristic error estimate."""
-    total = None
-    prev = None
-    for level in range(0, max_level + 1):
-        h = mp.mpf(2) ** (-level)
-        part = level_term(level)
-        if level == 0:
-            total = h * (part + center_term())
-        else:
-            total = total / 2 + h * part
-        if prev is not None and level >= 4:
-            diff = abs(total - prev)
-            err = diff + abs(total) * mp.mpf(2) ** (12 - mp.prec)
-            if diff <= tol:
-                return total, err
-        prev = total
-    raise NoConvergence("tanh-sinh quadrature did not reach the tolerance")
 
 
 def _quantize_up(mp, y):
@@ -179,51 +133,47 @@ def _quantize_up(mp, y):
     return q
 
 
+def _integral(ctx: PrecisionContext, segment: str, x, ymax, tol):
+    """Nested tanh-sinh over a segment with a heuristic error estimate;
+    nodes beyond ymax are dropped."""
+    mp = ctx.mp
+    wb = ctx.working_bits
+    ycache = _quantize_up(mp, ymax)
+    total = None
+    prev = None
+    for level in range(0, _MAX_LEVEL + 1):
+        h = mp.mpf(2) ** (-level)
+        part = mp.zero
+        for (y, w, hm, am, hp, ap) in _nodes(mp, wb, segment, level, ycache):
+            part += w * (hm * mp.exp(am * x) + hp * mp.exp(ap * x))
+            if y > ymax:
+                break
+        if level == 0:
+            w0, hval, a0 = _center(mp, wb, segment)
+            total = h * (part + w0 * hval * mp.exp(a0 * x))
+        else:
+            total = total / 2 + h * part
+        if prev is not None and level >= 4:
+            diff = abs(total - prev)
+            err = diff + abs(total) * mp.mpf(2) ** (12 - mp.prec)
+            if diff <= tol:
+                return total, err
+        prev = total
+    raise NoConvergence("tanh-sinh quadrature did not reach the tolerance")
+
+
 def _integral_unit(ctx: PrecisionContext, s, tol):
     """integral_0^1 heat(t) t^(s-1) dt by tanh-sinh."""
     mp = ctx.mp
-    wb = ctx.working_bits
-    sig = s.real
     # weight*integrand decays like e^(-2 y Re s) toward t=0, e^(-2y) toward 1
-    ymax = (wb + 16) * mp.log(2) / (2 * min(sig, mp.one))
-    ycache = _quantize_up(mp, ymax)
-    s1 = s - 1
-
-    def level_term(level):
-        acc = mp.zero
-        for (y, w, hm, log_m, hp, log_p) in _extend_unit(mp, wb, level, ycache):
-            acc += w * (hm * mp.exp(log_m * s1) + hp * mp.exp(log_p * s1))
-            if y > ymax:
-                break
-        return acc
-
-    def center_term():
-        w0, hval, logt = _unit_center(mp, wb)
-        return w0 * hval * mp.exp(logt * s1)
-
-    return _ts_sum(mp, tol, _MAX_LEVEL, level_term, center_term)
+    ymax = (ctx.working_bits + 16) * mp.log(2) / (2 * min(s.real, mp.one))
+    return _integral(ctx, "unit", s - 1, ymax, tol)
 
 
 def _integral_exp(ctx: PrecisionContext, s, tol):
     """integral_1^T heat(t) t^(s-1) dt via t = e^u."""
     mp = ctx.mp
-    wb = ctx.working_bits
-    ymax = (wb + 16) * mp.log(2) / 2
-    ycache = _quantize_up(mp, ymax)
-
-    def level_term(level):
-        acc = mp.zero
-        for (y, w, hm, um, hp, up) in _extend_exp(mp, wb, level, ycache):
-            acc += w * (hm * mp.exp(um * s) + hp * mp.exp(up * s))
-            if y > ymax:
-                break
-        return acc
-
-    def center_term():
-        w0, hval, u0 = _exp_center(mp, wb)
-        return w0 * hval * mp.exp(u0 * s)
-
-    return _ts_sum(mp, tol, _MAX_LEVEL, level_term, center_term)
+    return _integral(ctx, "exp", s, (ctx.working_bits + 16) * mp.log(2) / 2, tol)
 
 
 def _tail(ctx: PrecisionContext, s, tol):

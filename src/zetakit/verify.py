@@ -13,7 +13,13 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import List, Optional
 
-from .core import DomainError, PrecisionContext, get_context
+from .core import (
+    DomainError,
+    PrecisionContext,
+    ReconstructionError,
+    get_context,
+    mpf_to_fraction,
+)
 from . import asymptotics, numerics, spheres, zeta_zn
 from . import zeta_z
 
@@ -204,18 +210,81 @@ def _check_prop_sine(ctx: PrecisionContext) -> CheckResult:
     return _result("odd-power-cot-equivalence", errs, ctx.tol, "n<=50, m<=8")
 
 
+def _interpolate(points) -> list:
+    """Exact Newton interpolation through (x_i, y_i), monomial coefficients."""
+    xs = [Fraction(x) for x, _ in points]
+    coefs = [Fraction(y) for _, y in points]  # divided differences, in place
+    for level in range(1, len(points)):
+        for i in range(len(points) - 1, level - 1, -1):
+            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - level])
+    # expand Newton form into monomials
+    poly = [Fraction(0)] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        # poly <- poly * (x - xs[i]) + coefs[i]
+        carry = [Fraction(0)] * len(points)
+        for p in range(len(points) - 1):
+            carry[p + 1] += poly[p]
+            carry[p] -= poly[p] * xs[i]
+        carry[0] += coefs[i]
+        poly = carry
+    return poly
+
+
+def _reconstructed_poly(m: int, ctx: PrecisionContext) -> zeta_zn.RationalPolynomial:
+    """Oracle for ``zeta_zn_closed_poly``, independent of its Bernoulli
+    assembly: the polynomial rebuilt from direct sums alone.
+
+    Evaluates the direct sum at 2m+1 integer points at four times the
+    context precision, reconstructs each value as a rational under a
+    denominator bound, interpolates exactly, and verifies the polynomial at
+    five extra points; any failure raises ReconstructionError.  Not cached.
+    """
+    boost = PrecisionContext(4 * ctx.precision_bits, ctx.target_tol, ctx.max_terms)
+    mpb = boost.mp
+    # Coefficient denominators outgrow (2m+2)! (already at m = 3 the constant
+    # term carries 4^m extra from the 4^-s normalization), hence the bound:
+    bound = 4 ** m * factorial(2 * m + 2)
+    points = []
+    for nn in range(2, 2 * m + 3):
+        v = zeta_zn.zeta_zn_direct(nn, m, boost).value.re
+        q = mpf_to_fraction(v).limit_denominator(bound)
+        if abs(v - mpb.mpf(q.numerator) / q.denominator) > mpb.mpf(2) ** (-2 * ctx.precision_bits):
+            raise ReconstructionError(f"value at n={nn} is not rational under the bound")
+        points.append((nn, q))
+    coeffs = _interpolate(points)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    poly = zeta_zn.RationalPolynomial(tuple(coeffs))
+    check_tol = mpb.mpf(2) ** (-boost.precision_bits // 2)
+    for nn in range(2 * m + 3, 2 * m + 8):
+        direct = zeta_zn.zeta_zn_direct(nn, m, boost).value.re
+        expect = poly.evaluate(nn)
+        delta = abs(direct - mpb.mpf(expect.numerator) / expect.denominator)
+        if delta > check_tol * max(1, abs(direct)):
+            raise ReconstructionError(f"verification failed at n={nn}")
+    return poly
+
+
 def _check_poly_exactness(ctx: PrecisionContext) -> CheckResult:
+    """Closed polynomials equal the reconstruction oracle coefficient for
+    coefficient and match the direct sums at n = 2..12."""
     mp = ctx.mp
     thresh = mp.mpf(2) ** (-ctx.precision_bits // 2)
     errs = []
+    mismatched = []
     for m in range(1, 5):
         poly = zeta_zn.zeta_zn_closed_poly(m, ctx)
+        if poly.coeffs != _reconstructed_poly(m, ctx).coeffs:
+            mismatched.append(m)
         for n in range(2, 13):
             q = poly.evaluate(n)
             direct = zeta_zn.zeta_zn_direct(n, m, ctx).value.re
             ev = mp.mpf(q.numerator) / q.denominator
             errs.append(abs(direct - ev) / (1 + abs(ev)))
-    return _result("closed-poly-exactness", errs, thresh, "m<=4, n=2..12")
+    worst = max(errs)
+    return CheckResult("closed-poly-exactness", bool(worst <= thresh) and not mismatched,
+                       float(worst), "m<=4, n=2..12"
+                       + (f"; oracle mismatch at m = {mismatched}" if mismatched else ""))
 
 
 def _check_fold_symmetry(ctx: PrecisionContext) -> CheckResult:
@@ -313,23 +382,11 @@ def _check_convergence_order(ctx: PrecisionContext) -> CheckResult:
     grid = [16 * 2 ** i for i in range(8)]
     terms = asymptotics.expansion_terms(-1, ctx)
     lead = terms[0].coefficient.value.real
-    pts = []
     # two-term fit, then examine how the unmodeled remainder decays
-    xs, ys = [], []
-    for n in grid:
-        d = zeta_zn.sine_power_sum(n, 1, ctx).value - lead * n
-        xs.append(mp.mpf(n) ** -2)
-        ys.append(d * n)
-    N = len(grid)
-    sx, sxx = mp.fsum(xs), mp.fsum(v * v for v in xs)
-    sy, sxy = mp.fsum(ys), mp.fsum(u * v for u, v in zip(xs, ys))
-    det = N * sxx - sx * sx
-    c2 = (N * sxy - sx * sy) / det
-    c1 = (sy - c2 * sx) / N
-    for n in grid:
-        d = zeta_zn.sine_power_sum(n, 1, ctx).value - lead * n
-        r = abs(d - c1 / n)
-        pts.append((mp.log(n), mp.log(r)))
+    ds = [zeta_zn.sine_power_sum(n, 1, ctx).value - lead * n for n in grid]
+    c1, _ = asymptotics._fit_line(mp, [mp.mpf(n) ** -2 for n in grid],
+                                  [d * n for d, n in zip(ds, grid)])
+    pts = [(mp.log(n), mp.log(abs(d - c1 / n))) for d, n in zip(ds, grid)]
     # least-squares slope of log|residual| vs log n
     mx = mp.fsum(p[0] for p in pts) / len(pts)
     my = mp.fsum(p[1] for p in pts) / len(pts)
@@ -411,8 +468,8 @@ _SUITES = {
 def run_suite(suite: str, ctx: Optional[PrecisionContext] = None, *,
               corrupt: bool = False) -> List[CheckResult]:
     """Run one named suite (or 'all').  ``corrupt`` poisons the closed-poly
-    cache first (test mode: the polynomial-exactness check must then fail);
-    the cache is restored afterwards either way."""
+    cache entry for m = 2 first (test mode: the polynomial-exactness check
+    must then fail); the entry is restored afterwards either way."""
     ctx = get_context(ctx)
     if suite == "all":
         names = list(SUITE_NAMES)
@@ -421,16 +478,17 @@ def run_suite(suite: str, ctx: Optional[PrecisionContext] = None, *,
     else:
         raise DomainError(f"unknown suite {suite!r}")
     results: List[CheckResult] = []
+    previous = None
     try:
         if corrupt:
             bad = zeta_zn.RationalPolynomial(
                 (Fraction(11, 720), Fraction(0), Fraction(1, 72),
                  Fraction(0), Fraction(1, 720)))
-            zeta_zn._seed_poly_cache(2, bad)
+            previous = asymptotics._seed_poly_cache(2, bad)
         for name in names:
             for check in _SUITES[name]:
                 results.append(check(ctx))
     finally:
         if corrupt:
-            zeta_zn._clear_poly_cache()
+            asymptotics._seed_poly_cache(2, previous)
     return results

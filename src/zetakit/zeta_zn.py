@@ -4,16 +4,17 @@
 
 Negative integer values are exact alternating binomial sums, odd half-integer
 values collapse to short cotangent sums, and positive integer values are
-polynomials in n recovered here by exact interpolation with rational
-reconstruction.
+polynomials in n, assembled exactly from Bernoulli numbers by
+:func:`zetakit.asymptotics.csc_power_polynomial`.  The ``verify`` suite
+checks them against an independent oracle that reconstructs them from direct
+sums.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import Optional, Union
 
 from .core import (
@@ -22,12 +23,9 @@ from .core import (
     EvalResult,
     HPReal,
     PrecisionContext,
-    ReconstructionError,
     complex_result,
     exact_result,
     get_context,
-    mpf_to_fraction,
-    real_result,
 )
 
 __all__ = [
@@ -41,7 +39,8 @@ __all__ = [
     "zeta_zn_closed_poly",
 ]
 
-#: Largest exponent for which closed polynomials are reconstructed.
+#: Largest exponent served by closed polynomials; ``zetakit eval zeta-zn``
+#: takes the direct sum beyond it.
 POLY_CAP = 8
 
 
@@ -109,8 +108,14 @@ class RationalPolynomial:
         return f"({text})/{den}" if den != 1 else text
 
 
-def _folded_sine_terms(n: int):
-    """(reduced fraction k/n, weight) pairs exploiting sin's k <-> n-k symmetry."""
+def _sine_terms(n: int, fold: bool):
+    """(reduced fraction k/n, weight) pairs for k = 1..n-1, each fraction
+    taken as min(k, n-k)/n.  Folding merges k with n-k, on which sin(pi k/n)
+    agrees, into one term of weight two."""
+    if not fold:
+        for k in range(1, n):
+            yield Fraction(min(k, n - k), n), 1
+        return
     for k in range(1, (n + 1) // 2):
         yield Fraction(k, n), 2
     if n % 2 == 0:
@@ -130,12 +135,7 @@ def sine_power_sum(n: Union[int, DiscreteCircle], power,
     mp = ctx.mp
     p = ctx.mpf(power)
     acc = mp.zero
-    if fold:
-        pairs = _folded_sine_terms(nn)
-    else:
-        pairs = ((min(Fraction(k, nn), Fraction(nn - k, nn)), 1)
-                 for k in range(1, nn))
-    for frac, weight in pairs:
+    for frac, weight in _sine_terms(nn, fold):
         sv = mp.sinpi(mp.mpf(frac.numerator) / frac.denominator)
         acc += weight * mp.power(sv, p)
     err = abs(acc) * (nn + 16) * mp.mpf(2) ** (4 - mp.prec)
@@ -156,12 +156,7 @@ def zeta_zn_direct(n: Union[int, DiscreteCircle], s,
         return exact_result(ctx, Fraction(nn - 1), "direct-sum")
     acc = mp.zero
     magnitude = mp.zero  # phases can cancel for complex s; bound on term mass
-    if fold:
-        pairs = _folded_sine_terms(nn)
-    else:
-        pairs = ((min(Fraction(k, nn), Fraction(nn - k, nn)), 1)
-                 for k in range(1, nn))
-    for frac, weight in pairs:
+    for frac, weight in _sine_terms(nn, fold):
         sv = mp.sinpi(mp.mpf(frac.numerator) / frac.denominator)
         term = weight * mp.power(sv, -2 * z)
         acc += term
@@ -218,90 +213,26 @@ def sine_odd_power_sum(n: Union[int, DiscreteCircle], m: int,
             magnitude += abs(term)
         v = 2 * acc
         err = 2 * magnitude * (m + 16) * mp.mpf(2) ** (4 - mp.prec)
-        return real_result(ctx, v, err, False, "cot-sum")
+        return complex_result(ctx, v, err, False, "cot-sum")
     except CotPoleError:
         direct = sine_power_sum(nn, 2 * m + 1, ctx)
         v = mp.mpf(2) ** (2 * m + 1) * direct.value
-        return real_result(ctx, v, mp.mpf(2) ** (2 * m + 1) * direct.err,
-                           False, "direct-sum", note="cot-pole-fallback")
+        return complex_result(ctx, v, mp.mpf(2) ** (2 * m + 1) * direct.err,
+                              False, "direct-sum", note="cot-pole-fallback")
 
 
 # --------------------------------------------------------------------------
 # closed polynomials at positive integers
 
-_POLY_LOCK = threading.Lock()
-_POLY_CACHE: dict = {}
-
-
-def _interpolate(points) -> list:
-    """Exact Newton interpolation through (x_i, y_i), monomial coefficients."""
-    xs = [Fraction(x) for x, _ in points]
-    coefs = [Fraction(y) for _, y in points]  # divided differences, in place
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - level])
-    # expand Newton form into monomials
-    poly = [Fraction(0)] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        # poly <- poly * (x - xs[i]) + coefs[i]
-        carry = [Fraction(0)] * len(points)
-        for p in range(len(points) - 1):
-            carry[p + 1] += poly[p]
-            carry[p] -= poly[p] * xs[i]
-        carry[0] += coefs[i]
-        poly = carry
-    return poly
-
-
 def zeta_zn_closed_poly(m: int, ctx: Optional[PrecisionContext] = None) -> RationalPolynomial:
     """The unique degree-2m polynomial P with P(n) = zeta_n(m) for all n >= 2.
 
-    Evaluates the direct sum at 2m+1 integer points at four times the
-    context precision, reconstructs each value as a rational under a
-    denominator bound, interpolates exactly, and verifies the polynomial at
-    five extra points.  Results are cached per exponent.
+    zeta_n(m) is 4^(-m) sum_k csc(pi k/n)^(2m), whose large-n expansion
+    terminates; :func:`zetakit.asymptotics.csc_power_polynomial` assembles
+    it exactly from Bernoulli numbers and caches it.  The result is exact,
+    so ``ctx`` is not used.
     """
     if not 1 <= m <= POLY_CAP:
         raise DomainError(f"closed polynomials supported for 1 <= m <= {POLY_CAP}")
-    with _POLY_LOCK:
-        cached = _POLY_CACHE.get(m)
-    if cached is not None:
-        return cached
-    ctx = get_context(ctx)
-    boost = PrecisionContext(4 * ctx.precision_bits, ctx.target_tol, ctx.max_terms)
-    mpb = boost.mp
-    # Coefficient denominators outgrow (2m+2)! (already at m = 3 the constant
-    # term carries 4^m extra from the 4^-s normalization), hence the bound:
-    bound = 4 ** m * factorial(2 * m + 2)
-    points = []
-    for nn in range(2, 2 * m + 3):
-        v = zeta_zn_direct(nn, m, boost).value.re
-        q = mpf_to_fraction(v).limit_denominator(bound)
-        if abs(v - mpb.mpf(q.numerator) / q.denominator) > mpb.mpf(2) ** (-2 * ctx.precision_bits):
-            raise ReconstructionError(f"value at n={nn} is not rational under the bound")
-        points.append((nn, q))
-    coeffs = _interpolate(points)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    poly = RationalPolynomial(tuple(coeffs))
-    check_tol = mpb.mpf(2) ** (-boost.precision_bits // 2)
-    for nn in range(2 * m + 3, 2 * m + 8):
-        direct = zeta_zn_direct(nn, m, boost).value.re
-        expect = poly.evaluate(nn)
-        delta = abs(direct - mpb.mpf(expect.numerator) / expect.denominator)
-        if delta > check_tol * max(1, abs(direct)):
-            raise ReconstructionError(f"verification failed at n={nn}")
-    with _POLY_LOCK:
-        _POLY_CACHE.setdefault(m, poly)
-    return poly
-
-
-def _seed_poly_cache(m: int, poly: RationalPolynomial) -> None:
-    """Test hook: pre-seed (possibly corrupt) a cached polynomial."""
-    with _POLY_LOCK:
-        _POLY_CACHE[m] = poly
-
-
-def _clear_poly_cache() -> None:
-    with _POLY_LOCK:
-        _POLY_CACHE.clear()
+    from .asymptotics import csc_power_polynomial  # asymptotics imports this module
+    return csc_power_polynomial(m)

@@ -20,6 +20,8 @@ from zetakit import (
     zeta_zn_positive_from_asymptotics,
     sine_power_sum,
 )
+from zetakit.verify import _reconstructed_poly
+from zetakit.zeta_zn import POLY_CAP
 
 
 # ---------------------------------------------------------------- terms
@@ -190,6 +192,8 @@ def test_assembly_domain(ctx):
 
 def test_csc_polynomial_cross_route(ctx):
     # two independent routes to the same polynomials: Bernoulli assembly
-    # vs interpolation with rational reconstruction
-    for m in range(1, 6):
-        assert csc_power_polynomial(m).coeffs == zeta_zn_closed_poly(m, ctx).coeffs
+    # vs verify's oracle, interpolation with rational reconstruction
+    for m in range(1, POLY_CAP + 1):
+        oracle = _reconstructed_poly(m, ctx).coeffs
+        assert csc_power_polynomial(m).coeffs == oracle
+        assert zeta_zn_closed_poly(m, ctx).coeffs == oracle

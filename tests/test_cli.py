@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zetakit import zeta_zn_closed_poly
 from zetakit.cli import main
 
 
@@ -117,7 +118,9 @@ def test_verify_spheres_passes(capsys):
 def test_verify_corrupt_fails(capsys):
     code, out, _ = run_cli(capsys, "verify", "zeta-zn", "--corrupt")
     assert code == 1
-    assert "[FAIL]" in out
+    assert "[FAIL] closed-poly-exactness" in out
+    # the poisoned cache entry is restored afterwards
+    assert str(zeta_zn_closed_poly(2)) == "(n^4 + 10*n^2 - 11)/720"
 
 
 # ---------------------------------------------------------------- sweep

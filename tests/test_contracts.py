@@ -16,7 +16,7 @@ from zetakit import (
     zeta_zn_closed_poly,
     zeta_zn_direct,
 )
-from zetakit.zeta_zn import _clear_poly_cache
+from zetakit.asymptotics import _clear_poly_cache
 
 
 def test_precision_context_validation():

@@ -16,7 +16,8 @@ from zetakit import (
     sine_odd_power_sum,
     sine_power_sum,
 )
-from zetakit.zeta_zn import POLY_CAP, _clear_poly_cache, _seed_poly_cache
+from zetakit.asymptotics import _clear_poly_cache, _seed_poly_cache
+from zetakit.zeta_zn import POLY_CAP
 
 
 # ---------------------------------------------------------------- direct sum
@@ -175,9 +176,10 @@ def test_poly_cache_seeding_visible(ctx):
 
 
 def test_poly_verification_failure_raises(ctx, monkeypatch):
-    # force reconstruction against a corrupted value at one node
+    # the verify oracle reconstructs from a corrupted value at one node and
+    # must refuse; the production polynomial never reads the direct sums
     import zetakit.zeta_zn as zzn
-    _clear_poly_cache()
+    from zetakit.verify import _reconstructed_poly
     real_direct = zzn.zeta_zn_direct
 
     def corrupted(n, s, ctx_in=None, **kw):
@@ -191,9 +193,25 @@ def test_poly_verification_failure_raises(ctx, monkeypatch):
 
     monkeypatch.setattr(zzn, "zeta_zn_direct", corrupted)
     with pytest.raises(ReconstructionError):
-        zzn.zeta_zn_closed_poly(1, ctx)
-    monkeypatch.undo()
-    _clear_poly_cache()
+        _reconstructed_poly(1, ctx)
+    assert zzn.zeta_zn_closed_poly(1, ctx).coeffs == (
+        Fraction(-1, 12), Fraction(0), Fraction(1, 12))
+
+
+def test_poly_check_requires_oracle_equality(ctx):
+    # 1e-60 off in one coefficient: inside the direct-sum threshold, but no
+    # longer equal to the reconstruction oracle
+    from zetakit.verify import _check_poly_exactness
+    near = RationalPolynomial(
+        (Fraction(-1, 12) + Fraction(1, 10 ** 60), Fraction(0), Fraction(1, 12)))
+    previous = _seed_poly_cache(1, near)
+    try:
+        res = _check_poly_exactness(ctx)
+    finally:
+        _seed_poly_cache(1, previous)
+    assert not res.passed
+    assert res.max_err <= 2.0 ** (-ctx.precision_bits // 2)
+    assert res.detail.endswith("oracle mismatch at m = [1]")
 
 
 # ---------------------------------------------------------------- polynomial str
