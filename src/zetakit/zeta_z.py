@@ -7,8 +7,8 @@ Three independent evaluation routes are provided and cross-checked:
   integers (central binomial coefficients) and exact zeros at the positive
   integers;
 * ``zeta_z_product`` -- the infinite product prod_k (k-s)^2 / (k (k-2s)),
-  truncated with a certified tail computed from the Hurwitz-zeta values of
-  its logarithm;
+  truncated with a certified tail: one Euler-Maclaurin sum of its
+  logarithm with a proved remainder bound;
 * ``zeta_z_mellin``  -- direct quadrature of the heat-trace Mellin integral
   on its convergence strip 0 < Re(s) < 1/2.
 
@@ -121,11 +121,21 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
                    terms: Optional[int] = None) -> EvalResult:
     """Truncated product prod_{k<=K} (k-s)^2 / (k (k-2s)) with certified tail.
 
-    The tail log sum_{k>K} log-factor expands as
-    sum_{m>=2} ((2^m - 2)/m) s^m zeta(m, K+1); adding those corrections up to
-    an order whose geometric remainder bound drops below the tolerance gives
-    a certified absolute error.  Positive integers and half-integers (zeros
-    and poles of the product) raise NeedsLimitInterpretation.
+    The tail log sum_{k>K} g(k), g(x) = 2 log(x-s) - log x - log(x-2s), is
+    one Euler-Maclaurin sum at K:
+
+        -G(K) - g(K)/2 - sum_{j<=J} B_2j / (2j)! g^(2j-1)(K) + R_J,
+
+    with G(x) = 2(x-s) log(x-s) - x log x - (x-2s) log(x-2s) the antiderivative
+    vanishing at infinity and g^(n)(x) = (-1)^(n-1) (n-1)! (2(x-s)^-n - x^-n
+    - (x-2s)^-n).  The remainder is proved: |R_J| <= 2 zeta(2J+1)
+    (2 pi)^(-2J-1) int_K^inf |g^(2J+1)| <= 8 zeta(3) (2J-1)! / ((2 pi)^(2J+1)
+    d^(2J)) with d = K - 2|s|.  J is the first order that meets the
+    tolerance; when the bound stops falling first (2J >= 2 pi d), K grows
+    fourfold, or an explicit ``terms`` raises NoConvergence.  ``err`` covers
+    that remainder and the rounding, including the O(K log K) cancellation
+    inside G(K).  Positive integers and half-integers (zeros and poles of the
+    product) raise NeedsLimitInterpretation.
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -145,34 +155,54 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
         P = mp.one
         for k in range(1, K + 1):
             P *= (k - z) ** 2 / (k * (k - 2 * z))
-        q = 2 * absz / K
-        if q < 1:
-            # correction terms; remainder after m <= M is bounded by
-            # K q^(M+1) / ((M+1) M (1-q)), using zeta(m, K+1) <= K^(1-m)/(m-1)
-            L = mp.zero
-            zpow = z * z
-            M = 1
-            while True:
-                M += 1
-                L += mp.mpf(2 ** M - 2) / M * zpow * mp.zeta(M, K + 1)
-                zpow *= z
-                R = K * q ** (M + 1) / ((M + 1) * M * (1 - q))
-                if abs(P) * mp.expm1(R) <= tol / 4 or M >= 80:
-                    break
-            # one extra order of cushion before certifying
-            M += 1
-            L += mp.mpf(2 ** M - 2) / M * zpow * mp.zeta(M, K + 1)
-            R = K * q ** (M + 1) / ((M + 1) * M * (1 - q))
+        # the stopping rule |P| expm1(R_J) <= tol/4, solved for R_J once
+        order = _em_tail_order(mp, K - 2 * absz, mp.log1p(tol / 4 / abs(P)))
+        if order is not None:
+            J, R = order
+            a, c = K - z, K - 2 * z
+            la, lb, lc = mp.log(a), mp.log(K), mp.log(c)
+            G = 2 * a * la - K * lb - c * lc
+            L = -G - (2 * la - lb - lc) / 2
+            ia, ib, ic = 1 / a, mp.one / K, 1 / c
+            ia2, ib2, ic2 = ia * ia, ib * ib, ic * ic
+            for j in range(1, J + 1):
+                L -= (numerics._bern_mpf(mp, 2 * j) / (2 * j * (2 * j - 1))
+                      * (2 * ia - ib - ic))
+                ia, ib, ic = ia * ia2, ib * ib2, ic * ic2
             v = P * mp.exp(L)
+            # rounding: 3 operations per factor of P, the J correction terms,
+            # and the cancellation among the three K log K terms of G(K)
+            mass = 2 * abs(a * la) + abs(K * lb) + abs(c * lc)
             err = (
                 abs(v) * mp.expm1(R) * (1 + mp.mpf(2) ** -10)
-                + abs(v) * (3 * K + 4 * M + 16) * mp.mpf(2) ** (2 - mp.prec)
+                + abs(v) * (3 * K + 4 * J + 16 + 4 * mass) * mp.mpf(2) ** (2 - mp.prec)
             )
             if err <= tol:
                 return complex_result(ctx, v, err, True, "product")
         K *= 4
         if terms is not None:
             raise NoConvergence("requested truncation cannot certify the tolerance")
+
+
+#: 8 zeta(3) rounded up: the constant of the Euler-Maclaurin tail remainder.
+_EIGHT_ZETA3 = 9.6168
+
+
+def _em_tail_order(mp, d, rmax):
+    """(J, R_J) for the first order J whose remainder bound R_J =
+    8 zeta(3) (2J-1)! / ((2 pi)^(2J+1) d^(2J)) is at most rmax, or None when
+    the bound stops falling first (2J >= 2 pi d)."""
+    if d <= 0:
+        return None
+    two_pi_d = 2 * mp.pi * d
+    R = _EIGHT_ZETA3 / (two_pi_d ** 2 * 2 * mp.pi)
+    J = 1
+    while R > rmax:
+        if 2 * J >= two_pi_d:
+            return None
+        R *= (2 * J) * (2 * J + 1) / two_pi_d ** 2
+        J += 1
+    return J, R
 
 
 def zeta_z_mellin(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:

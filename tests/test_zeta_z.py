@@ -9,7 +9,9 @@ import pytest
 from zetakit import (
     DomainError,
     NeedsLimitInterpretation,
+    NoConvergence,
     PoleError,
+    PrecisionContext,
     ZetaZMethod,
     big_z,
     evaluate_zeta_z,
@@ -77,12 +79,37 @@ def test_product_matches_closed_on_strip(ctx):
         assert abs(p.value.value - c.value.value) <= p.err + c.err
 
 
-def test_product_error_bound_is_honest(ctx, mp):
+_HONEST_POINTS = {
+    "quarter": Fraction(1, 4), "neg7thirds": Fraction(-7, 3),
+    "neg7p3": -7.3, "neg11p3": -11.3,
+    "cplx0p2": complex(0.2, 0.3), "cplxneg2p5": complex(-2.5, 1.5),
+}
+
+
+@pytest.mark.parametrize("bits, tol, s, terms", [
     # truncate coarsely on purpose: the certified bound must still cover
     # the true gap to the closed form
-    p = zeta_z_product(Fraction(1, 4), ctx, terms=400)
-    c = zeta_z_closed(Fraction(1, 4), ctx)
-    assert abs(p.value.value - c.value.value) <= p.err + c.err
+    pytest.param(256, 1e-30, Fraction(1, 4), 400, id="terms400"),
+] + [
+    pytest.param(bits, tol, s, None, id=f"{bits}bits-{tol:g}-{name}")
+    for bits, tol in ((128, 1e-20), (512, 1e-60), (1024, 1e-120), (1024, 1e-200))
+    for name, s in _HONEST_POINTS.items()
+])
+def test_product_error_bound_is_honest(bits, tol, s, terms):
+    # the bound meets the tolerance and covers the true error, taken against
+    # the closed form at twice the bits
+    p = zeta_z_product(s, PrecisionContext(bits, tol), terms=terms)
+    c = zeta_z_closed(s, PrecisionContext(2 * bits, tol))
+    assert p.err <= tol
+    assert abs(p.value.value - c.value.value) <= p.err
+
+
+def test_product_refuses_uncertifiable_truncation(ctx):
+    # at K = 8 (d = K - 2|s| = 7.5) the Euler-Maclaurin remainder bound
+    # bottoms out near 1e-21, above the 1e-30 budget: refuse, never return
+    # an uncertified value
+    with pytest.raises(NoConvergence):
+        zeta_z_product(Fraction(1, 4), ctx, terms=8)
 
 
 def test_product_needs_limit_interpretation(ctx):
