@@ -6,7 +6,6 @@ closed form cross-validated against an independent numerical or exact oracle.
 
 from .core import (
     BigRational,
-    CotPoleError,
     DomainError,
     EvalResult,
     HPComplex,

@@ -22,7 +22,6 @@ from math import ceil
 from typing import List, Optional
 
 from .core import (
-    CotPoleError,
     DomainError,
     EvalResult,
     IllConditioned,
@@ -36,7 +35,7 @@ from .core import (
 from . import asymptotics, numerics, spheres, verify, zeta_z, zeta_zn
 
 _DOMAIN_ERRORS = (DomainError, PoleError, IndeterminateError,
-                  NeedsLimitInterpretation, CotPoleError)
+                  NeedsLimitInterpretation)
 _NUMERIC_ERRORS = (NoConvergence, IllConditioned, ReconstructionError)
 
 EXIT_OK = 0

@@ -49,10 +49,6 @@ class NeedsLimitInterpretation(ZetaKitError):
     """The infinite product degenerates here and needs a limit reading."""
 
 
-class CotPoleError(ZetaKitError):
-    """A cotangent argument landed on a multiple of pi."""
-
-
 class IllConditioned(ZetaKitError):
     """A fit residual too large for the extracted coefficient to be trusted."""
 

@@ -1,15 +1,16 @@
-"""Tanh-sinh quadrature specialized to the heat-trace Mellin integral
+"""Tanh-sinh quadrature of the spectral form of the lattice zeta function
 
-    integral_0^inf  e^(-2t) I0(2t) t^(s-1) dt,   0 < Re(s) < 1/2.
+    zeta_Z(s) = integral_0^1 (2 sin(pi x/2))^(-2s) dx,   0 < Re(s) < 1/2.
 
-The integrand splits into an s-independent heat factor (expensive: Bessel)
-and a cheap power of t, so nodes, weights, and heat values are cached per
-(segment, precision, level) and shared across evaluation points and threads.
+The heat trace is e^(-2t) I0(2t) = integral_0^1 e^(-4t sin^2(pi x/2)) dx, so
+its Mellin transform divided by Gamma(s) is this integral (the t-integral
+done first); the Riemann sums of the same integrand are zeta_{Z/nZ}(s)/n.
 
-Layout: tanh-sinh on (0, 1] absorbs the t^(s-1) endpoint singularity; the
-range [1, T] runs through u = log t; beyond T = 64 the integrand follows its
-descending series in 1/t whose terms integrate in closed form, leaving a
-remainder far below any supported tolerance.
+The endpoint singularity (pi x)^(-2s) integrates in closed form to
+pi^(-2s)/(1-2s); the smooth remainder (2 sin(pi x/2))^(-2s) - (pi x)^(-2s)
+goes to one nested tanh-sinh rule on (0, 1).  Nodes, weights and the two
+logarithms at each node do not depend on s, so they are cached per
+(working bits, level) and shared across evaluation points and threads.
 """
 
 from __future__ import annotations
@@ -18,18 +19,13 @@ import threading
 from typing import Tuple
 
 from .core import NoConvergence, PrecisionContext
-from .numerics import _i0e_raw
-
-#: Switch point between quadrature and the analytic descending-series tail.
-T_SPLIT = 64
+from .numerics import _i0e_raw  # noqa: F401  the benchmark tracer wraps this name
 
 _MAX_LEVEL = 13
 
 _CACHE_LOCK = threading.Lock()
-# (segment, working_bits, level) -> (ymax, nodes (y, w, h(t-), a-, h(t+), a+))
+# (working_bits, level) -> nodes (w, log(pi x), log(2 sin(pi x/2)))
 _NODE_CACHE: dict = {}
-# (segment, working_bits) -> (w0, h(t0), a0) of the centre node
-_CENTER_CACHE: dict = {}
 
 
 def _level_js(level: int):
@@ -41,173 +37,83 @@ def _level_js(level: int):
         j += step
 
 
-def _raw_abscissa(mp, u):
-    """tanh-sinh geometry at u: (y, w, frac_minus, frac_plus, log_frac_minus).
+def _ymax(mp, wb: int):
+    """Node cutoff: past y = (wb+16) ln2 / 2 the weight is below 2^-(wb+16).
 
-    y = (pi/2) sinh u; the node pair on (0,1) is 1/(1+e^(2y)) and its
-    reflection, computed in cancellation-free form; w is the pure weight
-    (pi/2) cosh u / cosh(y)^2 halved for the unit-interval map.
+    For every s on the strip, weight times remainder decays like e^(-4y)
+    toward x = 0 and like e^(-2y) toward x = 1, so the cutoff is s-free."""
+    return (wb + 16) * mp.ln2 / 2
+
+
+def _nodes(mp, wb: int, level: int) -> tuple:
+    """Nodes (w, log(pi x), log(2 sin(pi x/2))) of one level on (0, 1).
+
+    The abscissa pair at u is x- = 1/(1+e^(2y)) and x+ = 1 - x-, y =
+    (pi/2) sinh u, with the sine at x+ taken as cospi(x-/2) so nothing
+    cancels near x = 1; w is the tanh-sinh weight (pi/2) cosh u / cosh(y)^2
+    halved for the unit interval.
     """
-    pi2 = mp.pi / 2
-    y = pi2 * mp.sinh(u)
-    e2y = mp.exp(2 * y)
-    frac_m = 1 / (1 + e2y)
-    frac_p = e2y / (1 + e2y)
-    log_m = -mp.log1p(e2y)
-    w = pi2 * mp.cosh(u) * 4 / (e2y + 2 + 1 / e2y) / 2
-    return y, w, frac_m, frac_p, log_m
-
-
-# Segments: "unit" integrates heat(t) t^(s-1) over t in (0, 1], with node
-# t = frac, exponent coordinate a = log t and x = s - 1; "exp" integrates
-# heat(e^u) e^(u s) over u in [0, ln T], with a = u = frac ln T, t = e^u,
-# x = s, and weights scaled by the length ln T.  Either way a node at the
-# tanh-sinh abscissa frac in (0, 1) contributes w heat(t) e^(a x).
-
-def _segment_point(mp, segment: str, frac, log_frac):
-    """(t, a) at fraction ``frac`` (with log ``log_frac``) of a segment."""
-    if segment == "unit":
-        return frac, log_frac
-    a = mp.log(T_SPLIT) * frac
-    return mp.exp(a), a
-
-
-def _segment_scale(mp, segment: str):
-    """Length of the segment in its integration variable."""
-    return mp.one if segment == "unit" else mp.log(T_SPLIT)
-
-
-def _nodes(mp, wb: int, segment: str, level: int, ymax) -> tuple:
-    """Segment nodes (y, w, h(t-), a-, h(t+), a+) of one level, up to ymax."""
-    key = (segment, wb, level)
+    key = (wb, level)
     with _CACHE_LOCK:
         cached = _NODE_CACHE.get(key)
-        if cached is not None and cached[0] >= ymax:
-            return cached[1]
-    # (re)build outside any potential reader's view, then publish atomically
+    if cached is not None:
+        return cached
     h = mp.mpf(2) ** (-level)
-    switch = max(30, wb // 2)
-    scale = _segment_scale(mp, segment)
+    ymax = _ymax(mp, wb)
+    log_pi = mp.log(mp.pi)
     nodes = []
     for j in _level_js(level):
-        if j == 0:
-            continue  # center node handled separately
-        y, w, frac_m, frac_p, log_m = _raw_abscissa(mp, j * h)
-        tm, am = _segment_point(mp, segment, frac_m, log_m)
-        tp, ap = _segment_point(mp, segment, frac_p, 2 * y + log_m)
-        hm, _ = _i0e_raw(mp, tm, switch)
-        hp, _ = _i0e_raw(mp, tp, switch)
-        nodes.append((y, w * scale, hm, am, hp, ap))
+        u = j * h
+        y = mp.pi / 2 * mp.sinh(u)
         if y > ymax:
             break
+        e2y = mp.exp(2 * y)
+        w = mp.pi * mp.cosh(u) / (e2y + 2 + 1 / e2y)
+        xm = 1 / (1 + e2y)
+        nodes.append((w, log_pi - mp.log1p(e2y), mp.log(2 * mp.sinpi(xm / 2))))
+        if j:  # the centre node x = 1/2 is its own reflection
+            nodes.append((w, log_pi - mp.log1p(1 / e2y), mp.log(2 * mp.cospi(xm / 2))))
     result = tuple(nodes)
     with _CACHE_LOCK:
-        cached = _NODE_CACHE.get(key)
-        if cached is None or cached[0] < ymax:
-            _NODE_CACHE[key] = (ymax, result)
-            return result
-        return cached[1]
-
-
-def _center(mp, wb: int, segment: str):
-    """(w0, h(t0), a0) of the centre node, at the segment's midpoint fraction."""
-    key = (segment, wb)
-    with _CACHE_LOCK:
-        cached = _CENTER_CACHE.get(key)
-    if cached is None:
-        half = mp.mpf(1) / 2
-        t0, a0 = _segment_point(mp, segment, half, mp.log(half))
-        hval, _ = _i0e_raw(mp, t0, max(30, wb // 2))
-        cached = (mp.pi / 4 * _segment_scale(mp, segment), hval, a0)
-        with _CACHE_LOCK:
-            _CENTER_CACHE[key] = cached
-    return cached
-
-
-def _quantize_up(mp, y):
-    """Round the decay cutoff up to a power of two so cache entries shared
-    between nearby exponents do not trigger rebuilds."""
-    q = mp.mpf(64)
-    while q < y:
-        q *= 2
-    return q
-
-
-def _integral(ctx: PrecisionContext, segment: str, x, ymax, tol):
-    """Nested tanh-sinh over a segment with a heuristic error estimate;
-    nodes beyond ymax are dropped."""
-    mp = ctx.mp
-    wb = ctx.working_bits
-    ycache = _quantize_up(mp, ymax)
-    total = None
-    prev = None
-    for level in range(0, _MAX_LEVEL + 1):
-        h = mp.mpf(2) ** (-level)
-        part = mp.zero
-        for (y, w, hm, am, hp, ap) in _nodes(mp, wb, segment, level, ycache):
-            part += w * (hm * mp.exp(am * x) + hp * mp.exp(ap * x))
-            if y > ymax:
-                break
-        if level == 0:
-            w0, hval, a0 = _center(mp, wb, segment)
-            total = h * (part + w0 * hval * mp.exp(a0 * x))
-        else:
-            total = total / 2 + h * part
-        if prev is not None and level >= 4:
-            diff = abs(total - prev)
-            err = diff + abs(total) * mp.mpf(2) ** (12 - mp.prec)
-            if diff <= tol:
-                return total, err
-        prev = total
-    raise NoConvergence("tanh-sinh quadrature did not reach the tolerance")
-
-
-def _integral_unit(ctx: PrecisionContext, s, tol):
-    """integral_0^1 heat(t) t^(s-1) dt by tanh-sinh."""
-    mp = ctx.mp
-    # weight*integrand decays like e^(-2 y Re s) toward t=0, e^(-2y) toward 1
-    ymax = (ctx.working_bits + 16) * mp.log(2) / (2 * min(s.real, mp.one))
-    return _integral(ctx, "unit", s - 1, ymax, tol)
-
-
-def _integral_exp(ctx: PrecisionContext, s, tol):
-    """integral_1^T heat(t) t^(s-1) dt via t = e^u."""
-    mp = ctx.mp
-    return _integral(ctx, "exp", s, (ctx.working_bits + 16) * mp.log(2) / 2, tol)
-
-
-def _tail(ctx: PrecisionContext, s, tol):
-    """integral_T^inf via the descending series of the heat factor:
-    heat(t) ~ (4 pi t)^(-1/2) sum_k b_k t^(-k), each term integrating to
-    b_k T^(s-k-1/2) / (k+1/2-s).  Remainder taken as twice the first
-    omitted term (the series is asymptotic; at T = 64 terms descend by
-    ~2 orders each, so optimal truncation sits far below any tolerance)."""
-    mp = ctx.mp
-    T = mp.mpf(T_SPLIT)
-    acc = mp.mpc(0)
-    bk = mp.one
-    k = 0
-    half = mp.mpf(1) / 2
-    while True:
-        term = bk * mp.power(T, s - k - half) / (k + half - s)
-        acc += term
-        if abs(term) < tol / 8:
-            bk *= mp.mpf((2 * k + 1) ** 2) / (16 * (k + 1))
-            omitted = bk * mp.power(T, s.real - k - 1 - half) / abs(k + 1 + half - s)
-            break
-        if k > 200:
-            raise NoConvergence("Mellin tail series stalled")
-        k += 1
-        bk *= mp.mpf((2 * k - 1) ** 2) / (16 * k)
-    front = 1 / mp.sqrt(4 * mp.pi)
-    return front * acc, front * 2 * abs(omitted)
+        return _NODE_CACHE.setdefault(key, result)
 
 
 def heat_mellin_integral(ctx: PrecisionContext, s, tol) -> Tuple:
-    """(value, error estimate) of the full Mellin integral at complex s."""
+    """(value, error bound) of integral_0^1 (2 sin(pi x/2))^(-2s) dx, which
+    is zeta_Z(s) for s on the strip 0 < Re(s) < 1/2.
+
+    The error is the change between the last two levels plus a rounding
+    term.  That term covers the summed magnitude of the node terms, since
+    the two exponentials at a node each reach (pi x)^(-2 Re s) and cancel,
+    each with a relative error of about |2s log(pi x)| ulps; it also covers
+    the closed-form term and the nodes past the cutoff.
+    """
     mp = ctx.mp
+    wb = ctx.working_bits
     tol = mp.convert(tol)
-    i1, e1 = _integral_unit(ctx, s, tol / 4)
-    i2, e2 = _integral_exp(ctx, s, tol / 4)
-    i3, e3 = _tail(ctx, s, tol / 4)
-    return i1 + i2 + i3, e1 + e2 + e3
+    m2s = -2 * s
+    head = mp.power(mp.pi, m2s) / (1 - 2 * s)  # integral of (pi x)^(-2s)
+    total = mass = mp.zero
+    prev = None
+    count = 0
+    for level in range(0, _MAX_LEVEL + 1):
+        h = mp.mpf(2) ** (-level)
+        part = part_mass = mp.zero
+        nodes = _nodes(mp, wb, level)
+        for w, log_line, log_chord in nodes:
+            chord = mp.exp(m2s * log_chord)
+            line = mp.exp(m2s * log_line)
+            part += w * (chord - line)
+            part_mass += w * (abs(chord) + abs(line))
+        count += len(nodes)
+        total = total / 2 + h * part
+        mass = mass / 2 + h * part_mass
+        if level >= 4:
+            diff = abs(total - prev)
+            if diff <= tol:
+                # |log(pi x)| <= 2 ymax + 2 at every node
+                ulps = count + 2 * abs(m2s) * (2 * _ymax(mp, wb) + 2) + 16
+                err = diff + (mass + abs(head)) * ulps * mp.mpf(2) ** (1 - mp.prec)
+                return head + total, err
+        prev = total
+    raise NoConvergence("tanh-sinh quadrature did not reach the tolerance")

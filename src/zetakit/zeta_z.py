@@ -9,8 +9,10 @@ Three independent evaluation routes are provided and cross-checked:
 * ``zeta_z_product`` -- the infinite product prod_k (k-s)^2 / (k (k-2s)),
   truncated with a certified tail: one Euler-Maclaurin sum of its
   logarithm with a proved remainder bound;
-* ``zeta_z_mellin``  -- direct quadrature of the heat-trace Mellin integral
-  on its convergence strip 0 < Re(s) < 1/2.
+* ``zeta_z_mellin``  -- tanh-sinh quadrature of the heat-trace Mellin
+  integral in its spectral form integral_0^1 (2 sin(pi x/2))^(-2s) dx on the
+  convergence strip 0 < Re(s) < 1/2; it evaluates no Gamma function, so it
+  shares no kernel with the closed form.
 
 Derivative values follow the digamma formula
 zeta'(s) = zeta(s) (-psi0(1/2-s) - 2 log 2 + psi0(1-s)), with exact rational
@@ -134,8 +136,10 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     tolerance; when the bound stops falling first (2J >= 2 pi d), K grows
     fourfold, or an explicit ``terms`` raises NoConvergence.  ``err`` covers
     that remainder and the rounding, including the O(K log K) cancellation
-    inside G(K).  Positive integers and half-integers (zeros and poles of the
-    product) raise NeedsLimitInterpretation.
+    inside G(K); the rounding term only grows with K, so when it alone
+    exceeds the tolerance NoConvergence is raised at once, naming precision
+    as the cause.  Positive integers and half-integers (zeros and poles of
+    the product) raise NeedsLimitInterpretation.
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -173,12 +177,14 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
             # rounding: 3 operations per factor of P, the J correction terms,
             # and the cancellation among the three K log K terms of G(K)
             mass = 2 * abs(a * la) + abs(K * lb) + abs(c * lc)
-            err = (
-                abs(v) * mp.expm1(R) * (1 + mp.mpf(2) ** -10)
-                + abs(v) * (3 * K + 4 * J + 16 + 4 * mass) * mp.mpf(2) ** (2 - mp.prec)
-            )
+            rounding = abs(v) * (3 * K + 4 * J + 16 + 4 * mass) * mp.mpf(2) ** (2 - mp.prec)
+            err = abs(v) * mp.expm1(R) * (1 + mp.mpf(2) ** -10) + rounding
             if err <= tol:
                 return complex_result(ctx, v, err, True, "product")
+            # the rounding term only grows with K: no larger K can certify
+            if rounding > tol:
+                raise NoConvergence(
+                    "precision too low: the product's rounding alone exceeds the tolerance")
         K *= 4
         if terms is not None:
             raise NoConvergence("requested truncation cannot certify the tolerance")
@@ -206,11 +212,15 @@ def _em_tail_order(mp, d, rmax):
 
 
 def zeta_z_mellin(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
-    """Quadrature of (1/Gamma(s)) integral_0^inf e^(-2t) I0(2t) t^(s-1) dt.
+    """Tanh-sinh quadrature of zeta_Z(s) = integral_0^1 (2 sin(pi x/2))^(-2s) dx.
 
-    Only valid on the convergence strip 0 < Re(s) < 1/2; outside it raises
-    DomainError.  The reported error combines the tanh-sinh level estimate,
-    the analytic tail remainder, and the Gamma division.
+    This is the Mellin integral (1/Gamma(s)) integral_0^inf e^(-2t) I0(2t)
+    t^(s-1) dt with the heat trace written as integral_0^1
+    e^(-4t sin^2(pi x/2)) dx and the t-integral done first, so no Gamma
+    function is evaluated and the route shares no kernel with the closed
+    form.  Only valid on the convergence strip 0 < Re(s) < 1/2; outside it
+    raises DomainError.  The reported error is the tanh-sinh level
+    difference plus a rounding bound.
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -219,12 +229,7 @@ def zeta_z_mellin(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
         raise DomainError("Mellin route requires 0 < Re(s) < 1/2")
     if z.imag == 0:
         z = z.real
-    g = numerics.gamma(z, ctx)
-    quad_tol = ctx.tol * max(mp.one, abs(g.value)) / 2
-    integral, qerr = heat_mellin_integral(ctx, z, quad_tol)
-    v = integral / g.value
-    err = qerr / abs(g.value) + abs(v) * (g.err / abs(g.value)) \
-        + abs(v) * mp.mpf(2) ** (6 - mp.prec)
+    v, err = heat_mellin_integral(ctx, z, ctx.tol / 2)
     return complex_result(ctx, v, err, False, "quadrature")
 
 

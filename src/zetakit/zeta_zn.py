@@ -18,7 +18,6 @@ from math import comb, lcm
 from typing import Optional, Union
 
 from .core import (
-    CotPoleError,
     DomainError,
     EvalResult,
     HPReal,
@@ -123,8 +122,7 @@ def _sine_terms(n: int, fold: bool):
 
 
 def sine_power_sum(n: Union[int, DiscreteCircle], power,
-                   ctx: Optional[PrecisionContext] = None, *,
-                   fold: bool = True) -> HPReal:
+                   ctx: Optional[PrecisionContext] = None) -> HPReal:
     """sum_{k=1}^{n-1} sin(pi k/n)^power for real power.
 
     Sines are taken of exactly reduced rational multiples of pi (never of a
@@ -135,7 +133,7 @@ def sine_power_sum(n: Union[int, DiscreteCircle], power,
     mp = ctx.mp
     p = ctx.mpf(power)
     acc = mp.zero
-    for frac, weight in _sine_terms(nn, fold):
+    for frac, weight in _sine_terms(nn, True):
         sv = mp.sinpi(mp.mpf(frac.numerator) / frac.denominator)
         acc += weight * mp.power(sv, p)
     err = abs(acc) * (nn + 16) * mp.mpf(2) ** (4 - mp.prec)
@@ -189,36 +187,26 @@ def sine_odd_power_sum(n: Union[int, DiscreteCircle], m: int,
     2 sum_{j=0}^{m} (-1)^{m-j} C(2m+1, j) cot((2m+1-2j) pi / 2n).
 
     Equals 2^(2m+1) sum_k sin(pi k/n)^(2m+1).  Cotangent arguments are odd
-    multiples of pi/2n and so can never land on a pole for n >= 2, but if a
-    degenerate argument were ever produced the direct sine-power summation
-    is used instead.
+    multiples of pi/2n and so never land on a pole for n >= 2.
     """
     nn = _vertex_count(n)
     if m < 0:
         raise DomainError("m must be a nonnegative integer")
     ctx = get_context(ctx)
     mp = ctx.mp
-    try:
-        acc = mp.zero
-        magnitude = mp.zero
-        for j in range(m + 1):
-            a = Fraction(2 * m + 1 - 2 * j, 2 * nn)
-            a -= a.numerator // a.denominator  # exact reduction mod 1
-            if a == 0:
-                raise CotPoleError("cotangent argument on a multiple of pi")
-            x = mp.mpf(a.numerator) / a.denominator
-            cot = mp.cospi(x) / mp.sinpi(x)
-            term = comb(2 * m + 1, j) * cot
-            acc += -term if (m - j) % 2 else term
-            magnitude += abs(term)
-        v = 2 * acc
-        err = 2 * magnitude * (m + 16) * mp.mpf(2) ** (4 - mp.prec)
-        return complex_result(ctx, v, err, False, "cot-sum")
-    except CotPoleError:
-        direct = sine_power_sum(nn, 2 * m + 1, ctx)
-        v = mp.mpf(2) ** (2 * m + 1) * direct.value
-        return complex_result(ctx, v, mp.mpf(2) ** (2 * m + 1) * direct.err,
-                              False, "direct-sum", note="cot-pole-fallback")
+    acc = mp.zero
+    magnitude = mp.zero
+    for j in range(m + 1):
+        a = Fraction(2 * m + 1 - 2 * j, 2 * nn)
+        a -= a.numerator // a.denominator  # exact reduction mod 1
+        x = mp.mpf(a.numerator) / a.denominator
+        cot = mp.cospi(x) / mp.sinpi(x)
+        term = comb(2 * m + 1, j) * cot
+        acc += -term if (m - j) % 2 else term
+        magnitude += abs(term)
+    v = 2 * acc
+    err = 2 * magnitude * (m + 16) * mp.mpf(2) ** (4 - mp.prec)
+    return complex_result(ctx, v, err, False, "cot-sum")
 
 
 # --------------------------------------------------------------------------

@@ -115,6 +115,15 @@ def test_verify_spheres_passes(capsys):
     assert "4/4 checks passed" in out
 
 
+def test_verify_zeta_z_at_lowest_precision(capsys):
+    # 64 bits is the lowest precision PrecisionContext accepts; the
+    # finite-difference check must resolve its threshold there too
+    code, out, _ = run_cli(capsys, "--precision-bits=64", "--tol=1e-12",
+                           "verify", "zeta-z")
+    assert code == 0
+    assert "5/5 checks passed" in out
+
+
 def test_verify_corrupt_fails(capsys):
     code, out, _ = run_cli(capsys, "verify", "zeta-zn", "--corrupt")
     assert code == 1

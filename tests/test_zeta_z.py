@@ -112,6 +112,13 @@ def test_product_refuses_uncertifiable_truncation(ctx):
         zeta_z_product(Fraction(1, 4), ctx, terms=8)
 
 
+def test_product_refuses_at_once_when_rounding_exceeds_tol():
+    # |zeta_Z(-130.9)| is about 1e77, so at 64 bits the rounding alone is far
+    # above 1e-12 and no truncation can certify: refuse, naming precision
+    with pytest.raises(NoConvergence, match="precision"):
+        zeta_z_product(-130.9, PrecisionContext(64, 1e-12))
+
+
 def test_product_needs_limit_interpretation(ctx):
     for s in (1, 3, Fraction(1, 2), Fraction(5, 2)):
         with pytest.raises(NeedsLimitInterpretation):
@@ -161,6 +168,29 @@ def test_mellin_complex_argument(ctx, mp):
     m = zeta_z_mellin(s, ctx)
     c = zeta_z_closed(s, ctx)
     assert abs(m.value.value - c.value.value) <= m.err + c.err
+
+
+_MELLIN_POINTS = {
+    "0p02": 0.02, "quarter": Fraction(1, 4), "0p48": 0.48,
+    "cplx0p1": complex(0.1, 0.3), "0p2078": 0.2078176655714259,
+    "cplx0p3": complex(0.30235923777777335, -1.5571907574513801),
+}
+
+
+@pytest.mark.parametrize("bits, tol, s", [
+    pytest.param(bits, tol, s, id=f"{bits}bits-{tol:g}-{name}")
+    for bits, tol in ((128, 1e-20), (512, 1e-100), (768, 1e-120), (1024, 1e-200))
+    for name, s in _MELLIN_POINTS.items()
+    # three points at 1024 bits keep the row near 3 s
+    if bits < 1024 or name in ("0p02", "0p2078", "cplx0p3")
+])
+def test_mellin_error_bound_is_honest(bits, tol, s):
+    # the bound meets the tolerance and covers the true error, taken against
+    # the closed form at twice the bits
+    m = zeta_z_mellin(s, PrecisionContext(bits, tol))
+    c = zeta_z_closed(s, PrecisionContext(2 * bits, tol))
+    assert m.err <= tol
+    assert abs(m.value.value - c.value.value) <= m.err
 
 
 # ---------------------------------------------------------------- Z(s)
