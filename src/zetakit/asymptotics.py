@@ -129,7 +129,10 @@ def _log_spaced_grid(n_min: int, n_max: int, points: int) -> List[int]:
         int(round(exp(log(n_min) + i * (log(n_max) - log(n_min)) / (points - 1))))
         for i in range(points)
     }
-    return sorted(x for x in raw if n_min <= x <= n_max)
+    grid = sorted(x for x in raw if n_min <= x <= n_max)
+    if len(grid) < 4:
+        raise DomainError(f"grid needs at least 4 distinct n, {n_min}..{n_max} has {len(grid)}")
+    return grid
 
 
 def _fit_line(mp, xs, ys):

@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from math import ceil
+from math import ceil, isfinite
 from typing import List, Optional
 
 from .core import (
@@ -46,14 +46,17 @@ EXIT_NUMERIC = 4
 
 
 def _parse_number(text: str):
-    """Accept integers, decimals, and exact fractions like 1/4."""
+    """Accept integers, decimals, and exact fractions like 1/4; anything else,
+    nan and inf included, is a usage error."""
     text = text.strip()
-    if "/" in text:
-        return Fraction(text)
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+    for parse in (int, Fraction if "/" in text else float):
+        try:
+            x = parse(text)
+        except (ValueError, ZeroDivisionError):
+            continue
+        if not isinstance(x, float) or isfinite(x):
+            return x
+    raise _Usage(f"not a finite number: {text!r}")
 
 
 def _digits(ctx: PrecisionContext) -> int:
@@ -147,8 +150,8 @@ def _cmd_eval(args) -> int:
     elif target == "zeta-zn":
         if args.s is None or args.n is None:
             raise _Usage("eval zeta-zn requires --n and --s")
+        n = zeta_zn.DiscreteCircle(args.n).n  # n >= 2 on every route below
         s = _parse_number(args.s)
-        n = int(args.n)
         if isinstance(s, (int, Fraction)) and s == int(s) and int(s) < 0:
             result = zeta_zn.zeta_zn_negative_int(n, -int(s))
         elif (isinstance(s, (int, Fraction)) and s == int(s)
@@ -223,8 +226,8 @@ def _parse_range(text: str, integer: bool) -> List:
     else:
         raise _Usage(f"malformed range {text!r} (use start:stop[:step|:geometric])")
     out = []
+    a, b = float(_parse_number(start)), float(_parse_number(stop))
     if step == "geometric":
-        a, b = float(start), float(stop)
         if a <= 0 or b < a:
             raise _Usage("geometric range needs 0 < start <= stop")
         x = a
@@ -232,7 +235,7 @@ def _parse_range(text: str, integer: bool) -> List:
             out.append(x)
             x *= 2
     else:
-        a, b, h = float(start), float(stop), float(step)
+        h = float(_parse_number(step))
         if h <= 0 or b < a:
             raise _Usage("range needs start <= stop and positive step")
         k = 0

@@ -1,17 +1,24 @@
 """Precision plumbing shared by every module: evaluation contexts, value
-carriers with error bounds, and the library's exception hierarchy.
+carriers with error bounds, the precision policy, and the library's
+exception hierarchy.
 
 A :class:`PrecisionContext` owns a private mpmath context so that concurrent
 evaluations never race on global mpmath state.  Values are immutable; every
 numeric result carries an absolute error bound, and results that are known
 exactly carry the exact rational alongside the rounded rendering.
+
+The precision policy lives here: kernels that miss ``target_tol`` retry at
+up to 1024 extra bits (:func:`certify`), packaged results refuse
+(:func:`complex_result`), and arguments near the integer and half-integer
+lattice snap to it (:func:`snap`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from functools import cached_property
+from typing import Any, Callable, Optional
 
 from mpmath.ctx_mp import MPContext
 
@@ -64,8 +71,10 @@ class PrecisionContext:
     ``precision_bits`` is the binary precision of returned values,
     ``target_tol`` the absolute error every operation must certify (or raise
     :class:`NoConvergence`), and ``max_terms`` caps series/product/quadrature
-    subdivisions.  The attached mpmath context is created once and never
-    mutated afterwards, which keeps concurrent use safe.
+    subdivisions.  Kernels that miss the tolerance retry at up to 1024 extra
+    bits (:func:`certify`); packaged results refuse (:func:`complex_result`).
+    The attached mpmath context is created once and never mutated
+    afterwards, which keeps concurrent use safe.
     """
 
     precision_bits: int = 256
@@ -107,11 +116,11 @@ class PrecisionContext:
             return mp.mpc(mp.convert(x.value))
         return mp.mpc(mp.convert(x))
 
-    @property
+    @cached_property
     def tol(self):
         return self.mp.convert(self.target_tol)
 
-    @property
+    @cached_property
     def pole_radius(self):
         """Arguments this close to a pole/zero lattice point are snapped."""
         return self.mp.mpf(2) ** (-self.precision_bits // 2)
@@ -131,6 +140,41 @@ DEFAULT_CONTEXT = PrecisionContext()
 
 def get_context(ctx: Optional[PrecisionContext]) -> PrecisionContext:
     return DEFAULT_CONTEXT if ctx is None else ctx
+
+
+#: Extra bits tried, in order, after a kernel misses the tolerance at the
+#: context's own precision.
+_BOOST_BITS = (64, 128, 256, 512, 1024)
+
+
+def certify(ctx: PrecisionContext, compute: Callable[[PrecisionContext], Any], what: str):
+    """Run ``compute(c)`` at ``ctx``, then with 64, 128, ..., 1024 extra bits,
+    until its ``err`` meets ``target_tol`` (Ziv's strategy); else raise
+    NoConvergence naming ``what``.
+
+    ``compute`` converts its inputs into ``c`` (mpmath runs mixed arithmetic
+    at the left operand's precision) and returns an unrounded HPReal or
+    HPComplex: a result rounded by :func:`complex_result` carries a rounding
+    that its ``err`` does not cover, so routes refuse instead of escalating.
+    """
+    tol = ctx.tol
+    for extra in (0,) + _BOOST_BITS:
+        out = compute(ctx.with_bits(ctx.precision_bits + extra) if extra else ctx)
+        if out.err <= tol:
+            return out
+    raise NoConvergence(f"{what}: tolerance not met at {_BOOST_BITS[-1]} extra bits")
+
+
+def snap(ctx: PrecisionContext, z) -> Optional[Fraction]:
+    """The integer or half-integer within ``pole_radius`` of z, or None."""
+    r = ctx.pole_radius
+    if abs(z.imag) > r:
+        return None
+    x2 = 2 * z.real
+    k = int(ctx.mp.nint(x2))
+    if abs(x2 - k) <= 2 * r:
+        return Fraction(k, 2)
+    return None
 
 
 @dataclass(frozen=True)
@@ -217,10 +261,14 @@ class EvalResult:
 
 def complex_result(ctx: PrecisionContext, value, err, certified: bool, method: str,
                    exact: Optional[Fraction] = None, note: Optional[str] = None) -> EvalResult:
-    """Package a real or complex value as an EvalResult."""
+    """Package a real or complex value as an EvalResult, rounded to context
+    precision; raise NoConvergence when ``err`` exceeds ``target_tol``."""
     mp = ctx.mp
-    v = mp.mpc(value)
     e = mp.convert(err)
+    if e > ctx.tol:
+        raise NoConvergence(f"{method}: error bound {mp.nstr(e, 3)} exceeds the "
+                            f"tolerance {ctx.target_tol:g}")
+    v = mp.mpc(value)
     return EvalResult(HPComplex(v, e), e, certified, method, exact, note)
 
 

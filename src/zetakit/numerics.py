@@ -7,6 +7,10 @@ recurrence-shift plus Stirling-series scheme appropriate at high precision);
 everything else is implemented here because downstream identities consume
 exact rationals or certified bounds.
 
+Every kernel that returns a bounded value runs through :func:`core.certify`:
+when its ``err`` misses ``target_tol`` it is recomputed with up to 1024 extra
+bits, then refuses with NoConvergence.  Poles are found by :func:`core.snap`.
+
 All functions are pure.  The only shared mutable state is the Bernoulli memo
 table, which is guarded by a lock.
 """
@@ -18,8 +22,6 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Tuple
 
-from mpmath.ctx_mp import MPContext
-
 from .core import (
     DomainError,
     HPComplex,
@@ -28,7 +30,9 @@ from .core import (
     NoConvergence,
     PoleError,
     PrecisionContext,
+    certify,
     get_context,
+    snap,
 )
 
 __all__ = [
@@ -42,27 +46,13 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# pole bookkeeping
-
-def _near_nonpositive_integer(mp, z, radius) -> Optional[int]:
-    """Return the nonpositive integer within ``radius`` of z, if any."""
-    if abs(z.imag) > radius:
-        return None
-    x = z.real
-    n = int(mp.nint(x))
-    if n <= 0 and abs(x - n) <= radius:
-        return n
-    return None
-
-
-def _boosted(ctx: PrecisionContext, extra: int) -> MPContext:
-    mp = MPContext()
-    mp.prec = ctx.working_bits + extra
-    return mp
-
-
-# --------------------------------------------------------------------------
 # Gamma and digamma
+
+def _gamma_pole(ctx: PrecisionContext, z) -> bool:
+    """Whether z snaps to a nonpositive integer, a pole of Gamma."""
+    q = snap(ctx, z)
+    return q is not None and q.denominator == 1 and q.numerator <= 0
+
 
 def gamma(s, ctx: Optional[PrecisionContext] = None) -> HPComplex:
     """Gamma(s) for complex s with an absolute error bound <= target_tol.
@@ -71,38 +61,26 @@ def gamma(s, ctx: Optional[PrecisionContext] = None) -> HPComplex:
     integers, and NoConvergence if the tolerance cannot be met even after
     boosting the working precision.
     """
-    ctx = get_context(ctx)
-    z = ctx.mpc(s)
-    if _near_nonpositive_integer(ctx.mp, z, ctx.pole_radius) is not None:
-        raise PoleError(f"gamma pole at {z}")
-    extra = 0
-    while True:
-        mp = ctx.mp if extra == 0 else _boosted(ctx, extra)
-        g = mp.gamma(z)
-        err = abs(g) * mp.mpf(2) ** (8 - mp.prec)
-        if err <= ctx.tol:
-            return HPComplex(g, err)
-        if extra >= 1024:
-            raise NoConvergence("gamma: tolerance unreachable at this magnitude")
-        extra = max(64, 2 * extra)
+    def compute(c: PrecisionContext) -> HPComplex:
+        z = c.mpc(s)
+        if _gamma_pole(c, z):
+            raise PoleError(f"gamma pole at {z}")
+        g = c.mp.gamma(z)
+        return HPComplex(g, abs(g) * c.mp.mpf(2) ** (8 - c.mp.prec))
+
+    return certify(get_context(ctx), compute, "gamma")
 
 
 def digamma(s, ctx: Optional[PrecisionContext] = None) -> HPReal:
     """psi_0(s) for real s, accurate to the context tolerance."""
-    ctx = get_context(ctx)
-    x = ctx.mpf(s)
-    if _near_nonpositive_integer(ctx.mp, ctx.mp.mpc(x), ctx.pole_radius) is not None:
-        raise PoleError(f"digamma pole at {x}")
-    extra = 0
-    while True:
-        mp = ctx.mp if extra == 0 else _boosted(ctx, extra)
-        d = mp.digamma(x)
-        err = (abs(d) + 1) * mp.mpf(2) ** (8 - mp.prec)
-        if err <= ctx.tol:
-            return HPReal(d, err)
-        if extra >= 1024:
-            raise NoConvergence("digamma: tolerance unreachable at this magnitude")
-        extra = max(64, 2 * extra)
+    def compute(c: PrecisionContext) -> HPReal:
+        x = c.mpf(s)
+        if _gamma_pole(c, x):
+            raise PoleError(f"digamma pole at {x}")
+        d = c.mp.digamma(x)
+        return HPReal(d, (abs(d) + 1) * c.mp.mpf(2) ** (8 - c.mp.prec))
+
+    return certify(get_context(ctx), compute, "digamma")
 
 
 # --------------------------------------------------------------------------
@@ -191,15 +169,13 @@ def binomial_real(a, b, ctx: Optional[PrecisionContext] = None) -> HPReal:
     """
     ctx = get_context(ctx)
     mp = ctx.mp
-    r = ctx.pole_radius
 
     def snap_int(v) -> Optional[int]:
         iv = _as_exact_integer(v)
         if iv is not None:
             return iv
-        x = ctx.mpf(v)
-        n = int(mp.nint(x))
-        return n if abs(x - n) <= r else None
+        q = snap(ctx, ctx.mpf(v))
+        return int(q) if q is not None and q.denominator == 1 else None
 
     ia, ib = snap_int(a), snap_int(b)
     if ia is not None and ib is not None:
@@ -210,28 +186,23 @@ def binomial_real(a, b, ctx: Optional[PrecisionContext] = None) -> HPReal:
         # Gamma(a+1) pole upstairs; with b non-integer neither denominator
         # argument can be a nonpositive integer, so nothing cancels it.
         raise IndeterminateError("binomial pole does not cancel")
-    if any(
-        _near_nonpositive_integer(mp, mp.mpc(v), r) is not None
-        for v in (y + 1, x - y + 1)
-    ):
+    if _gamma_pole(ctx, y + 1) or _gamma_pole(ctx, x - y + 1):
         # denominator pole with a finite numerator: the quotient vanishes
         return HPReal(mp.zero, mp.zero, exact=True)
-    g1 = gamma(x + 1, ctx)
-    g2 = gamma(y + 1, ctx)
-    g3 = gamma(x - y + 1, ctx)
-    v = (g1.value / (g2.value * g3.value)).real
-    rel = (
-        g1.err / abs(g1.value) + g2.err / abs(g2.value) + g3.err / abs(g3.value)
-        + mp.mpf(2) ** (4 - ctx.working_bits)
-    )
-    err = abs(v) * rel
-    if err > ctx.tol:
-        bmp = _boosted(ctx, 160)
-        v = (bmp.gamma(x + 1) / (bmp.gamma(y + 1) * bmp.gamma(x - y + 1))).real
-        err = abs(v) * bmp.mpf(2) ** (10 - bmp.prec)
-        if err > ctx.tol:
-            raise NoConvergence("binomial_real: tolerance unreachable at this magnitude")
-    return HPReal(v, err)
+
+    def compute(c: PrecisionContext) -> HPReal:
+        x, y = c.mpf(a), c.mpf(b)
+        g1 = gamma(x + 1, c)
+        g2 = gamma(y + 1, c)
+        g3 = gamma(x - y + 1, c)
+        v = (g1.value / (g2.value * g3.value)).real
+        rel = (
+            g1.err / abs(g1.value) + g2.err / abs(g2.value) + g3.err / abs(g3.value)
+            + c.mp.mpf(2) ** (4 - c.working_bits)
+        )
+        return HPReal(v, abs(v) * rel)
+
+    return certify(ctx, compute, "binomial_real")
 
 
 # --------------------------------------------------------------------------
@@ -302,13 +273,8 @@ def bessel_i0_scaled(t, ctx: Optional[PrecisionContext] = None) -> HPReal:
     if tt == 0:
         return HPReal(ctx.mp.one, ctx.mp.zero, exact=True)
     switch = max(30, ctx.precision_bits // 2)
-    v, err = _i0e_raw(ctx.mp, tt, switch)
-    if err > ctx.tol:
-        mp = _boosted(ctx, 128)
-        v, err = _i0e_raw(mp, mp.convert(tt), switch)
-        if err > ctx.tol:
-            raise NoConvergence("bessel_i0_scaled: tolerance not met")
-    return HPReal(v, err)
+    return certify(ctx, lambda c: HPReal(*_i0e_raw(c.mp, c.mpf(t), switch)),
+                   "bessel_i0_scaled")
 
 
 # --------------------------------------------------------------------------
@@ -370,15 +336,17 @@ def riemann_zeta_numeric(s, ctx: Optional[PrecisionContext] = None) -> HPComplex
     z = ctx.mpc(s)
     if abs(z - 1) <= ctx.pole_radius:
         raise PoleError("zeta pole at s = 1")
-    if z.real >= mp.mpf(-1) / 2:
-        v, err = _em_zeta_raw(mp, z, ctx.tol / 2, ctx.max_terms)
-        return HPComplex(v, err)
-    if z.imag == 0 and mp.isint(z.real / 2):
+    if z.real < mp.mpf(-1) / 2 and z.imag == 0 and mp.isint(z.real / 2):
         return HPComplex(mp.mpc(0), mp.zero)  # trivial zero, exactly
-    w, werr = _em_zeta_raw(mp, 1 - z, ctx.tol / 4, ctx.max_terms)
-    pref = mp.power(2, z) * mp.power(mp.pi, z - 1) * mp.sinpi(z / 2) * mp.gamma(1 - z)
-    v = pref * w
-    err = abs(pref) * werr + abs(v) * mp.mpf(2) ** (12 - mp.prec)
-    if err > ctx.tol:
-        raise NoConvergence("zeta reflection: tolerance not met")
-    return HPComplex(v, err)
+
+    def compute(c: PrecisionContext) -> HPComplex:
+        cm = c.mp
+        z = c.mpc(s)
+        if z.real >= cm.mpf(-1) / 2:
+            return HPComplex(*_em_zeta_raw(cm, z, c.tol / 2, c.max_terms))
+        w, werr = _em_zeta_raw(cm, 1 - z, c.tol / 4, c.max_terms)
+        pref = cm.power(2, z) * cm.power(cm.pi, z - 1) * cm.sinpi(z / 2) * cm.gamma(1 - z)
+        v = pref * w
+        return HPComplex(v, abs(pref) * werr + abs(v) * cm.mpf(2) ** (12 - cm.prec))
+
+    return certify(ctx, compute, "riemann_zeta_numeric")

@@ -244,7 +244,7 @@ def _reconstructed_poly(m: int, ctx: PrecisionContext) -> zeta_zn.RationalPolyno
     denominator bound, interpolates exactly, and verifies the polynomial at
     five extra points; any failure raises ReconstructionError.  Not cached.
     """
-    boost = PrecisionContext(4 * ctx.precision_bits, ctx.target_tol, ctx.max_terms)
+    boost = ctx.with_bits(4 * ctx.precision_bits)
     mpb = boost.mp
     # Coefficient denominators outgrow (2m+2)! (already at m = 3 the constant
     # term carries 4^m extra from the 4^-s normalization), hence the bound:
@@ -391,12 +391,9 @@ def _check_convergence_order(ctx: PrecisionContext) -> CheckResult:
     ds = [zeta_zn.sine_power_sum(n, 1, ctx).value - lead * n for n in grid]
     c1, _ = asymptotics._fit_line(mp, [mp.mpf(n) ** -2 for n in grid],
                                   [d * n for d, n in zip(ds, grid)])
-    pts = [(mp.log(n), mp.log(abs(d - c1 / n))) for d, n in zip(ds, grid)]
     # least-squares slope of log|residual| vs log n
-    mx = mp.fsum(p[0] for p in pts) / len(pts)
-    my = mp.fsum(p[1] for p in pts) / len(pts)
-    slope = (mp.fsum((p[0] - mx) * (p[1] - my) for p in pts)
-             / mp.fsum((p[0] - mx) ** 2 for p in pts))
+    _, slope = asymptotics._fit_line(mp, [mp.log(n) for n in grid],
+                                     [mp.log(abs(d - c1 / n)) for d, n in zip(ds, grid)])
     err = abs(slope + 3)
     return CheckResult("remainder-decay-order", bool(err <= 0.2), float(err),
                        f"log-log slope {float(slope):.4f} (target -3)")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Optional, Tuple
+from typing import Optional
 
 from .core import (
     DomainError,
@@ -38,6 +38,7 @@ from .core import (
     complex_result,
     exact_result,
     get_context,
+    snap,
 )
 from . import numerics
 from .quadrature import heat_mellin_integral
@@ -70,26 +71,6 @@ class ZetaZEval:
     method: ZetaZMethod
 
 
-def _classify_lattice(ctx: PrecisionContext, z) -> Optional[Tuple[str, int]]:
-    """Snap z to the integer/half-integer lattice within the pole radius.
-
-    Returns ('int', n) or ('half', k) with the half-integer being k/2 (k odd),
-    or None when z is safely off the lattice.
-    """
-    mp = ctx.mp
-    r = ctx.pole_radius
-    if abs(z.imag) > r:
-        return None
-    x = z.real
-    n = int(mp.nint(x))
-    if abs(x - n) <= r:
-        return ("int", n)
-    k = int(mp.nint(2 * x))
-    if k % 2 != 0 and abs(x - mp.mpf(k) / 2) <= r:
-        return ("half", k)
-    return None
-
-
 def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
                   use_exact_paths: bool = True) -> EvalResult:
     """Closed-form evaluation 4^(-s) pi^(-1/2) Gamma(1/2-s) / Gamma(1-s).
@@ -103,14 +84,14 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
     ctx = get_context(ctx)
     mp = ctx.mp
     z = ctx.mpc(s)
-    cls = _classify_lattice(ctx, z)
-    if cls is not None:
-        kind, k = cls
-        if kind == "half" and k > 0:
-            raise PoleError(f"zeta_Z has a pole at s = {k}/2")
-        if kind == "int" and use_exact_paths:
-            if k <= 0:
-                return exact_result(ctx, Fraction(comb(-2 * k, -k)), "closed-form")
+    q = snap(ctx, z)
+    if q is not None:
+        if q.denominator == 2 and q > 0:
+            raise PoleError(f"zeta_Z has a pole at s = {q}")
+        if q.denominator == 1 and use_exact_paths:
+            if q <= 0:
+                n = -int(q)
+                return exact_result(ctx, Fraction(comb(2 * n, n)), "closed-form")
             return exact_result(ctx, Fraction(0), "closed-form", note="simple-zero")
     g1 = numerics.gamma(mp.mpf(1) / 2 - z, ctx)
     g2 = numerics.gamma(1 - z, ctx)
@@ -144,8 +125,8 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     ctx = get_context(ctx)
     mp = ctx.mp
     z = ctx.mpc(s)
-    cls = _classify_lattice(ctx, z)
-    if cls is not None and cls[1] > 0:
+    q = snap(ctx, z)
+    if q is not None and q > 0:
         raise NeedsLimitInterpretation(
             "product degenerates at positive integers and half-integers")
     if z.imag == 0:
@@ -281,20 +262,19 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     ctx = get_context(ctx)
     mp = ctx.mp
     x = ctx.mpf(s)
-    cls = _classify_lattice(ctx, ctx.mp.mpc(x))
-    if cls is not None:
-        kind, k = cls
-        if kind == "half" and k > 0:
+    q = snap(ctx, x)
+    if q is not None:
+        if q.denominator == 2 and q > 0:
             raise DomainError("derivative undefined at the poles s = n - 1/2 > 0")
-        if kind == "int" and k >= 1:
-            return exact_result(ctx, zeta_z_deriv_at_positive_integer(k),
+        if q.denominator == 1 and q >= 1:
+            return exact_result(ctx, zeta_z_deriv_at_positive_integer(int(q)),
                                 "exact-at-positive-integer")
-        if kind == "int" and k == 0:
+        if q == 0:
             return exact_result(ctx, Fraction(0), "digamma-formula")
-        if kind == "int":
-            n = -k
-            q = comb(2 * n, n) * _deriv_bracket_exact_negative(n)
-            return exact_result(ctx, q, "digamma-formula")
+        if q.denominator == 1:
+            n = -int(q)
+            return exact_result(ctx, comb(2 * n, n) * _deriv_bracket_exact_negative(n),
+                                "digamma-formula")
     if x >= mp.mpf(1) / 2:
         raise DomainError("derivative formula applies left of s = 1/2")
     zc = zeta_z_closed(x, ctx)

@@ -22,6 +22,7 @@ from .core import (
     EvalResult,
     HPReal,
     PrecisionContext,
+    certify,
     complex_result,
     exact_result,
     get_context,
@@ -107,18 +108,14 @@ class RationalPolynomial:
         return f"({text})/{den}" if den != 1 else text
 
 
-def _sine_terms(n: int, fold: bool):
-    """(reduced fraction k/n, weight) pairs for k = 1..n-1, each fraction
-    taken as min(k, n-k)/n.  Folding merges k with n-k, on which sin(pi k/n)
-    agrees, into one term of weight two."""
-    if not fold:
-        for k in range(1, n):
-            yield Fraction(min(k, n - k), n), 1
-        return
-    for k in range(1, (n + 1) // 2):
-        yield Fraction(k, n), 2
-    if n % 2 == 0:
-        yield Fraction(1, 2), 1
+def _sine_terms(mp, n: int, power, fold: bool):
+    """weight * sin(pi k/n)^power for k = 1..n-1, each fraction k/n taken
+    exactly reduced as min(k, n-k)/n.  Folding merges k with n-k, on which
+    sin(pi k/n) agrees, into one term of weight two."""
+    for k in range(1, n // 2 + 1 if fold else n):
+        frac = Fraction(min(k, n - k), n)
+        weight = 2 if fold and 2 * k != n else 1
+        yield weight * mp.power(mp.sinpi(mp.mpf(frac.numerator) / frac.denominator), power)
 
 
 def sine_power_sum(n: Union[int, DiscreteCircle], power,
@@ -129,15 +126,12 @@ def sine_power_sum(n: Union[int, DiscreteCircle], power,
     rounded pi*k/n product), so accuracy survives large n.
     """
     nn = _vertex_count(n)
-    ctx = get_context(ctx)
-    mp = ctx.mp
-    p = ctx.mpf(power)
-    acc = mp.zero
-    for frac, weight in _sine_terms(nn, True):
-        sv = mp.sinpi(mp.mpf(frac.numerator) / frac.denominator)
-        acc += weight * mp.power(sv, p)
-    err = abs(acc) * (nn + 16) * mp.mpf(2) ** (4 - mp.prec)
-    return HPReal(acc, err)
+
+    def compute(c: PrecisionContext) -> HPReal:
+        acc = sum(_sine_terms(c.mp, nn, c.mpf(power), True), c.mp.zero)
+        return HPReal(acc, abs(acc) * (nn + 16) * c.mp.mpf(2) ** (4 - c.mp.prec))
+
+    return certify(get_context(ctx), compute, "sine_power_sum")
 
 
 def zeta_zn_direct(n: Union[int, DiscreteCircle], s,
@@ -154,9 +148,7 @@ def zeta_zn_direct(n: Union[int, DiscreteCircle], s,
         return exact_result(ctx, Fraction(nn - 1), "direct-sum")
     acc = mp.zero
     magnitude = mp.zero  # phases can cancel for complex s; bound on term mass
-    for frac, weight in _sine_terms(nn, fold):
-        sv = mp.sinpi(mp.mpf(frac.numerator) / frac.denominator)
-        term = weight * mp.power(sv, -2 * z)
+    for term in _sine_terms(mp, nn, -2 * z, fold):
         acc += term
         magnitude += abs(term)
     scale = abs(mp.power(4, -z))

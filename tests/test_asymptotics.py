@@ -92,6 +92,10 @@ def test_extract_domain(ctx):
         extract_zeta(0, 3, 1000, ctx)
     with pytest.raises(DomainError):
         extract_zeta(0, 100, 100, ctx)
+    # 16 log-spaced points between 4 and 5 are only two distinct n, which a
+    # two-term fit would match exactly, hiding its error
+    with pytest.raises(DomainError):
+        extract_zeta(-1, 4, 5, ctx)
 
 
 # ---------------------------------------------------------------- cot route

@@ -79,6 +79,33 @@ def test_usage_error_unknown_target(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "zeta-z", "--s=abc"],
+    ["eval", "zeta-z", "--s=1/0"],
+    ["eval", "zeta-z", "--s=nan"],
+    ["eval", "riemann-zeta", "--s=inf"],
+    ["sweep", "zeta-zn-direct", "--s=-inf", "--n=4:8"],
+    ["extract", "--s=x", "--n-max=100"],
+    ["sweep", "zeta-z", "--s=abc:1"],
+    ["sweep", "volumes", "--n=0:nan"],
+])
+def test_malformed_number_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "not a finite number" in err
+
+
+@pytest.mark.parametrize("s", ["2", "-2", "0.5"])
+def test_eval_zeta_zn_needs_two_vertices(capsys, s):
+    # the exact polynomial, the negative-integer sum and the direct sum all
+    # refuse n = 1 alike
+    code, out, err = run_cli(capsys, "eval", "zeta-zn", "--n=1", f"--s={s}")
+    assert code == 3
+    assert out == ""
+    assert "DomainError" in err
+
+
 def test_pole_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "eval", "zeta-z", "--s=1/2")
     assert code == 3

@@ -8,10 +8,16 @@ import pytest
 from zetakit import (
     DomainError,
     HPReal,
+    NeedsLimitInterpretation,
     NoConvergence,
+    PoleError,
     PrecisionContext,
     bernoulli,
+    digamma,
     gamma,
+    zeta_z_closed,
+    zeta_z_deriv,
+    zeta_z_mellin,
     zeta_z_product,
     zeta_zn_closed_poly,
     zeta_zn_direct,
@@ -39,6 +45,35 @@ def test_product_respects_term_budget():
     tiny = PrecisionContext(max_terms=64)
     with pytest.raises(NoConvergence):
         zeta_z_product(Fraction(1, 4), tiny)
+
+
+@pytest.mark.parametrize("route", [zeta_z_closed, zeta_z_mellin])
+def test_packaged_result_refuses_err_above_tol(route):
+    # 64 bits cannot deliver 1e-27 near s = 0.45+0.1i: the route must refuse
+    # rather than return an err above the tolerance
+    with pytest.raises(NoConvergence):
+        route(complex(0.45, 0.1), PrecisionContext(64, 1e-27))
+
+
+def _exact_or_refused(call):
+    """Whether a call took its lattice path: an exact result or a
+    pole/domain refusal, as opposed to a generic numeric value."""
+    try:
+        r = call()
+    except (PoleError, NeedsLimitInterpretation):
+        return True
+    return isinstance(getattr(r, "exact", None), Fraction)
+
+
+@pytest.mark.parametrize("call, point", [
+    (zeta_z_closed, -3), (zeta_z_closed, Fraction(3, 2)), (zeta_z_product, 2),
+    (zeta_z_deriv, -4), (gamma, -4), (digamma, -1),
+], ids=["closed-neg3", "closed-3/2", "product-2", "deriv-neg4", "gamma-neg4", "digamma-neg1"])
+def test_lattice_snap_radius(call, point):
+    # 256 bits snap within 2^-128 of an integer or half-integer
+    ctx = PrecisionContext(256)
+    assert _exact_or_refused(lambda: call(point + Fraction(1, 2 ** 200), ctx))
+    assert not _exact_or_refused(lambda: call(point + Fraction(1, 2 ** 100), ctx))
 
 
 def test_direct_sum_complex_argument(ctx, mp):

@@ -5,17 +5,20 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from zetakit import (
     DomainError,
     IndeterminateError,
     PoleError,
+    PrecisionContext,
     bernoulli,
     bessel_i0_scaled,
     binomial_real,
     digamma,
     gamma,
     riemann_zeta_numeric,
+    sine_power_sum,
 )
 
 
@@ -243,3 +246,48 @@ def test_zeta_euler_bernoulli_consistency(ctx, mp):
         expected = (-1) ** m * bernoulli(m + 1) / (m + 1)
         ev = mp.mpf(expected.numerator) / expected.denominator
         assert abs(riemann_zeta_numeric(-m, ctx).value - ev) < ctx.tol
+
+
+# ---------------------------------------------------------------- escalation
+
+def _sine_power_oracle(mp, n, power):
+    return mp.fsum(mp.sinpi(mp.mpf(k) / n) ** power for k in range(1, n))
+
+
+# (context, kernel call, the same value from mpmath at high precision); each
+# kernel misses the tolerance at the context's own precision and must retry
+# with more bits rather than return an err above tol
+_LOW = PrecisionContext(64, 1e-27)
+_MID = PrecisionContext(256, 1e-30)
+_ESCALATIONS = {
+    "gamma-half": (_LOW, lambda c: gamma(Fraction(1, 2), c),
+                   lambda mp: mp.gamma(mp.mpf(1) / 2)),
+    "digamma-0.3": (_LOW, lambda c: digamma(Fraction(3, 10), c),
+                    lambda mp: mp.digamma(mp.mpf(3) / 10)),
+    "binomial-half-quarter": (_LOW, lambda c: binomial_real(Fraction(1, 2), Fraction(1, 4), c),
+                              lambda mp: mp.binomial(mp.mpf(1) / 2, mp.mpf(1) / 4)),
+    "bessel-1.5": (_LOW, lambda c: bessel_i0_scaled(Fraction(3, 2), c),
+                   lambda mp: mp.exp(-3) * mp.besseli(0, 3)),
+    "zeta-2.5": (_LOW, lambda c: riemann_zeta_numeric(Fraction(5, 2), c),
+                 lambda mp: mp.zeta(mp.mpf(5) / 2)),
+    "zeta-neg3.5": (_LOW, lambda c: riemann_zeta_numeric(Fraction(-7, 2), c),
+                    lambda mp: mp.zeta(mp.mpf(-7) / 2)),
+    "gamma-80.5": (_MID, lambda c: gamma(Fraction(161, 2), c),
+                   lambda mp: mp.gamma(mp.mpf(161) / 2)),
+    "zeta-neg60.5": (_MID, lambda c: riemann_zeta_numeric(Fraction(-121, 2), c),
+                     lambda mp: mp.zeta(mp.mpf(-121) / 2)),
+    "sine-power-2000": (_MID, lambda c: sine_power_sum(2000, -20, c),
+                        lambda mp: _sine_power_oracle(mp, 2000, -20)),
+}
+
+
+@pytest.mark.parametrize("case", list(_ESCALATIONS))
+def test_escalation_is_honest(case):
+    # err meets the tolerance and covers the true error against mpmath at
+    # 1536 bits, above the last boost (1024 extra bits)
+    ctx, call, oracle = _ESCALATIONS[case]
+    mp = MPContext()
+    mp.prec = 1536
+    r = call(ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value) - oracle(mp)) <= r.err
