@@ -5,13 +5,11 @@ closed form cross-validated against an independent numerical or exact oracle.
 """
 
 from .core import (
-    BigRational,
     DomainError,
     EvalResult,
     HPComplex,
     HPReal,
     IllConditioned,
-    IndeterminateError,
     NeedsLimitInterpretation,
     NoConvergence,
     PoleError,
@@ -22,17 +20,12 @@ from .core import (
 )
 from .numerics import (
     bernoulli,
-    bessel_i0_scaled,
-    binomial_real,
     digamma,
     gamma,
     riemann_zeta_numeric,
 )
 from .zeta_z import (
-    ZetaZEval,
-    ZetaZMethod,
     big_z,
-    evaluate_zeta_z,
     zeta_z_closed,
     zeta_z_deriv,
     zeta_z_deriv_at_positive_integer,
@@ -58,16 +51,12 @@ from .asymptotics import (
     expansion_terms,
     extract_zeta,
     zeta_even_from_functional_eq,
-    zeta_zn_positive_from_asymptotics,
 )
 from .spheres import (
     SphereRatio,
-    SphereVolume,
-    VolumeRoute,
     arithmetic_volume_demo,
     catalan,
     sphere_ratio,
-    sphere_volume,
     sphere_volume_gamma,
     sphere_volume_zproduct,
 )

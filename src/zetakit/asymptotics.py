@@ -33,7 +33,6 @@ from .core import (
     IllConditioned,
     PrecisionContext,
     complex_result,
-    exact_result,
     get_context,
 )
 from . import numerics
@@ -48,7 +47,6 @@ __all__ = [
     "cot_expansion_route",
     "euler_zeta_negative",
     "zeta_even_from_functional_eq",
-    "zeta_zn_positive_from_asymptotics",
     "csc_power_polynomial",
 ]
 
@@ -329,20 +327,3 @@ def _seed_poly_cache(m: int, poly: Optional[RationalPolynomial]) -> Optional[Rat
 def _clear_poly_cache() -> None:
     with _CSC_LOCK:
         _CSC_POLY_CACHE.clear()
-
-
-def zeta_zn_positive_from_asymptotics(n: int, m: int,
-                                      ctx: Optional[PrecisionContext] = None) -> EvalResult:
-    """zeta_n(m) assembled from the terminating expansion, for m in {1, 2}.
-
-    Exact: the trivial zeros remove everything beyond the constant term, so
-    the assembly is a rational polynomial evaluated at n.  Must (and does)
-    agree with the direct finite sum.
-    """
-    if m not in (1, 2):
-        raise DomainError("assembled-term range covers m in {1, 2}")
-    if n < 2:
-        raise DomainError("need n >= 2")
-    ctx = get_context(ctx)
-    value = csc_power_polynomial(m).evaluate(n)
-    return exact_result(ctx, value, "asymptotic-assembly")

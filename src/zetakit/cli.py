@@ -25,7 +25,6 @@ from .core import (
     DomainError,
     EvalResult,
     IllConditioned,
-    IndeterminateError,
     NeedsLimitInterpretation,
     NoConvergence,
     PoleError,
@@ -34,8 +33,7 @@ from .core import (
 )
 from . import asymptotics, numerics, spheres, verify, zeta_z, zeta_zn
 
-_DOMAIN_ERRORS = (DomainError, PoleError, IndeterminateError,
-                  NeedsLimitInterpretation)
+_DOMAIN_ERRORS = (DomainError, PoleError, NeedsLimitInterpretation)
 _NUMERIC_ERRORS = (NoConvergence, IllConditioned, ReconstructionError)
 
 EXIT_OK = 0
@@ -57,6 +55,15 @@ def _parse_number(text: str):
         if not isinstance(x, float) or isfinite(x):
             return x
     raise _Usage(f"not a finite number: {text!r}")
+
+
+def _tolerance(text: str) -> float:
+    """--tol follows the rule of :func:`_parse_number`: an infinite tolerance
+    would let every error bound meet it."""
+    try:
+        return float(_parse_number(text))
+    except _Usage as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _digits(ctx: PrecisionContext) -> int:
@@ -363,11 +370,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral zeta functions of the integer lattice and "
                     "discrete circles: special values, products, and checks.",
     )
-    default_bits = int(os.environ.get("ZETAKIT_PRECISION_BITS", "256"))
-    parser.add_argument("--precision-bits", type=int, default=default_bits,
+    # a string default goes through type=int, so a malformed environment
+    # value is a usage error unless the flag overrides it
+    parser.add_argument("--precision-bits", type=int,
+                        default=os.environ.get("ZETAKIT_PRECISION_BITS", "256"),
                         help="working precision in bits (default 256, env "
                              "ZETAKIT_PRECISION_BITS)")
-    parser.add_argument("--tol", type=float, default=1e-30,
+    parser.add_argument("--tol", type=_tolerance, default=1e-30,
                         help="target absolute tolerance (default 1e-30)")
     parser.add_argument("--max-terms", type=int, default=1_000_000,
                         help="series/product/quadrature budget")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import inf
 from typing import Any, Callable, Optional
 
 from mpmath.ctx_mp import MPContext
@@ -25,11 +26,6 @@ from mpmath.ctx_mp import MPContext
 #: Extra working bits on top of the requested precision.  Heuristic error
 #: bounds assume results are accurate to roughly this guard margin.
 GUARD_BITS = 30
-
-# Alias kept for discoverability: exact rationals throughout the library are
-# plain stdlib Fractions (arbitrary-size numerator, positive denominator,
-# always reduced -- the stdlib maintains both invariants).
-BigRational = Fraction
 
 
 class ZetaKitError(Exception):
@@ -46,10 +42,6 @@ class PoleError(ZetaKitError):
 
 class NoConvergence(ZetaKitError):
     """The requested tolerance cannot be certified within the term budget."""
-
-
-class IndeterminateError(ZetaKitError):
-    """A Gamma-quotient limit whose poles do not cancel."""
 
 
 class NeedsLimitInterpretation(ZetaKitError):
@@ -69,10 +61,11 @@ class PrecisionContext:
     """Evaluation settings: working precision, target tolerance, term budget.
 
     ``precision_bits`` is the binary precision of returned values,
-    ``target_tol`` the absolute error every operation must certify (or raise
-    :class:`NoConvergence`), and ``max_terms`` caps series/product/quadrature
-    subdivisions.  Kernels that miss the tolerance retry at up to 1024 extra
-    bits (:func:`certify`); packaged results refuse (:func:`complex_result`).
+    ``target_tol`` the absolute error, positive and finite, that every
+    operation must certify (or raise :class:`NoConvergence`), and
+    ``max_terms`` caps series/product/quadrature subdivisions.  Kernels that
+    miss the tolerance retry at up to 1024 extra bits (:func:`certify`);
+    packaged results refuse (:func:`complex_result`).
     The attached mpmath context is created once and never mutated
     afterwards, which keeps concurrent use safe.
     """
@@ -86,6 +79,8 @@ class PrecisionContext:
             raise DomainError("precision_bits must be >= 64")
         if not self.target_tol > 0:
             raise DomainError("target_tol must be positive")
+        if not self.target_tol < inf:
+            raise DomainError("target_tol must be finite")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
         mp = MPContext()
@@ -254,9 +249,6 @@ class EvalResult:
 
     def __float__(self) -> float:
         return float(self.value.re)
-
-    def is_exact(self) -> bool:
-        return self.exact is not None
 
 
 def complex_result(ctx: PrecisionContext, value, err, certified: bool, method: str,

@@ -1,11 +1,11 @@
-"""Arbitrary-precision kernels: Gamma, digamma, Bernoulli numbers, the
-generalized binomial, the scaled Bessel function e^(-2t) I0(2t), and a
+"""Arbitrary-precision kernels: Gamma, digamma, Bernoulli numbers, and a
 numeric Riemann zeta via Euler-Maclaurin summation with a certified tail.
 
 Gamma and digamma are delegated to mpmath (whose gamma uses precisely the
 recurrence-shift plus Stirling-series scheme appropriate at high precision);
-everything else is implemented here because downstream identities consume
-exact rationals or certified bounds.
+their error bounds also cover the rounding of an argument that is not exact
+at working precision.  Everything else is implemented here because
+downstream identities consume exact rationals or certified bounds.
 
 Every kernel that returns a bounded value runs through :func:`core.certify`:
 when its ``err`` misses ``target_tol`` it is recomputed with up to 1024 extra
@@ -26,12 +26,12 @@ from .core import (
     DomainError,
     HPComplex,
     HPReal,
-    IndeterminateError,
     NoConvergence,
     PoleError,
     PrecisionContext,
     certify,
     get_context,
+    mpf_to_fraction,
     snap,
 )
 
@@ -39,8 +39,6 @@ __all__ = [
     "gamma",
     "digamma",
     "bernoulli",
-    "binomial_real",
-    "bessel_i0_scaled",
     "riemann_zeta_numeric",
 ]
 
@@ -54,31 +52,62 @@ def _gamma_pole(ctx: PrecisionContext, z) -> bool:
     return q is not None and q.denominator == 1 and q.numerator <= 0
 
 
+def _rounded(s, z) -> bool:
+    """Whether z, s converted at working precision, differs from s.  Ints,
+    floats and mpf/mpc values convert exactly; a Fraction does when it is
+    dyadic and short enough."""
+    if isinstance(s, Fraction):
+        return z.imag != 0 or mpf_to_fraction(z.real) != s
+    return z != s
+
+
+def _pole_distance(mp, z):
+    """Distance from z to the nearest nonpositive integer, a pole of Gamma."""
+    return abs(z - min(0, int(mp.nint(z.real))))
+
+
 def gamma(s, ctx: Optional[PrecisionContext] = None) -> HPComplex:
     """Gamma(s) for complex s with an absolute error bound <= target_tol.
 
     Raises PoleError at (or within snapping distance of) the nonpositive
     integers, and NoConvergence if the tolerance cannot be met even after
-    boosting the working precision.
+    boosting the working precision.  When s is not exact at working
+    precision, err also covers its rounding, which |s psi(s)| amplifies.
     """
     def compute(c: PrecisionContext) -> HPComplex:
         z = c.mpc(s)
         if _gamma_pole(c, z):
             raise PoleError(f"gamma pole at {z}")
         g = c.mp.gamma(z)
-        return HPComplex(g, abs(g) * c.mp.mpf(2) ** (8 - c.mp.prec))
+        err = abs(g) * c.mp.mpf(2) ** (8 - c.mp.prec)
+        if _rounded(s, z):
+            # the rounding |z - s| <= |z| eps grows by |psi(z)| <= 1/d
+            # + 3 log(|z| + 2) + 8, d the distance to the nearest pole;
+            # 2/d leaves room for the second-order term
+            d = _pole_distance(c.mp, z)
+            err += abs(g * z) * (2 / d + 3 * c.mp.log(abs(z) + 2) + 8) * c.eps
+        return HPComplex(g, err)
 
     return certify(get_context(ctx), compute, "gamma")
 
 
 def digamma(s, ctx: Optional[PrecisionContext] = None) -> HPReal:
-    """psi_0(s) for real s, accurate to the context tolerance."""
+    """psi_0(s) for real s, accurate to the context tolerance.
+
+    When s is not exact at working precision, err also covers its rounding,
+    which |s psi'(s)| amplifies."""
     def compute(c: PrecisionContext) -> HPReal:
         x = c.mpf(s)
         if _gamma_pole(c, x):
             raise PoleError(f"digamma pole at {x}")
         d = c.mp.digamma(x)
-        return HPReal(d, (abs(d) + 1) * c.mp.mpf(2) ** (8 - c.mp.prec))
+        err = (abs(d) + 1) * c.mp.mpf(2) ** (8 - c.mp.prec)
+        if _rounded(s, x):
+            # the rounding |x - s| <= |x| eps grows by psi'(x) <= 1/r^2 + pi^2,
+            # r the distance to the nearest pole; doubled for the second order
+            r = _pole_distance(c.mp, x)
+            err += abs(x) * (2 / r ** 2 + 10) * c.eps
+        return HPReal(d, err)
 
     return certify(get_context(ctx), compute, "digamma")
 
@@ -120,93 +149,8 @@ def _bern_mpf(mp, k: int):
 
 
 # --------------------------------------------------------------------------
-# generalized binomial coefficient
-
-def _as_exact_integer(x) -> Optional[int]:
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else None
-    if isinstance(x, float):
-        return int(x) if x.is_integer() else None
-    try:
-        if x == int(x):
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return None
-
-
-def _integer_binomial(a: int, b: int) -> Fraction:
-    """Limit value of the Gamma-quotient binomial at integer arguments.
-
-    Pole counting on Gamma(a+1) / (Gamma(b+1) Gamma(a-b+1)): more denominator
-    poles than numerator poles force the limit 0; matched poles cancel to the
-    classical finite values.
-    """
-    if b >= 0:
-        if a >= b:
-            return Fraction(comb(a, b))
-        if a >= 0:
-            return Fraction(0)  # Gamma(a-b+1) pole downstairs only
-        # a < 0 <= b: falling factorial, poles cancel one for one
-        return Fraction((-1) ** b * comb(b - a - 1, b))
-    # b < 0
-    if a >= 0:
-        return Fraction(0)  # Gamma(b+1) pole downstairs only
-    if a < b:
-        return Fraction(0)  # two poles downstairs, one upstairs
-    # b <= a < 0: matched poles, reflect to nonnegative entries
-    return Fraction((-1) ** (a - b) * comb(-b - 1, a - b))
-
-
-def binomial_real(a, b, ctx: Optional[PrecisionContext] = None) -> HPReal:
-    """binomial(a, b) = Gamma(a+1) / (Gamma(b+1) Gamma(a-b+1)) for real a, b.
-
-    Integer arguments take the exact limit path (0 with the exact flag when
-    pole cancellation forces it).  Raises IndeterminateError when the
-    numerator has a pole that the denominator cannot cancel.
-    """
-    ctx = get_context(ctx)
-    mp = ctx.mp
-
-    def snap_int(v) -> Optional[int]:
-        iv = _as_exact_integer(v)
-        if iv is not None:
-            return iv
-        q = snap(ctx, ctx.mpf(v))
-        return int(q) if q is not None and q.denominator == 1 else None
-
-    ia, ib = snap_int(a), snap_int(b)
-    if ia is not None and ib is not None:
-        q = _integer_binomial(ia, ib)
-        return HPReal(mp.convert(q), mp.zero, exact=True)
-    x, y = ctx.mpf(a), ctx.mpf(b)
-    if ia is not None and ia < 0:
-        # Gamma(a+1) pole upstairs; with b non-integer neither denominator
-        # argument can be a nonpositive integer, so nothing cancels it.
-        raise IndeterminateError("binomial pole does not cancel")
-    if _gamma_pole(ctx, y + 1) or _gamma_pole(ctx, x - y + 1):
-        # denominator pole with a finite numerator: the quotient vanishes
-        return HPReal(mp.zero, mp.zero, exact=True)
-
-    def compute(c: PrecisionContext) -> HPReal:
-        x, y = c.mpf(a), c.mpf(b)
-        g1 = gamma(x + 1, c)
-        g2 = gamma(y + 1, c)
-        g3 = gamma(x - y + 1, c)
-        v = (g1.value / (g2.value * g3.value)).real
-        rel = (
-            g1.err / abs(g1.value) + g2.err / abs(g2.value) + g3.err / abs(g3.value)
-            + c.mp.mpf(2) ** (4 - c.working_bits)
-        )
-        return HPReal(v, abs(v) * rel)
-
-    return certify(ctx, compute, "binomial_real")
-
-
-# --------------------------------------------------------------------------
-# scaled Bessel e^{-2t} I0(2t)
+# scaled Bessel e^{-2t} I0(2t): no route calls it; the benchmark's tracer
+# still wraps it by name (see quadrature)
 
 def _i0e_raw(mp, t, switch: int) -> Tuple:
     """(value, error bound) of e^{-2t} I0(2t) at mpf t >= 0.
@@ -233,7 +177,7 @@ def _i0e_raw(mp, t, switch: int) -> Tuple:
                 tail = term * ratio / (1 - ratio)
                 break
             if k > 100000:
-                raise NoConvergence("bessel_i0_scaled power series stalled")
+                raise NoConvergence("e^(-2t) I0(2t) power series stalled")
         damp = mp.exp(-2 * t)
         v = damp * acc
         return v, damp * tail + abs(v) * eps * (k + 4)
@@ -257,24 +201,6 @@ def _i0e_raw(mp, t, switch: int) -> Tuple:
     front = 1 / mp.sqrt(4 * mp.pi * t)
     v = front * acc
     return v, front * 2 * abs(term) + abs(v) * eps * 8
-
-
-def bessel_i0_scaled(t, ctx: Optional[PrecisionContext] = None) -> HPReal:
-    """e^{-2t} I0(2t) for t >= 0, within the context tolerance.
-
-    The regime switch sits at max(30, precision_bits/2): below it the power
-    series carries a certified geometric tail, above it the asymptotic series
-    (~ 1/sqrt(4 pi t)) terminates far below the tolerance.
-    """
-    ctx = get_context(ctx)
-    tt = ctx.mpf(t)
-    if tt < 0:
-        raise DomainError("bessel_i0_scaled requires t >= 0")
-    if tt == 0:
-        return HPReal(ctx.mp.one, ctx.mp.zero, exact=True)
-    switch = max(30, ctx.precision_bits // 2)
-    return certify(ctx, lambda c: HPReal(*_i0e_raw(c.mp, c.mpf(t), switch)),
-                   "bessel_i0_scaled")
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,6 @@ demonstrations of the same special values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -28,30 +27,13 @@ from .asymptotics import zeta_even_from_functional_eq
 from .zeta_z import big_z
 
 __all__ = [
-    "VolumeRoute",
-    "SphereVolume",
     "SphereRatio",
-    "sphere_volume",
     "sphere_volume_gamma",
     "sphere_volume_zproduct",
     "sphere_ratio",
     "catalan",
     "arithmetic_volume_demo",
 ]
-
-
-class VolumeRoute(Enum):
-    GAMMA_CLOSED_FORM = "gamma-closed-form"
-    Z_PRODUCT = "z-product"
-
-
-@dataclass(frozen=True)
-class SphereVolume:
-    """n-dimensional volume of the unit sphere in R^(n+1), with its route."""
-
-    n: int
-    value: EvalResult
-    route: VolumeRoute
 
 
 @dataclass(frozen=True)
@@ -91,13 +73,6 @@ def sphere_volume_zproduct(n: int, ctx: Optional[PrecisionContext] = None) -> Ev
         v *= zj.value.value.real
         rel += zj.err / abs(zj.value.value) + mp.mpf(2) ** (4 - mp.prec)
     return complex_result(ctx, v, abs(v) * rel, False, "z-product")
-
-
-def sphere_volume(n: int, ctx: Optional[PrecisionContext] = None,
-                  route: VolumeRoute = VolumeRoute.GAMMA_CLOSED_FORM) -> SphereVolume:
-    fn = (sphere_volume_gamma if route is VolumeRoute.GAMMA_CLOSED_FORM
-          else sphere_volume_zproduct)
-    return SphereVolume(n, fn(n, ctx), route)
 
 
 def sphere_ratio(n: int, ctx: Optional[PrecisionContext] = None) -> SphereRatio:

@@ -422,7 +422,7 @@ def _check_assembly_vs_direct(ctx: PrecisionContext) -> CheckResult:
     thresh = 0.0
     for n in range(2, 31):
         for m in (1, 2):
-            q = asymptotics.zeta_zn_positive_from_asymptotics(n, m, ctx).exact
+            q = zeta_zn.zeta_zn_closed_poly(m, ctx).evaluate(n)
             direct = zeta_zn.zeta_zn_direct(n, m, ctx).value.re
             ev = mp.mpf(q.numerator) / q.denominator
             errs.append(abs(direct - ev) / (1 + abs(ev)))

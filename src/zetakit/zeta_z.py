@@ -21,8 +21,6 @@ paths at the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -30,7 +28,6 @@ from typing import Optional
 from .core import (
     DomainError,
     EvalResult,
-    HPComplex,
     NeedsLimitInterpretation,
     NoConvergence,
     PoleError,
@@ -44,9 +41,6 @@ from . import numerics
 from .quadrature import heat_mellin_integral
 
 __all__ = [
-    "ZetaZMethod",
-    "ZetaZEval",
-    "evaluate_zeta_z",
     "zeta_z_closed",
     "zeta_z_product",
     "zeta_z_mellin",
@@ -54,21 +48,6 @@ __all__ = [
     "zeta_z_deriv",
     "zeta_z_deriv_at_positive_integer",
 ]
-
-
-class ZetaZMethod(Enum):
-    CLOSED_FORM = "closed-form"
-    PRODUCT = "product"
-    MELLIN_QUADRATURE = "quadrature"
-
-
-@dataclass(frozen=True)
-class ZetaZEval:
-    """One evaluation: argument, result, and the route that produced it."""
-
-    s: HPComplex
-    result: EvalResult
-    method: ZetaZMethod
 
 
 def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
@@ -212,21 +191,6 @@ def zeta_z_mellin(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
         z = z.real
     v, err = heat_mellin_integral(ctx, z, ctx.tol / 2)
     return complex_result(ctx, v, err, False, "quadrature")
-
-
-_DISPATCH = {
-    ZetaZMethod.CLOSED_FORM: zeta_z_closed,
-    ZetaZMethod.PRODUCT: zeta_z_product,
-    ZetaZMethod.MELLIN_QUADRATURE: zeta_z_mellin,
-}
-
-
-def evaluate_zeta_z(s, ctx: Optional[PrecisionContext] = None,
-                    method: ZetaZMethod = ZetaZMethod.CLOSED_FORM) -> ZetaZEval:
-    """Evaluate by the requested route and package argument plus result."""
-    ctx = get_context(ctx)
-    result = _DISPATCH[method](s, ctx)
-    return ZetaZEval(HPComplex(ctx.mpc(s), ctx.mp.zero), result, method)
 
 
 def big_z(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:

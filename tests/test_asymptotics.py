@@ -17,7 +17,6 @@ from zetakit import (
     zeta_even_from_functional_eq,
     zeta_zn_closed_poly,
     zeta_zn_direct,
-    zeta_zn_positive_from_asymptotics,
     sine_power_sum,
 )
 from zetakit.verify import _reconstructed_poly
@@ -174,24 +173,17 @@ def test_bridge_matches_em_through_m6(ctx):
 # ---------------------------------------------------------------- assembly
 
 def test_assembly_examples(ctx):
-    assert zeta_zn_positive_from_asymptotics(5, 1, ctx).exact == 2
-    assert zeta_zn_positive_from_asymptotics(2, 1, ctx).exact == Fraction(1, 4)
-    assert zeta_zn_positive_from_asymptotics(3, 2, ctx).exact == Fraction(2, 9)
+    assert zeta_zn_closed_poly(1, ctx).evaluate(5) == 2
+    assert zeta_zn_closed_poly(1, ctx).evaluate(2) == Fraction(1, 4)
+    assert zeta_zn_closed_poly(2, ctx).evaluate(3) == Fraction(2, 9)
 
 
 def test_assembly_matches_direct(ctx, mp):
     for n in range(2, 31):
         for m in (1, 2):
-            q = zeta_zn_positive_from_asymptotics(n, m, ctx).exact
+            q = zeta_zn_closed_poly(m, ctx).evaluate(n)
             direct = zeta_zn_direct(n, m, ctx).value.re
             assert abs(direct - mp.convert(q)) <= (n + 32) * mp.eps * (1 + abs(direct))
-
-
-def test_assembly_domain(ctx):
-    with pytest.raises(DomainError):
-        zeta_zn_positive_from_asymptotics(5, 3, ctx)
-    with pytest.raises(DomainError):
-        zeta_zn_positive_from_asymptotics(1, 1, ctx)
 
 
 def test_csc_polynomial_cross_route(ctx):

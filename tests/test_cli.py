@@ -96,6 +96,25 @@ def test_malformed_number_is_usage_error(capsys, argv):
     assert "not a finite number" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "1e400", "abc"])
+def test_non_finite_tolerance_is_usage_error(capsys, tol):
+    # an infinite tolerance would let every check of `verify all` pass
+    with pytest.raises(SystemExit) as exc:
+        main([f"--tol={tol}", "verify", "all"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a finite number" in captured.err
+
+
+def test_malformed_precision_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ZETAKIT_PRECISION_BITS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "zeta-z", "--s=-3"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("s", ["2", "-2", "0.5"])
 def test_eval_zeta_zn_needs_two_vertices(capsys, s):
     # the exact polynomial, the negative-integer sum and the direct sum all

@@ -30,6 +30,9 @@ def test_precision_context_validation():
         PrecisionContext(precision_bits=32)
     with pytest.raises(DomainError):
         PrecisionContext(target_tol=0)
+    for tol in (float("inf"), float("nan")):  # inf would let every bound meet it
+        with pytest.raises(DomainError):
+            PrecisionContext(target_tol=tol)
     with pytest.raises(DomainError):
         PrecisionContext(max_terms=0)
 

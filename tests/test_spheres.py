@@ -7,13 +7,11 @@ import pytest
 
 from zetakit import (
     DomainError,
-    VolumeRoute,
     arithmetic_volume_demo,
     big_z,
     catalan,
     riemann_zeta_numeric,
     sphere_ratio,
-    sphere_volume,
     sphere_volume_gamma,
     sphere_volume_zproduct,
     zeta_z_closed,
@@ -40,11 +38,6 @@ def test_routes_agree_to_fifty(ctx, mp):
         a = sphere_volume_gamma(n, ctx)
         b = sphere_volume_zproduct(n, ctx)
         assert abs(a.value.value - b.value.value) < mp.mpf(10) ** -20
-
-
-def test_sphere_volume_wrapper(ctx):
-    sv = sphere_volume(2, ctx, VolumeRoute.Z_PRODUCT)
-    assert sv.n == 2 and sv.route is VolumeRoute.Z_PRODUCT
 
 
 def test_negative_dimension_rejected(ctx):

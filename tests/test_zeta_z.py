@@ -12,9 +12,7 @@ from zetakit import (
     NoConvergence,
     PoleError,
     PrecisionContext,
-    ZetaZMethod,
     big_z,
-    evaluate_zeta_z,
     zeta_z_closed,
     zeta_z_deriv,
     zeta_z_deriv_at_positive_integer,
@@ -292,19 +290,7 @@ def test_deriv_random_fd(ctx, mp):
         assert abs(formula - _central_difference(ctx, s, h)) < mp.mpf(10) ** -15
 
 
-# ---------------------------------------------------------------- dispatcher
-
-def test_dispatcher_routes(ctx):
-    ev = evaluate_zeta_z(Fraction(1, 4), ctx, ZetaZMethod.PRODUCT)
-    assert ev.method is ZetaZMethod.PRODUCT
-    mq = evaluate_zeta_z(Fraction(1, 4), ctx, ZetaZMethod.MELLIN_QUADRATURE)
-    assert mq.result.method == "quadrature"
-    assert abs(mq.result.value.value - ev.result.value.value) \
-        <= mq.result.err + ev.result.err
-    cl = evaluate_zeta_z(Fraction(1, 4), ctx)
-    assert abs(ev.result.value.value - cl.result.value.value) \
-        <= ev.result.err + cl.result.err
-
+# ---------------------------------------------------------------- route agreement
 
 def test_route_agreement_random(ctx, mp):
     rng = random.Random(3)
