@@ -66,6 +66,19 @@ def _pole_distance(mp, z):
     return abs(z - min(0, int(mp.nint(z.real))))
 
 
+def _psi_bound(mp, z):
+    """Bound on |psi(z)| <= 1/d + 3 log(|z| + 2) + 8, d the distance to the
+    nearest pole, with 2/d for 1/d so that a rounding of z that is small
+    against d is covered to second order."""
+    return 2 / _pole_distance(mp, z) + 3 * mp.log(abs(z) + 2) + 8
+
+
+def _trigamma_bound(mp, x):
+    """Bound on |psi'(x)| <= 1/d^2 + pi^2 for real x, with 2/d^2 for 1/d^2
+    as in :func:`_psi_bound`."""
+    return 2 / _pole_distance(mp, x) ** 2 + 10
+
+
 def gamma(s, ctx: Optional[PrecisionContext] = None) -> HPComplex:
     """Gamma(s) for complex s with an absolute error bound <= target_tol.
 
@@ -81,11 +94,8 @@ def gamma(s, ctx: Optional[PrecisionContext] = None) -> HPComplex:
         g = c.mp.gamma(z)
         err = abs(g) * c.mp.mpf(2) ** (8 - c.mp.prec)
         if _rounded(s, z):
-            # the rounding |z - s| <= |z| eps grows by |psi(z)| <= 1/d
-            # + 3 log(|z| + 2) + 8, d the distance to the nearest pole;
-            # 2/d leaves room for the second-order term
-            d = _pole_distance(c.mp, z)
-            err += abs(g * z) * (2 / d + 3 * c.mp.log(abs(z) + 2) + 8) * c.eps
+            # the rounding |z - s| <= |z| eps grows by |psi(z)|
+            err += abs(g * z) * _psi_bound(c.mp, z) * c.eps
         return HPComplex(g, err)
 
     return certify(get_context(ctx), compute, "gamma")
@@ -103,10 +113,8 @@ def digamma(s, ctx: Optional[PrecisionContext] = None) -> HPReal:
         d = c.mp.digamma(x)
         err = (abs(d) + 1) * c.mp.mpf(2) ** (8 - c.mp.prec)
         if _rounded(s, x):
-            # the rounding |x - s| <= |x| eps grows by psi'(x) <= 1/r^2 + pi^2,
-            # r the distance to the nearest pole; doubled for the second order
-            r = _pole_distance(c.mp, x)
-            err += abs(x) * (2 / r ** 2 + 10) * c.eps
+            # the rounding |x - s| <= |x| eps grows by psi'(x)
+            err += abs(x) * _trigamma_bound(c.mp, x) * c.eps
         return HPReal(d, err)
 
     return certify(get_context(ctx), compute, "digamma")

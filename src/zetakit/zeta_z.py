@@ -76,7 +76,16 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
     g2 = numerics.gamma(1 - z, ctx)
     v = mp.power(4, -z) / mp.sqrt(mp.pi) * g1.value / g2.value
     rel = g1.err / abs(g1.value) + g2.err / abs(g2.value) + mp.mpf(2) ** (6 - mp.prec)
+    if numerics._rounded(s, z):
+        rel += abs(z) * _log_deriv_bound(mp, z) * ctx.eps
     return complex_result(ctx, v, abs(v) * rel, False, "closed-form")
+
+
+def _log_deriv_bound(mp, z):
+    """Bound on |(log zeta_Z)'(z)| = |psi(1/2-z) - psi(1-z) + log 4|, by which
+    the rounding |z - s| <= |z| eps of a converted s grows (to second order
+    near the poles, see :func:`numerics._psi_bound`)."""
+    return numerics._psi_bound(mp, mp.mpf(1) / 2 - z) + numerics._psi_bound(mp, 1 - z) + 2
 
 
 def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
@@ -202,6 +211,9 @@ def big_z(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     pref = mp.pi * mp.power(2, z)
     v = pref * inner.value.value
     err = abs(pref) * inner.err + abs(v) * mp.mpf(2) ** (6 - mp.prec)
+    if numerics._rounded(s, z):
+        # (log Z)'(s) = log 2 + (log zeta_Z)'(s/2) / 2
+        err += abs(v * z) * (_log_deriv_bound(mp, z / 2) / 2 + 1) * ctx.eps
     return complex_result(ctx, v, err, inner.certified, "closed-form",
                           note=inner.note)
 
@@ -251,6 +263,12 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
         + abs(zc.value.value) * (d1.err + d2.err)
         + abs(v) * mp.mpf(2) ** (6 - mp.prec)
     )
+    if numerics._rounded(s, x):
+        # the rounding |x - s| <= |x| eps grows by |zeta_Z''| = |zeta_Z|
+        # |bracket^2 + psi'(1/2-x) - psi'(1-x)|; 2 bracket^2 for the second order
+        curv = (2 * bracket ** 2 + numerics._trigamma_bound(mp, mp.mpf(1) / 2 - x)
+                + numerics._trigamma_bound(mp, 1 - x))
+        err += abs(zc.value.value * x) * curv * ctx.eps
     return complex_result(ctx, v, err, False, "digamma-formula")
 
 

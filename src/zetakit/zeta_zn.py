@@ -2,9 +2,18 @@
 
     zeta_n(s) = 4^(-s) sum_{k=1}^{n-1} sin(pi k / n)^(-2s).
 
+The direct sum, as sum_k (2 sin(pi k/n))^(-2s), and the sine-power sums that
+extraction reads share one streaming kernel, :func:`_power_sum`.  It makes
+sin(pi k/n) by rotating (cos, sin)(pi/n) in Python-integer fixed point at
+wp = prec + 2 bitlen(n) + 4 bits; the rotation drifts by at most 3k units of
+2^(-wp), and since sin(pi k/n) >= 2 min(k, n-k)/n every sine, past pi/2
+too, stays within 2^(-prec-3) of the truth, relatively.  Integer and
+half-integer powers then take no logarithm or exponential.
+
 Negative integer values are exact alternating binomial sums, odd half-integer
-values collapse to short cotangent sums, and positive integer values are
-polynomials in n, assembled exactly from Bernoulli numbers by
+values collapse to short cotangent sums (evaluated with mpmath's own sines,
+independent of the rotation), and positive integer values are polynomials in
+n, assembled exactly from Bernoulli numbers by
 :func:`zetakit.asymptotics.csc_power_polynomial`.  The ``verify`` suite
 checks them against an independent oracle that reconstructs them from direct
 sums.
@@ -17,6 +26,24 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Union
 
+from mpmath.libmp import (
+    from_man_exp,
+    from_rational,
+    fzero,
+    mpf_add,
+    mpf_cos_sin,
+    mpf_cos_sin_pi,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sqrt,
+    round_nearest,
+    to_fixed,
+    to_int,
+)
+
 from .core import (
     DomainError,
     EvalResult,
@@ -27,6 +54,7 @@ from .core import (
     exact_result,
     get_context,
 )
+from .numerics import _rounded
 
 __all__ = [
     "DiscreteCircle",
@@ -108,28 +136,125 @@ class RationalPolynomial:
         return f"({text})/{den}" if den != 1 else text
 
 
-def _sine_terms(mp, n: int, power, fold: bool):
-    """weight * sin(pi k/n)^power for k = 1..n-1, each fraction k/n taken
-    exactly reduced as min(k, n-k)/n.  Folding merges k with n-k, on which
-    sin(pi k/n) agrees, into one term of weight two."""
-    for k in range(1, n // 2 + 1 if fold else n):
-        frac = Fraction(min(k, n - k), n)
-        weight = 2 if fold and 2 * k != n else 1
-        yield weight * mp.power(mp.sinpi(mp.mpf(frac.numerator) / frac.denominator), power)
+#: Guard bits of the sine rotation on top of prec + 2 bitlen(n); with them
+#: every rotated sine is within 2^(-prec-3) of the truth, relatively (see
+#: :func:`_rotated_sines`).
+_ROTATION_GUARD = 4
+
+
+def _rotated_sines(n: int, count: int, wp: int):
+    """sin(pi k/n) for k = 1..count as wp-bit fixed-point integers, streamed.
+
+    Let u = 2^(-wp) and r = 1/n rounded at wp + 8 bits, so that
+    pi k |r - 1/n| < 0.03 u for every k <= n.  One ``mpf_cos_sin_pi`` of r
+    gives (c0, s0) = (cos, sin)(pi r) to within 1 + 2^(-6) units each,
+    truncated to wp-bit fixed point.  Then z_k = c_k + i s_k steps by
+    z_(k+1) = z_k (c0 + i s0), each part truncated to wp bits again.  With
+    e_k = z_k - exp(i pi k r),
+
+        |e_(k+1)| <= |e_k| |c0 + i s0| + |c0 + i s0 - exp(i pi r)| + sqrt(2) u
+                  <= |e_k| (1 + 2u) + 2.86 u,
+
+    so |e_k| <= 2.9 k u while k u is tiny, and s_k is within 3 k u of
+    sin(pi k/n).  By Jordan's inequality sin(pi k/n) >= 2 min(k, n-k)/n, so
+    the relative error of s_k is at most 1.5 n k / min(k, n-k) u: 1.5 n u on
+    the folded range and 1.5 n^2 u on the unfolded one.  Both are below
+    1.5 * 2^(-prec-4) < 2^(-prec-3) when wp = prec + 2 bitlen(n) + 4, since
+    n^2 < 4^bitlen(n).
+    """
+    cos0, sin0 = mpf_cos_sin_pi(from_rational(1, n, wp + 8), wp + 8)
+    c0, s0 = to_fixed(cos0, wp), to_fixed(sin0, wp)
+    c, s = c0, s0
+    for _ in range(count):
+        yield s
+        c, s = (c * c0 - s * s0) >> wp, (s * c0 + c * s0) >> wp
+
+
+def _power_sum(mp, n: int, p, fold: bool, double: bool, dp=0):
+    """(sum, err) of w_k x_k^p, x_k = 2 sin(pi k/n) if ``double`` else
+    sin(pi k/n), over k = 1..n-1 (w_k = 1), or folded over k = 1..n//2 with
+    w_k = 2 for k != n/2, since sin(pi k/n) = sin(pi (n-k)/n).  ``p`` is an
+    mpf or mpc; ``dp`` bounds the rounding it carries from the caller's input.
+
+    The sines come from :func:`_rotated_sines` at wp = prec + 2 bitlen(n) +
+    4 bits, each within e_s = 2^(-prec-3) of the truth, relatively, on the
+    folded and the unfolded range alike.  Powers go by the exponent's kind:
+    ``mpf_pow_int`` for integers, ``mpf_pow_int`` times one ``mpf_sqrt`` for
+    half-integers, and otherwise one ``mpf_log`` at prec + 8 plus the bits
+    of |p| L, L = bitlen(n) + 1 >= |log x_k|, followed by ``mpf_exp`` (real
+    p) or ``mpf_exp`` of the real part and ``mpf_cos_sin`` of the imaginary
+    part (complex p), whose real exponential is the term's modulus.  The
+    sum is accumulated in raw ``mpmath.libmp`` tuples at prec with rounding
+    to nearest.
+
+    With M the sum of the term moduli, err is M ((|p| + 1) e_s + (count +
+    16) 2^(1-prec) + 2 dp L): the sine's relative error raised to the power
+    p, the rounding of each term (at most 16 units of 2^(1-prec)) and of each
+    addition (half a unit per part), and the caller's rounding of p, which
+    moves a term by |dp log x_k| (doubled for the second order).
+    """
+    prec = mp.prec
+    wp = prec + 2 * n.bit_length() + _ROTATION_GUARD
+    rnd = round_nearest
+    count = n // 2 if fold else n - 1
+    lbits = n.bit_length() + 1
+    wl = prec + 8 + int(abs(p) * lbits + 1).bit_length()
+    exp0 = (1 if double else 0) - wp
+    sines = enumerate(_rotated_sines(n, count, wp), 1)
+    if isinstance(p, mp.mpc):
+        a, b = p._mpc_
+        re = im = mass = fzero
+        for k, s in sines:
+            log_x = mpf_log(from_man_exp(s, exp0), wl)
+            r = mpf_exp(mpf_mul(a, log_x, wl), prec, rnd)
+            if fold and 2 * k != n:
+                r = mpf_shift(r, 1)
+            cos_t, sin_t = mpf_cos_sin(mpf_mul(b, log_x, wl), prec, rnd)
+            re = mpf_add(re, mpf_mul(r, cos_t, prec, rnd), prec, rnd)
+            im = mpf_add(im, mpf_mul(r, sin_t, prec, rnd), prec, rnd)
+            mass = mpf_add(mass, r, prec, rnd)
+        total, mass = mp.make_mpc((re, im)), mp.make_mpf(mass)
+    else:
+        # a raw mpf (sign, odd mantissa, exponent, bits) is an integer when
+        # the mantissa is 0 or the exponent >= 0, a half-integer at -1
+        a = p._mpf_
+        if not a[1] or a[2] >= 0:
+            q = to_int(a)
+            power = lambda x: mpf_pow_int(x, q, prec, rnd)
+        elif a[2] == -1:
+            q = (to_int(mpf_shift(a, 1)) - 1) // 2
+            power = lambda x: mpf_mul(mpf_pow_int(x, q, prec, rnd),
+                                      mpf_sqrt(x, prec, rnd), prec, rnd)
+        else:
+            power = lambda x: mpf_exp(mpf_mul(a, mpf_log(x, wl), wl), prec, rnd)
+        acc = fzero
+        for k, s in sines:
+            t = power(from_man_exp(s, exp0))
+            if fold and 2 * k != n:
+                t = mpf_shift(t, 1)
+            acc = mpf_add(acc, t, prec, rnd)
+        total = mass = mp.make_mpf(acc)  # every term is positive
+    two = mp.mpf(2)
+    rel = ((abs(p) + 1) * two ** (-prec - 3) + (count + 16) * two ** (1 - prec)
+           + 2 * dp * lbits)
+    return total, mass * rel
 
 
 def sine_power_sum(n: Union[int, DiscreteCircle], power,
                    ctx: Optional[PrecisionContext] = None) -> HPReal:
     """sum_{k=1}^{n-1} sin(pi k/n)^power for real power.
 
-    Sines are taken of exactly reduced rational multiples of pi (never of a
-    rounded pi*k/n product), so accuracy survives large n.
+    The sines come from a fixed-point rotation with a proved drift bound
+    (:func:`_rotated_sines`), never from a rounded pi*k/n product, so accuracy
+    survives large n; err covers the rounding of a power that is not exact
+    at working precision.
     """
     nn = _vertex_count(n)
 
     def compute(c: PrecisionContext) -> HPReal:
-        acc = sum(_sine_terms(c.mp, nn, c.mpf(power), True), c.mp.zero)
-        return HPReal(acc, abs(acc) * (nn + 16) * c.mp.mpf(2) ** (4 - c.mp.prec))
+        x = c.mpf(power)
+        dp = abs(x) * c.eps if _rounded(power, x) else 0
+        return HPReal(*_power_sum(c.mp, nn, x, True, False, dp))
 
     return certify(get_context(ctx), compute, "sine_power_sum")
 
@@ -137,23 +262,18 @@ def sine_power_sum(n: Union[int, DiscreteCircle], power,
 def zeta_zn_direct(n: Union[int, DiscreteCircle], s,
                    ctx: Optional[PrecisionContext] = None, *,
                    fold: bool = True) -> EvalResult:
-    """The defining finite sum at working precision (any complex s)."""
+    """The defining finite sum at working precision (any complex s), as
+    sum_k (2 sin(pi k/n))^(-2s); err covers the rounding of an s that is not
+    exact at working precision."""
     nn = _vertex_count(n)
     ctx = get_context(ctx)
-    mp = ctx.mp
     z = ctx.mpc(s)
     if z.imag == 0:
         z = z.real
     if z == 0:
         return exact_result(ctx, Fraction(nn - 1), "direct-sum")
-    acc = mp.zero
-    magnitude = mp.zero  # phases can cancel for complex s; bound on term mass
-    for term in _sine_terms(mp, nn, -2 * z, fold):
-        acc += term
-        magnitude += abs(term)
-    scale = abs(mp.power(4, -z))
-    v = mp.power(4, -z) * acc
-    err = scale * magnitude * (nn + 16) * mp.mpf(2) ** (4 - mp.prec)
+    dp = 2 * abs(z) * ctx.eps if _rounded(s, z) else 0
+    v, err = _power_sum(ctx.mp, nn, -2 * z, fold, True, dp)
     return complex_result(ctx, v, err, False, "direct-sum")
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from zetakit import (
     DomainError,
@@ -288,6 +289,43 @@ def test_deriv_random_fd(ctx, mp):
         s = mp.mpf(rng.uniform(-10, 0.4))
         formula = zeta_z_deriv(s, ctx).value.value.real
         assert abs(formula - _central_difference(ctx, s, h)) < mp.mpf(10) ** -15
+
+
+# ---------------------------------------------------------------- rounded arguments
+
+def _closed_oracle(mp, z):
+    return mp.power(4, -z) * mp.gamma(mp.mpf(1) / 2 - z) / (mp.sqrt(mp.pi) * mp.gamma(1 - z))
+
+
+# (call, mpmath oracle of the same value at the exact s): a non-dyadic s
+# rounds when converted, and the route's logarithmic derivative amplifies
+# the rounding near a pole or zero
+_ROUNDED = {
+    "closed-near-pole": (lambda c: zeta_z_closed(Fraction(14999, 10000), c),
+                         lambda mp, z: _closed_oracle(mp, z), Fraction(14999, 10000)),
+    "closed-near-zero": (lambda c: zeta_z_closed(Fraction(9999, 10000), c),
+                         lambda mp, z: _closed_oracle(mp, z), Fraction(9999, 10000)),
+    "deriv-near-pole": (lambda c: zeta_z_deriv(Fraction(4999, 10000), c),
+                        lambda mp, z: _closed_oracle(mp, z) * (
+                            -mp.digamma(mp.mpf(1) / 2 - z) - 2 * mp.log(2)
+                            + mp.digamma(1 - z)), Fraction(4999, 10000)),
+    "big-z-near-pole": (lambda c: big_z(Fraction(29999, 10000), c),
+                        lambda mp, z: mp.pi * mp.power(2, z) * _closed_oracle(mp, z / 2),
+                        Fraction(29999, 10000)),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUNDED))
+def test_rounded_argument_is_honest(case):
+    # err meets the tolerance and covers the true error against mpmath at
+    # 1600 bits, taken at the exact rational s
+    call, oracle, s = _ROUNDED[case]
+    ctx = PrecisionContext(256, 1e-30)
+    mp = MPContext()
+    mp.prec = 1600
+    r = call(ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - oracle(mp, mp.mpf(s.numerator) / s.denominator)) <= r.err
 
 
 # ---------------------------------------------------------------- route agreement

@@ -1,13 +1,16 @@
 """Discrete-circle zeta: direct sums, exact values, cot sums, polynomials."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from zetakit import (
     DiscreteCircle,
     DomainError,
+    PrecisionContext,
     RationalPolynomial,
     ReconstructionError,
     zeta_zn_closed_poly,
@@ -66,6 +69,91 @@ def test_direct_positivity(ctx):
     for n in (2, 5, 12):
         for s in (-4, -0.5, 0.25, 3):
             assert zeta_zn_direct(n, s, ctx).value.re > 0
+
+
+def _powers(bits: int, n: int) -> dict:
+    """One seeded exponent p of each kind for the terms (2 sin(pi k/n))^p."""
+    rng = random.Random(f"sine-rotation:{bits}:{n}")
+    return {
+        "neg-int": -rng.randint(1, 3),
+        "pos-int": rng.randint(1, 12),
+        "half": rng.choice([-3, -1, 1, 3, 5, 7]) / 2,
+        "real": rng.uniform(-3.0, 6.0),
+        "complex": complex(rng.uniform(-3.0, 6.0), rng.uniform(-4.0, 4.0)),
+    }
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 97, 1000, 4097])
+def test_direct_and_sine_sums_are_honest(bits, n):
+    # both folds of the direct sum and the folded sine-power sum meet the
+    # tolerance and cover the true error; the truth is summed term by term
+    # from mpmath sines at 2 bits + 64
+    ctx = PrecisionContext(bits, 10.0 ** -(bits // 5))
+    mp = MPContext()
+    mp.prec = 2 * bits + 64
+    sines = [mp.sin(mp.pi * k / n) for k in range(1, n)]
+    for kind, p in _powers(bits, n).items():
+        q = mp.convert(p)
+        truth = mp.fsum((2 * x) ** q for x in sines)
+        for fold in (True, False):
+            r = zeta_zn_direct(n, -p / 2, ctx, fold=fold)
+            assert r.err <= ctx.tol, (kind, fold)
+            assert abs(mp.mpc(r.value.value) - truth) <= r.err, (kind, fold)
+        if kind != "complex":
+            r = sine_power_sum(n, p, ctx)
+            assert r.err <= ctx.tol, kind
+            assert abs(r.value - truth / mp.mpf(2) ** q) <= r.err, kind
+
+
+def test_direct_rotation_drift_is_covered():
+    # the unfolded sum rotates the sine through k = n - 1, where the drift
+    # relative to sin(pi k/n) is largest (about 1.5 n^2 units of 2^-wp);
+    # zeta_n(1) = (n^2 - 1)/12 exactly
+    n = 2 ** 17 + 1
+    ctx = PrecisionContext(64, 1e-12)
+    r = zeta_zn_direct(n, 1, ctx, fold=False)
+    exact = Fraction(n * n - 1, 12)
+    assert r.err <= ctx.tol
+    assert abs(r.value.re - ctx.mp.mpf(exact.numerator) / exact.denominator) <= r.err
+
+
+def _truth_1200(n, p, double):
+    """sum_k x_k^p, x_k = (2 if double else 1) sin(pi k/n), at 1200 bits."""
+    mp = MPContext()
+    mp.prec = 1200
+    q = mp.mpf(p.numerator) / p.denominator if isinstance(p, Fraction) else mp.convert(p)
+    return mp.fsum(((2 if double else 1) * mp.sin(mp.pi * k / n)) ** q
+                   for k in range(1, n)), mp
+
+
+@pytest.mark.parametrize("bits, tol, n, s", [
+    # |p| = 2|s| amplifies the sine's relative error by as much
+    pytest.param(64, 1e-12, 5, 333.3, id="n5-333.3-64bits"),
+    pytest.param(256, 1e-60, 5, 333.3, id="n5-333.3-256bits"),
+    pytest.param(128, 1e-25, 3, 333.3, id="n3-333.3-128bits"),
+    # a non-dyadic s rounds, and |log(4 sin^2)| amplifies the rounding
+    pytest.param(64, 1e-12, 7, Fraction(1, 3), id="n7-third-64bits"),
+    pytest.param(64, 1e-12, 3, Fraction(10000001, 1000), id="n3-10000.001-64bits"),
+])
+def test_direct_error_bound_is_honest(bits, tol, n, s):
+    ctx = PrecisionContext(bits, tol)
+    r = zeta_zn_direct(n, s, ctx)
+    truth, mp = _truth_1200(n, -2 * s, True)
+    assert r.err <= tol
+    assert abs(mp.mpc(r.value.value) - truth) <= r.err
+
+
+@pytest.mark.parametrize("n, p", [
+    pytest.param(5, -666.6, id="n5-neg666.6"),
+    pytest.param(3, Fraction(10000001, 500), id="n3-20000.002"),
+])
+def test_sine_power_sum_error_bound_is_honest(n, p):
+    ctx = PrecisionContext(64, 1e-12)
+    r = sine_power_sum(n, p, ctx)
+    truth, mp = _truth_1200(n, p, False)
+    assert r.err <= ctx.tol
+    assert abs(r.value - truth) <= r.err
 
 
 # ---------------------------------------------------------------- exact negatives
