@@ -2,10 +2,14 @@
 numeric Riemann zeta via Euler-Maclaurin summation with a certified tail.
 
 Gamma and digamma are delegated to mpmath (whose gamma uses precisely the
-recurrence-shift plus Stirling-series scheme appropriate at high precision);
-their error bounds also cover the rounding of an argument that is not exact
-at working precision.  Everything else is implemented here because
-downstream identities consume exact rationals or certified bounds.
+recurrence-shift plus Stirling-series scheme appropriate at high precision).
+Everything else is implemented here because downstream identities consume
+exact rationals or certified bounds: the Bernoulli numbers are exact
+Fractions from the integer tangent numbers (Brent & Harvey 2011), and the
+Euler-Maclaurin zeta sums k^-s multiplicatively, one power per prime, with
+coefficients B_2j/(2j)! rounded once from their exact values.  The error
+bounds of gamma, digamma and zeta also cover the rounding of an argument
+that is not exact at working precision.
 
 Every kernel that returns a bounded value runs through :func:`core.certify`:
 when its ``err`` misses ``target_tol`` it is recomputed with up to 1024 extra
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import factorial, isqrt
 from typing import Optional, Tuple
+
+from mpmath import libmp
 
 from .core import (
     DomainError,
@@ -127,11 +133,27 @@ _BERN_LOCK = threading.Lock()
 _BERN_EVEN: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
 
 
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n], T_k = tan^(2k-1)(0), in O(n^2) integer operations
+    (Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
+    numbers", 2011, algorithm TangentNumbers)."""
+    T = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, n + 1):
+        t = T[k - 1]
+        for j in range(k, n + 1):
+            t = T[j] = (j - k) * t + (j - k + 2) * T[j]
+    return T
+
+
 def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2).
 
-    Even-index values come from the defining recurrence
-    sum_{j=0}^{k} C(k+1, j) B_j = 0; odd indices above 1 vanish.
+    Even-index values come from the tangent numbers, B_2k = (-1)^(k-1) 2k
+    T_k / (4^k (4^k - 1)) (Brent & Harvey 2011); odd indices above 1 vanish.
+    The memo grows in one pass to at least B_k, and at least by half its
+    length, so a run of rising requests costs O(n^2) for the largest n.
     """
     if k < 0:
         raise DomainError("Bernoulli index must be nonnegative")
@@ -141,19 +163,20 @@ def bernoulli(k: int) -> Fraction:
         return Fraction(0)
     half = k // 2
     with _BERN_LOCK:
-        while len(_BERN_EVEN) <= half:
-            m = len(_BERN_EVEN)
-            n = 2 * m
-            acc = Fraction(n + 1, -2)  # the B_1 term C(n+1,1) * (-1/2)
-            for j in range(m):
-                acc += comb(n + 1, 2 * j) * _BERN_EVEN[j]
-            _BERN_EVEN.append(-acc / (n + 1))
+        have = len(_BERN_EVEN)
+        if have <= half:
+            n = max(half, 3 * have // 2)
+            T = _tangent_numbers(n)
+            _BERN_EVEN.extend(Fraction((-1) ** (j - 1) * 2 * j * T[j], 4 ** j * (4 ** j - 1))
+                              for j in range(have, n + 1))
         return _BERN_EVEN[half]
 
 
-def _bern_mpf(mp, k: int):
+def _bern_mpf(mp, k: int, div: int):
+    """B_k / div rounded once to the precision of mp."""
     b = bernoulli(k)
-    return mp.mpf(b.numerator) / b.denominator
+    return mp.make_mpf(libmp.from_rational(b.numerator, b.denominator * div,
+                                           mp.prec, libmp.round_nearest))
 
 
 # --------------------------------------------------------------------------
@@ -214,12 +237,45 @@ def _i0e_raw(mp, t, switch: int) -> Tuple:
 # --------------------------------------------------------------------------
 # Riemann zeta by Euler-Maclaurin
 
+def _power_sum(mp, s, N: int):
+    """sum_{k<N} k^-s with one mp.power per prime.
+
+    k -> k^-s is completely multiplicative, so a composite k = p m, p its
+    smallest prime factor, is the product of the values at p and at m; only
+    the values up to N/2 are kept, since m <= N/2.
+    """
+    spf = list(range(N))  # smallest prime factor
+    for p in range(2, isqrt(N - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, N, p):
+                if spf[m] == m:
+                    spf[m] = p
+    keep = N // 2
+    pw = [mp.zero, mp.one]
+    acc = mp.one
+    for k in range(2, N):
+        p = spf[k]
+        v = mp.power(k, -s) if p == k else pw[p] * pw[k // p]
+        if k <= keep:
+            pw.append(v)
+        acc += v
+    return acc
+
+
 def _em_zeta_raw(mp, s, tol, max_terms: int) -> Tuple:
     """zeta(s) for Re(s) >= -1/2, s != 1, with a certified remainder bound.
 
     zeta(s) = sum_{k<N} k^-s + N^{1-s}/(s-1) + N^-s/2
               + sum_{j=1}^{M} B_{2j}/(2j)! (s)_{2j-1} N^{-s-2j+1} + R,
     |R| <= |B_{2M+2}/(2M+2)! (s)_{2M+1} N^{-s-2M-1}| (s+2M+1)/(sigma+2M+1).
+
+    The power sum is multiplicative (:func:`_power_sum`): a term k^-s is a
+    product of at most log2 N prime powers, so it carries the roundings of
+    at most log2 N powers and log2 N products, not of one mp.power.  Each
+    coefficient B_2j/(2j)! is rounded once from its exact value.  Both fit
+    inside the rounding budget below, 2^10 units in the last place per term
+    (4 log2 N of them at most, for any N a list can hold), times a bound on
+    every term and partial sum, over the N + M terms.
     """
     sigma = s.real
     N = max(12, int(0.34 * mp.prec), int(abs(s.imag)) + 8)
@@ -229,7 +285,7 @@ def _em_zeta_raw(mp, s, tol, max_terms: int) -> Tuple:
         for i in range(2 * M + 1):
             poch *= s + i
         bound = (
-            abs(_bern_mpf(mp, 2 * M + 2)) / mp.factorial(2 * M + 2)
+            abs(_bern_mpf(mp, 2 * M + 2, factorial(2 * M + 2)))
             * abs(poch) * mp.power(N, -sigma - 2 * M - 1)
             * abs(s + 2 * M + 1) / (sigma + 2 * M + 1)
         )
@@ -239,15 +295,15 @@ def _em_zeta_raw(mp, s, tol, max_terms: int) -> Tuple:
             raise NoConvergence("Euler-Maclaurin zeta: term budget exhausted")
         N = int(N * 1.5) + 1
         M += 8
-    acc = mp.mpc(0)
-    for k in range(1, N):
-        acc += mp.power(k, -s)
+    acc = _power_sum(mp, s, N)
     acc += mp.power(N, 1 - s) / (s - 1) + mp.power(N, -s) / 2
     poch = s
     npow = mp.power(N, -s - 1)
     n2 = mp.mpf(N) ** 2
+    fact = 1
     for j in range(1, M + 1):
-        acc += _bern_mpf(mp, 2 * j) / mp.factorial(2 * j) * poch * npow
+        fact *= (2 * j - 1) * (2 * j)
+        acc += _bern_mpf(mp, 2 * j, fact) * poch * npow
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         npow /= n2
     # the k^-s partial sums can exceed |acc| when phases cancel, so the
@@ -263,24 +319,43 @@ def riemann_zeta_numeric(s, ctx: Optional[PrecisionContext] = None) -> HPComplex
     Euler-Maclaurin for Re(s) >= -1/2 with an adaptively chosen order;
     arguments left of that are reflected through the functional equation
     zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s), which makes the
-    trivial zeros at the negative even integers exact.
+    trivial zeros at the negative even integers exact.  When s is not exact
+    at working precision, err also covers its rounding, which |s zeta'(s)|
+    amplifies.
     """
     ctx = get_context(ctx)
     mp = ctx.mp
     z = ctx.mpc(s)
     if abs(z - 1) <= ctx.pole_radius:
         raise PoleError("zeta pole at s = 1")
-    if z.real < mp.mpf(-1) / 2 and z.imag == 0 and mp.isint(z.real / 2):
+    if z.real < mp.mpf(-1) / 2 and z.imag == 0 and mp.isint(z.real / 2) \
+            and not _rounded(s, z):
         return HPComplex(mp.mpc(0), mp.zero)  # trivial zero, exactly
 
     def compute(c: PrecisionContext) -> HPComplex:
         cm = c.mp
         z = c.mpc(s)
+        rounded = _rounded(s, z)
         if z.real >= cm.mpf(-1) / 2:
-            return HPComplex(*_em_zeta_raw(cm, z, c.tol / 2, c.max_terms))
+            v, err = _em_zeta_raw(cm, z, c.tol / 2, c.max_terms)
+            if rounded:
+                # zeta(s) = 1/(s-1) + E(s) with |E'(s)| <= (|s|+1)^2 for
+                # Re s > -1/2 - 1/10 (Euler-Maclaurin at N = 1 to order 2);
+                # 2 and |z|+2 cover the segment from s to z
+                err += abs(z) * c.eps * (2 / abs(z - 1) ** 2 + (abs(z) + 2) ** 2)
+            return HPComplex(v, err)
         w, werr = _em_zeta_raw(cm, 1 - z, c.tol / 4, c.max_terms)
-        pref = cm.power(2, z) * cm.power(cm.pi, z - 1) * cm.sinpi(z / 2) * cm.gamma(1 - z)
+        a = cm.power(2, z) * cm.power(cm.pi, z - 1) * cm.gamma(1 - z)
+        pref = a * cm.sinpi(z / 2)
         v = pref * w
-        return HPComplex(v, abs(pref) * werr + abs(v) * cm.mpf(2) ** (12 - cm.prec))
+        err = abs(pref) * werr + abs(v) * cm.mpf(2) ** (12 - cm.prec)
+        if rounded:
+            # zeta'(s) = a zeta(1-s) ((log 2 pi - psi(1-s) - zeta'/zeta(1-s))
+            # sin(pi s/2) + pi/2 cos(pi s/2)), |zeta'/zeta(1-s)| <= 1.51 at
+            # Re(1-s) >= 3/2 and |sin|, |cos| <= cosh(pi Im s/2); 2 covers
+            # the segment from s to z
+            err += 2 * abs(z) * c.eps * abs(a * w) * cm.cosh(cm.pi * z.imag / 2) \
+                * (_psi_bound(cm, 1 - z) + 5)
+        return HPComplex(v, err)
 
     return certify(ctx, compute, "riemann_zeta_numeric")

@@ -80,10 +80,19 @@ def _check_gamma_reflection(ctx: PrecisionContext) -> CheckResult:
     return _result("gamma-reflection", errs, 8 * ctx.tol, "300 random points")
 
 
-def _check_bernoulli_odd(ctx: PrecisionContext) -> CheckResult:
-    bad = [k for k in range(1, 21) if numerics.bernoulli(2 * k + 1) != 0]
-    return CheckResult("bernoulli-odd-vanish", not bad, 0.0,
-                       f"odd indices 3..41{'; failures: ' + str(bad) if bad else ''}")
+def _recurrence_bernoulli(n: int) -> List[Fraction]:
+    """B_0..B_n from the defining recurrence sum_{j<=k} C(k+1, j) B_j = 0,
+    the small-index oracle for the tangent-number table in numerics."""
+    b = [Fraction(1)]
+    for k in range(1, n + 1):
+        b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
+
+
+def _check_bernoulli_recurrence(ctx: PrecisionContext) -> CheckResult:
+    bad = [k for k, b in enumerate(_recurrence_bernoulli(80)) if numerics.bernoulli(k) != b]
+    return CheckResult("bernoulli-recurrence", not bad, 0.0,
+                       f"B_0..B_80, odd zeros included{'; failures: ' + str(bad) if bad else ''}")
 
 
 def _check_digamma_reflection(ctx: PrecisionContext) -> CheckResult:
@@ -436,7 +445,7 @@ _SUITES = {
     "numerics": [
         _check_gamma_recurrence,
         _check_gamma_reflection,
-        _check_bernoulli_odd,
+        _check_bernoulli_recurrence,
         _check_digamma_reflection,
         _check_zeta_trivial_zeros,
     ],

@@ -139,7 +139,7 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
             ia, ib, ic = 1 / a, mp.one / K, 1 / c
             ia2, ib2, ic2 = ia * ia, ib * ib, ic * ic
             for j in range(1, J + 1):
-                L -= (numerics._bern_mpf(mp, 2 * j) / (2 * j * (2 * j - 1))
+                L -= (numerics._bern_mpf(mp, 2 * j, 2 * j * (2 * j - 1))
                       * (2 * ia - ib - ic))
                 ia, ib, ic = ia * ia2, ib * ib2, ic * ic2
             v = P * mp.exp(L)

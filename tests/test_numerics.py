@@ -1,9 +1,12 @@
 """Kernel tests: Gamma, digamma, Bernoulli, the scaled Bessel series, zeta."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 
+import mpmath
 import pytest
 from mpmath.ctx_mp import MPContext
 
@@ -17,6 +20,7 @@ from zetakit import (
     riemann_zeta_numeric,
     sine_power_sum,
 )
+from zetakit import numerics
 from zetakit.numerics import _i0e_raw
 
 
@@ -114,6 +118,41 @@ def test_bernoulli_rejects_negative():
         bernoulli(-1)
 
 
+def test_bernoulli_matches_mpmath():
+    # mpmath.bernfrac is an independent algorithm
+    ks = list(range(101)) + [500, 720, 800, 1002]
+    assert [k for k in ks if bernoulli(k) != Fraction(*mpmath.bernfrac(k))] == []
+
+
+def test_bernoulli_memo_is_order_independent(monkeypatch):
+    # a fresh memo filled in one request is the reference; rising, falling
+    # and concurrent requests must leave exactly the same table
+    monkeypatch.setattr(numerics, "_BERN_EVEN", [Fraction(1)])
+    reference = [bernoulli(2 * j) for j in range(301)]
+    monkeypatch.setattr(numerics, "_BERN_EVEN", [Fraction(1)])
+    for k in (10, 600, 4, 2, 64, 66, 68):
+        assert bernoulli(k) == reference[k // 2]
+    assert [bernoulli(2 * j) for j in range(301)] == reference
+
+    monkeypatch.setattr(numerics, "_BERN_EVEN", [Fraction(1)])
+    targets = (600, 12, 300, 2, 450, 70)
+    got = {}
+    threads = [threading.Thread(target=lambda k=k: got.setdefault(k, bernoulli(k)))
+               for k in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: reference[k // 2] for k in targets}
+    assert numerics._BERN_EVEN[:301] == reference
+
+
 # ---------------------------------------------------------------- bessel
 
 def _i0_series_oracle(mp, t, terms=400):
@@ -195,6 +234,47 @@ def test_zeta_range_edges(ctx, mp):
     w = riemann_zeta_numeric(1 - s, ctx).value
     pref = mp.power(2, s) * mp.power(mp.pi, s - 1) * mp.sinpi(s / 2) * mp.gamma(1 - s)
     assert abs(v.value - pref * w) < 1e-25
+
+
+# 1024 bits/1e-120, the lattice-deep precision: Euler-Maclaurin points
+# (four real, two complex, and 1/2 + 400i, where N = |Im s| + 8 exceeds
+# the precision's default of 358 terms) and one reflected point
+_DEEP_ZETA = [2.5, 0.3, 7.7, -0.4, -5.3, complex(0.7, 3.1), complex(0.5, 40),
+              complex(0.5, 400)]
+
+
+@pytest.mark.parametrize("s", _DEEP_ZETA, ids=str)
+def test_zeta_honest_at_1024_bits(s):
+    ctx = PrecisionContext(1024, 1e-120)
+    mp = MPContext()
+    mp.prec = 2 * 1024 + 64
+    r = riemann_zeta_numeric(s, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value) - mp.zeta(mp.mpc(s))) <= r.err
+
+
+# (bits, tol, s): near the pole at 1, |zeta'(s)| ~ 1/(s-1)^2 amplifies the
+# rounding of a non-dyadic s past the kernel's own error; the last s rounds
+# onto the trivial zero at -2, where zeta is not exactly zero
+_ZETA_ROUNDED = [
+    (64, 1e-12, Fraction(100000001, 100000000)),
+    (64, 1e-12, Fraction(1000001, 1000000)),
+    (256, 1e-30, Fraction(10000001, 10000000)),
+    (256, 1e-30, Fraction(1000001, 1000000)),
+    (128, 1e-20, Fraction(100001, 100000)),
+    (64, 1e-12, Fraction(-2 * 10 ** 40 - 1, 10 ** 40)),
+]
+
+
+@pytest.mark.parametrize("bits,tol,s", _ZETA_ROUNDED, ids=str)
+def test_zeta_rounded_argument_is_honest(bits, tol, s):
+    # truth: mpmath at 2 bits + 400, taken at the exact rational s
+    ctx = PrecisionContext(bits, tol)
+    mp = MPContext()
+    mp.prec = 2 * bits + 400
+    r = riemann_zeta_numeric(s, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value) - mp.zeta(mp.mpf(s.numerator) / s.denominator)) <= r.err
 
 
 def test_zeta_euler_bernoulli_consistency(ctx, mp):
