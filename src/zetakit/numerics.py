@@ -281,7 +281,7 @@ def _em_zeta_raw(mp, s, tol, max_terms: int) -> Tuple:
     N = max(12, int(0.34 * mp.prec), int(abs(s.imag)) + 8)
     M = max(8, int(0.34 * mp.prec))
     while True:
-        poch = mp.mpc(1)
+        poch = mp.one
         for i in range(2 * M + 1):
             poch *= s + i
         bound = (
@@ -336,6 +336,8 @@ def riemann_zeta_numeric(s, ctx: Optional[PrecisionContext] = None) -> HPComplex
         cm = c.mp
         z = c.mpc(s)
         rounded = _rounded(s, z)
+        if z.imag == 0:
+            z = z.real  # a real argument runs the kernel in real arithmetic
         if z.real >= cm.mpf(-1) / 2:
             v, err = _em_zeta_raw(cm, z, c.tol / 2, c.max_terms)
             if rounded:
@@ -343,7 +345,7 @@ def riemann_zeta_numeric(s, ctx: Optional[PrecisionContext] = None) -> HPComplex
                 # Re s > -1/2 - 1/10 (Euler-Maclaurin at N = 1 to order 2);
                 # 2 and |z|+2 cover the segment from s to z
                 err += abs(z) * c.eps * (2 / abs(z - 1) ** 2 + (abs(z) + 2) ** 2)
-            return HPComplex(v, err)
+            return HPComplex(cm.mpc(v), err)
         w, werr = _em_zeta_raw(cm, 1 - z, c.tol / 4, c.max_terms)
         a = cm.power(2, z) * cm.power(cm.pi, z - 1) * cm.gamma(1 - z)
         pref = a * cm.sinpi(z / 2)
@@ -356,6 +358,6 @@ def riemann_zeta_numeric(s, ctx: Optional[PrecisionContext] = None) -> HPComplex
             # the segment from s to z
             err += 2 * abs(z) * c.eps * abs(a * w) * cm.cosh(cm.pi * z.imag / 2) \
                 * (_psi_bound(cm, 1 - z) + 5)
-        return HPComplex(v, err)
+        return HPComplex(cm.mpc(v), err)
 
     return certify(ctx, compute, "riemann_zeta_numeric")

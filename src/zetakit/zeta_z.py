@@ -25,6 +25,21 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
+from mpmath.libmp import (
+    fone,
+    from_int,
+    mpc_div,
+    mpc_mul,
+    mpc_one,
+    mpc_square,
+    mpf_div,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
+
 from .core import (
     DomainError,
     EvalResult,
@@ -92,8 +107,10 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
                    terms: Optional[int] = None) -> EvalResult:
     """Truncated product prod_{k<=K} (k-s)^2 / (k (k-2s)) with certified tail.
 
-    The tail log sum_{k>K} g(k), g(x) = 2 log(x-s) - log x - log(x-2s), is
-    one Euler-Maclaurin sum at K:
+    The partial product is one quotient, prod (k-s)^2 / prod k (k-2s), both
+    products accumulated in raw libmp tuples with at most 5K + 2 roundings
+    in all (:func:`_partial_product`).  The tail log sum_{k>K} g(k),
+    g(x) = 2 log(x-s) - log x - log(x-2s), is one Euler-Maclaurin sum at K:
 
         -G(K) - g(K)/2 - sum_{j<=J} B_2j / (2j)! g^(2j-1)(K) + R_J,
 
@@ -105,10 +122,12 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     tolerance; when the bound stops falling first (2J >= 2 pi d), K grows
     fourfold, or an explicit ``terms`` raises NoConvergence.  ``err`` covers
     that remainder and the rounding, including the O(K log K) cancellation
-    inside G(K); the rounding term only grows with K, so when it alone
-    exceeds the tolerance NoConvergence is raised at once, naming precision
-    as the cause.  Positive integers and half-integers (zeros and poles of
-    the product) raise NeedsLimitInterpretation.
+    inside G(K), and the rounding of an s that is not exact at working
+    precision, amplified by :func:`_log_deriv_bound`; the rounding term only
+    grows with K, so when it alone exceeds the tolerance NoConvergence is
+    raised at once, naming precision as the cause.  Positive integers and
+    half-integers (zeros and poles of the product) raise
+    NeedsLimitInterpretation.
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -125,9 +144,7 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     while True:
         if K > ctx.max_terms:
             raise NoConvergence("product truncation exceeds max_terms")
-        P = mp.one
-        for k in range(1, K + 1):
-            P *= (k - z) ** 2 / (k * (k - 2 * z))
+        P = _partial_product(mp, z, K)
         # the stopping rule |P| expm1(R_J) <= tol/4, solved for R_J once
         order = _em_tail_order(mp, K - 2 * absz, mp.log1p(tol / 4 / abs(P)))
         if order is not None:
@@ -143,10 +160,13 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
                       * (2 * ia - ib - ic))
                 ia, ib, ic = ia * ia2, ib * ib2, ic * ic2
             v = P * mp.exp(L)
-            # rounding: 3 operations per factor of P, the J correction terms,
-            # and the cancellation among the three K log K terms of G(K)
+            # rounding: P (at most 5K + 2 roundings, see _partial_product),
+            # the J correction terms, and the cancellation among the three
+            # K log K terms of G(K)
             mass = 2 * abs(a * la) + abs(K * lb) + abs(c * lc)
             rounding = abs(v) * (3 * K + 4 * J + 16 + 4 * mass) * mp.mpf(2) ** (2 - mp.prec)
+            if numerics._rounded(s, z):
+                rounding += abs(v * z) * _log_deriv_bound(mp, z) * ctx.eps
             err = abs(v) * mp.expm1(R) * (1 + mp.mpf(2) ** -10) + rounding
             if err <= tol:
                 return complex_result(ctx, v, err, True, "product")
@@ -157,6 +177,44 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
         K *= 4
         if terms is not None:
             raise NoConvergence("requested truncation cannot certify the tolerance")
+
+
+def _partial_product(mp, z, K: int):
+    """P_K = prod_{k<=K} (k-z)^2 / (k (k-2z)) for real (mpf) or complex z, as
+    the quotient of two products: one division in place of K.
+
+    The numerator prod (k-z)^2 and the denominator prod (k^2 - 2kz), with
+    2kz exact, are accumulated in raw ``mpmath.libmp`` tuples at prec with
+    rounding to nearest.  Each factor costs two subtractions (k - z and
+    k^2 - 2kz), one squaring and two multiplies, each within u = 2^(-prec)
+    of its result, relatively: 5 real roundings, or for complex z 3 complex
+    multiplies (each component rounded once from exact products, so within
+    u |result|) plus the two subtractions.  The final division, whose
+    complex form works at prec + 10 before its last rounding, is within
+    1.01 u, so P_K is within (5K + 3) u of the exact product (K u is
+    tiny), inside the 3K 2^(2-prec) = 12K u that the caller budgets.
+    """
+    prec, rnd = mp.prec, round_nearest
+    if isinstance(z, mp.mpc):
+        a, b = z._mpc_
+        a2, b2 = mpf_shift(a, 1), mpf_shift(b, 1)
+        num = den = mpc_one
+        for k in range(1, K + 1):
+            f = (mpf_sub(from_int(k), a, prec, rnd), mpf_neg(b))
+            num = mpc_mul(num, mpc_square(f, prec, rnd), prec, rnd)
+            g = (mpf_sub(from_int(k * k), mpf_mul(a2, from_int(k)), prec, rnd),
+                 mpf_mul(b2, from_int(-k)))
+            den = mpc_mul(den, g, prec, rnd)
+        return mp.make_mpc(mpc_div(num, den, prec, rnd))
+    a = z._mpf_
+    a2 = mpf_shift(a, 1)
+    num = den = fone
+    for k in range(1, K + 1):
+        f = mpf_sub(from_int(k), a, prec, rnd)
+        num = mpf_mul(num, mpf_mul(f, f, prec, rnd), prec, rnd)
+        g = mpf_sub(from_int(k * k), mpf_mul(a2, from_int(k)), prec, rnd)
+        den = mpf_mul(den, g, prec, rnd)
+    return mp.make_mpf(mpf_div(num, den, prec, rnd))
 
 
 #: 8 zeta(3) rounded up: the constant of the Euler-Maclaurin tail remainder.
@@ -189,7 +247,9 @@ def zeta_z_mellin(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     function is evaluated and the route shares no kernel with the closed
     form.  Only valid on the convergence strip 0 < Re(s) < 1/2; outside it
     raises DomainError.  The reported error is the tanh-sinh level
-    difference plus a rounding bound.
+    difference plus a rounding bound, which also covers the rounding of an
+    s that is not exact at working precision (:func:`_log_deriv_bound`, a
+    formula in psi bounds that evaluates no Gamma function).
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -199,6 +259,8 @@ def zeta_z_mellin(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     if z.imag == 0:
         z = z.real
     v, err = heat_mellin_integral(ctx, z, ctx.tol / 2)
+    if numerics._rounded(s, z):
+        err += abs(v * z) * _log_deriv_bound(mp, z) * ctx.eps
     return complex_result(ctx, v, err, False, "quadrature")
 
 

@@ -20,6 +20,7 @@ from zetakit import (
     zeta_z_mellin,
     zeta_z_product,
 )
+from zetakit import quadrature, zeta_z
 
 
 # ---------------------------------------------------------------- closed form
@@ -89,9 +90,15 @@ _HONEST_POINTS = {
     # truncate coarsely on purpose: the certified bound must still cover
     # the true gap to the closed form
     pytest.param(256, 1e-30, Fraction(1, 4), 400, id="terms400"),
+    pytest.param(64, 1e-12, complex(-2.5, 1.5), 300, id="64bits-terms300"),
+    pytest.param(1024, 1e-120, complex(0.2, 0.3), 400, id="1024bits-terms400"),
+    # far up the imaginary axis: |s| = 60, K = 4|s| + 16
+    pytest.param(64, 1e-12, complex(0.25, 60), None, id="64bits-cplx-im60"),
+    pytest.param(1024, 1e-120, complex(0.25, 60), None, id="1024bits-cplx-im60"),
 ] + [
     pytest.param(bits, tol, s, None, id=f"{bits}bits-{tol:g}-{name}")
-    for bits, tol in ((128, 1e-20), (512, 1e-60), (1024, 1e-120), (1024, 1e-200))
+    for bits, tol in ((64, 1e-12), (128, 1e-20), (512, 1e-60), (1024, 1e-120),
+                      (1024, 1e-200))
     for name, s in _HONEST_POINTS.items()
 ])
 def test_product_error_bound_is_honest(bits, tol, s, terms):
@@ -100,6 +107,21 @@ def test_product_error_bound_is_honest(bits, tol, s, terms):
     p = zeta_z_product(s, PrecisionContext(bits, tol), terms=terms)
     c = zeta_z_closed(s, PrecisionContext(2 * bits, tol))
     assert p.err <= tol
+    assert abs(p.value.value - c.value.value) <= p.err
+
+
+def test_product_grows_k_fourfold(monkeypatch):
+    # at s = -60.3+2i, 1024 bits, the first K (256) misses the tolerance, so
+    # K grows to 1024; the result is still honest against the closed form
+    orders = []
+    tail_order = zeta_z._em_tail_order
+    monkeypatch.setattr(zeta_z, "_em_tail_order",
+                        lambda *a: orders.append(a) or tail_order(*a))
+    s = complex(-60.3, 2)
+    p = zeta_z_product(s, PrecisionContext(1024, 1e-120))
+    c = zeta_z_closed(s, PrecisionContext(2048, 1e-120))
+    assert len(orders) == 2
+    assert p.err <= 1e-120
     assert abs(p.value.value - c.value.value) <= p.err
 
 
@@ -190,6 +212,34 @@ def test_mellin_error_bound_is_honest(bits, tol, s):
     c = zeta_z_closed(s, PrecisionContext(2 * bits, tol))
     assert m.err <= tol
     assert abs(m.value.value - c.value.value) <= m.err
+
+
+def _mellin_reference(ctx, z, tol):
+    """The route's level loop with the node sum in mpmath numbers, as it ran
+    before the raw-tuple loop: the oracle of bit-identity."""
+    mp = ctx.mp
+    m2s = -2 * z
+    total, prev = mp.zero, None
+    for level in range(quadrature._MAX_LEVEL + 1):
+        part = mp.zero
+        for w, log_line, log_chord in quadrature._nodes(mp, ctx.working_bits, level):
+            w, log_line, log_chord = (mp.make_mpf(t) for t in (w, log_line, log_chord))
+            part += w * (mp.exp(m2s * log_chord) - mp.exp(m2s * log_line))
+        total = total / 2 + mp.mpf(2) ** (-level) * part
+        if level >= 4 and abs(total - prev) <= tol:
+            return mp.power(mp.pi, m2s) / (1 - 2 * z) + total
+        prev = total
+
+
+@pytest.mark.parametrize("bits, tol", [(64, 1e-12), (256, 1e-30), (1024, 1e-60)])
+@pytest.mark.parametrize("s", [0.02, 0.25, 0.3125, 0.48, complex(0.1, 0.3),
+                               complex(0.375, -0.25)])
+def test_mellin_node_sum_is_bit_identical(bits, tol, s):
+    ctx = PrecisionContext(bits, tol)
+    z = ctx.mpc(s)
+    z = z.real if z.imag == 0 else z
+    ref = ctx.mp.mpc(_mellin_reference(ctx, z, ctx.tol / 2))
+    assert zeta_z_mellin(s, ctx).value.value._mpc_ == ref._mpc_
 
 
 # ---------------------------------------------------------------- Z(s)
@@ -312,15 +362,24 @@ _ROUNDED = {
     "big-z-near-pole": (lambda c: big_z(Fraction(29999, 10000), c),
                         lambda mp, z: mp.pi * mp.power(2, z) * _closed_oracle(mp, z / 2),
                         Fraction(29999, 10000)),
+    "product-near-zero": (lambda c: zeta_z_product(Fraction(9999, 10000), c),
+                          lambda mp, z: _closed_oracle(mp, z), Fraction(9999, 10000)),
+    "mellin-near-pole": (lambda c: zeta_z_mellin(Fraction(4999, 10000), c),
+                         lambda mp, z: _closed_oracle(mp, z), Fraction(4999, 10000)),
 }
 
 
-@pytest.mark.parametrize("case", list(_ROUNDED))
-def test_rounded_argument_is_honest(case):
+@pytest.mark.parametrize("case, bits, tol", [
+    pytest.param(case, 256, 1e-30, id=case) for case in _ROUNDED
+] + [
+    pytest.param(case, 64, 1e-12, id=f"{case}-64bits")
+    for case in ("product-near-zero", "mellin-near-pole")
+])
+def test_rounded_argument_is_honest(case, bits, tol):
     # err meets the tolerance and covers the true error against mpmath at
     # 1600 bits, taken at the exact rational s
     call, oracle, s = _ROUNDED[case]
-    ctx = PrecisionContext(256, 1e-30)
+    ctx = PrecisionContext(bits, tol)
     mp = MPContext()
     mp.prec = 1600
     r = call(ctx)
