@@ -7,6 +7,7 @@ As n grows,
          + 2 pi^(-s) zeta(s) n^s
          + (s/3) pi^(2-s) zeta(s-2) n^(s-2) + ...
 
+The leading coefficient is 2^s zeta_Z(s/2), from the lattice closed form.
 This module evaluates those three terms, fits the subleading behavior on an
 n-grid to pull zeta(0), zeta(-1), zeta(-3), ... out of pure trigonometric
 data, expands the cotangent route into exact rational coefficients for the
@@ -19,7 +20,6 @@ of the discrete-circle zeta exactly.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -35,7 +35,7 @@ from .core import (
     complex_result,
     get_context,
 )
-from . import numerics
+from . import numerics, zeta_z
 from .zeta_zn import RationalPolynomial, sine_power_sum
 
 __all__ = [
@@ -71,12 +71,29 @@ class ZetaExtraction:
     n_grid: List[int]
 
 
-def expansion_terms(s, ctx: Optional[PrecisionContext] = None) -> List[ExpansionTerm]:
-    """The three displayed terms of the expansion at exponent s.
+def _lead(z, ctx: PrecisionContext):
+    """(value, err) of the leading coefficient 2^z zeta_Z(z/2).
 
-    Raises PoleError at positive odd integers (poles of the leading Gamma
-    quotient, which include the zeta pole at s = 1 and the third-term pole
-    at s = 3).
+    The closed form certifies zeta_Z(z/2) to the tolerance scaled by
+    2^(-ceil(Re z)) >= 1/|2^z|, as a Fraction, which does not underflow.
+    Raises PoleError at positive odd z; positive even z give an exact zero.
+    """
+    mp = ctx.mp
+    k = int(mp.ceil(z.real))
+    c = PrecisionContext(ctx.precision_bits, Fraction(ctx.target_tol) / Fraction(2) ** k,
+                         ctx.max_terms)
+    r = zeta_z.zeta_z_closed(z / 2, c)
+    p = mp.power(2, z)
+    v = p * ctx.mpc(r.value.value)
+    return v, abs(p) * r.err + abs(v) * mp.mpf(2) ** (6 - mp.prec)
+
+
+def expansion_terms(s, ctx: Optional[PrecisionContext] = None) -> List[ExpansionTerm]:
+    """The three displayed terms of the expansion at exponent s; the leading
+    coefficient is 2^s zeta_Z(s/2) (:func:`_lead`).
+
+    Raises PoleError at positive odd integers (poles of zeta_Z(s/2), which
+    include the zeta pole at s = 1 and the third-term pole at s = 3).
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -84,10 +101,7 @@ def expansion_terms(s, ctx: Optional[PrecisionContext] = None) -> List[Expansion
     if z.imag == 0:
         z = z.real
     eps = mp.mpf(2) ** (8 - mp.prec)
-    g = numerics.gamma(mp.mpf(1) / 2 - z / 2, ctx)  # PoleError at odd s
-    rg = mp.rgamma(1 - z / 2)  # entire: vanishes at even positive s
-    lead = g.value * rg / mp.sqrt(mp.pi)
-    lead_err = abs(lead) * (g.err / abs(g.value) + eps) if lead != 0 else mp.zero
+    lead, lead_err = _lead(z, ctx)
     z1 = numerics.riemann_zeta_numeric(z, ctx)
     c2 = 2 * mp.power(mp.pi, -z) * z1.value
     c2_err = 2 * abs(mp.power(mp.pi, -z)) * z1.err + abs(c2) * eps
@@ -96,7 +110,7 @@ def expansion_terms(s, ctx: Optional[PrecisionContext] = None) -> List[Expansion
     c3_err = abs(z / 3 * mp.power(mp.pi, 2 - z)) * z2.err + abs(c3) * eps
     one = mp.mpc(1)
     return [
-        ExpansionTerm(HPComplex(mp.mpc(lead), lead_err), HPComplex(one), "leading"),
+        ExpansionTerm(HPComplex(lead, lead_err), HPComplex(one), "leading"),
         ExpansionTerm(HPComplex(mp.mpc(c2), c2_err), HPComplex(mp.mpc(z)), "zeta(s)"),
         ExpansionTerm(HPComplex(mp.mpc(c3), c3_err), HPComplex(mp.mpc(z - 2)), "zeta(s-2)"),
     ]
@@ -159,14 +173,13 @@ def extract_zeta(s, n_min: int, n_max: int,
     """
     ctx = get_context(ctx)
     mp = ctx.mp
-    x = mp.convert(s)
+    x = ctx.mpf(s)
     if x > 0:
         raise DomainError("extraction regime is s <= 0")
     if not n_max > n_min >= 4:
         raise DomainError("need n_max > n_min >= 4")
     grid = _log_spaced_grid(n_min, n_max, points)
-    terms = expansion_terms(x, ctx)
-    lead = terms[0].coefficient.value.real
+    lead = _lead(x, ctx)[0].real
     ys = []
     xs = []
     for n in grid:
@@ -261,9 +274,6 @@ def zeta_even_from_functional_eq(m: int, ctx: Optional[PrecisionContext] = None)
 # --------------------------------------------------------------------------
 # terminating expansion at positive integer exponents
 
-_CSC_LOCK = threading.Lock()
-_CSC_POLY_CACHE: dict = {}
-
 
 def _x_csc_series(jmax: int) -> List[Fraction]:
     """Coefficients d_j of x csc(x) = sum d_j x^(2j) (exact, Bernoulli)."""
@@ -285,10 +295,6 @@ def csc_power_polynomial(m: int) -> RationalPolynomial:
     coefficients come from powering the x csc(x) series, the even zeta
     values from the Bernoulli route through the functional equation.
     """
-    with _CSC_LOCK:
-        cached = _CSC_POLY_CACHE.get(m)
-    if cached is not None:
-        return cached
     if m < 1:
         raise DomainError("m must be a positive integer")
     d = _x_csc_series(m)
@@ -308,22 +314,4 @@ def csc_power_polynomial(m: int) -> RationalPolynomial:
     for j in range(m):
         coeffs[2 * m - 2 * j] = q4 * 2 * e[j] * _zeta_even_over_pi_power(m - j)
     coeffs[0] = q4 * 2 * e[m] * Fraction(-1, 2)
-    poly = RationalPolynomial(tuple(coeffs))
-    with _CSC_LOCK:
-        _CSC_POLY_CACHE.setdefault(m, poly)
-    return poly
-
-
-def _seed_poly_cache(m: int, poly: Optional[RationalPolynomial]) -> Optional[RationalPolynomial]:
-    """Test hook: put a (possibly corrupt) polynomial in the cache, or drop
-    the entry when ``poly`` is None.  Returns the entry it replaced."""
-    with _CSC_LOCK:
-        previous = _CSC_POLY_CACHE.pop(m, None)
-        if poly is not None:
-            _CSC_POLY_CACHE[m] = poly
-    return previous
-
-
-def _clear_poly_cache() -> None:
-    with _CSC_LOCK:
-        _CSC_POLY_CACHE.clear()
+    return RationalPolynomial(tuple(coeffs))

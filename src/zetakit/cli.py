@@ -109,11 +109,11 @@ def _format_value(ctx, result, scientific: bool = False) -> tuple:
     if isinstance(result, EvalResult):
         if result.exact is not None:
             return _format_rational(result.exact), "0", result.method, True
-        value, method, exact = result.value.value, result.method, False
+        value, method = result.value.value, result.method
     else:  # HPReal / HPComplex
-        value, method, exact = result.value, "direct", bool(getattr(result, "exact", False))
+        value, method = result.value, "direct"
     return (_format_number(ctx, value, scientific),
-            _format_decimal(ctx, result.err, True), method, exact)
+            _format_decimal(ctx, result.err, True), method, False)
 
 
 def _emit_records(args, records: List[dict], columns: List[str]) -> None:
@@ -131,7 +131,10 @@ def _emit_records(args, records: List[dict], columns: List[str]) -> None:
 
 
 def _context_from_args(args) -> PrecisionContext:
-    return PrecisionContext(args.precision_bits, args.tol, args.max_terms)
+    try:
+        return PrecisionContext(args.precision_bits, args.tol, args.max_terms)
+    except DomainError as exc:
+        raise _Usage(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +204,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     ctx = _context_from_args(args)
-    results = verify.run_suite(args.suite, ctx, corrupt=args.corrupt)
+    results = verify.run_suite(args.suite, ctx)
     records = []
     for r in results:
         records.append({
@@ -394,8 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
     p_verify.add_argument("suite", choices=("all",) + verify.SUITE_NAMES)
-    p_verify.add_argument("--corrupt", action="store_true",
-                          help=argparse.SUPPRESS)  # test mode
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="evaluate over a grid")

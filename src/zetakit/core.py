@@ -97,19 +97,18 @@ class PrecisionContext:
         return self.precision_bits + GUARD_BITS
 
     def mpf(self, x: Any):
-        """Convert ``x`` to mpf at working precision (Fractions included)."""
-        if isinstance(x, HPReal):
-            return self.mp.convert(x.value)
-        return self.mp.convert(x)
+        """Convert ``x`` to mpf at working precision (Fractions included); a
+        nonzero imaginary part raises DomainError."""
+        v = self.mp.convert(x)
+        if isinstance(v, self.mp.mpc):
+            if v.imag:
+                raise DomainError(f"a real argument is required, got {x!r}")
+            return v.real
+        return v
 
     def mpc(self, x: Any):
         """Convert ``x`` to mpc at working precision."""
-        mp = self.mp
-        if isinstance(x, HPComplex):
-            return mp.mpc(x.value)
-        if isinstance(x, HPReal):
-            return mp.mpc(mp.convert(x.value))
-        return mp.mpc(mp.convert(x))
+        return self.mp.mpc(self.mp.convert(x))
 
     @cached_property
     def tol(self):
@@ -174,20 +173,14 @@ def snap(ctx: PrecisionContext, z) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class HPReal:
-    """A real scalar with an absolute error bound.
-
-    ``exact=True`` asserts the value is known exactly (then ``err == 0``).
-    """
+    """A real scalar with an absolute error bound."""
 
     value: Any
     err: Any = 0
-    exact: bool = False
 
     def __post_init__(self) -> None:
         if self.err < 0:
             raise DomainError("error bound must be nonnegative")
-        if self.exact and self.err != 0:
-            raise DomainError("exact values must carry a zero error bound")
 
     def __float__(self) -> float:
         return float(self.value)
@@ -259,7 +252,7 @@ def complex_result(ctx: PrecisionContext, value, err, certified: bool, method: s
     e = mp.convert(err)
     if e > ctx.tol:
         raise NoConvergence(f"{method}: error bound {mp.nstr(e, 3)} exceeds the "
-                            f"tolerance {ctx.target_tol:g}")
+                            f"tolerance {mp.nstr(ctx.tol, 3)}")
     v = mp.mpc(value)
     return EvalResult(HPComplex(v, e), e, certified, method, exact, note)
 

@@ -394,8 +394,7 @@ def _check_s0_exactness(ctx: PrecisionContext) -> CheckResult:
 def _check_convergence_order(ctx: PrecisionContext) -> CheckResult:
     mp = ctx.mp
     grid = [16 * 2 ** i for i in range(8)]
-    terms = asymptotics.expansion_terms(-1, ctx)
-    lead = terms[0].coefficient.value.real
+    lead = asymptotics._lead(mp.mpf(-1), ctx)[0].real
     # two-term fit, then examine how the unmodeled remainder decays
     ds = [zeta_zn.sine_power_sum(n, 1, ctx).value - lead * n for n in grid]
     c1, _ = asymptotics._fit_line(mp, [mp.mpf(n) ** -2 for n in grid],
@@ -429,9 +428,10 @@ def _check_assembly_vs_direct(ctx: PrecisionContext) -> CheckResult:
     mp = ctx.mp
     errs = []
     thresh = 0.0
-    for n in range(2, 31):
-        for m in (1, 2):
-            q = zeta_zn.zeta_zn_closed_poly(m, ctx).evaluate(n)
+    for m in (1, 2):
+        poly = zeta_zn.zeta_zn_closed_poly(m, ctx)
+        for n in range(2, 31):
+            q = poly.evaluate(n)
             direct = zeta_zn.zeta_zn_direct(n, m, ctx).value.re
             ev = mp.mpf(q.numerator) / q.denominator
             errs.append(abs(direct - ev) / (1 + abs(ev)))
@@ -479,11 +479,8 @@ _SUITES = {
 }
 
 
-def run_suite(suite: str, ctx: Optional[PrecisionContext] = None, *,
-              corrupt: bool = False) -> List[CheckResult]:
-    """Run one named suite (or 'all').  ``corrupt`` poisons the closed-poly
-    cache entry for m = 2 first (test mode: the polynomial-exactness check
-    must then fail); the entry is restored afterwards either way."""
+def run_suite(suite: str, ctx: Optional[PrecisionContext] = None) -> List[CheckResult]:
+    """Run one named suite (or 'all')."""
     ctx = get_context(ctx)
     if suite == "all":
         names = list(SUITE_NAMES)
@@ -491,18 +488,4 @@ def run_suite(suite: str, ctx: Optional[PrecisionContext] = None, *,
         names = [suite]
     else:
         raise DomainError(f"unknown suite {suite!r}")
-    results: List[CheckResult] = []
-    previous = None
-    try:
-        if corrupt:
-            bad = zeta_zn.RationalPolynomial(
-                (Fraction(11, 720), Fraction(0), Fraction(1, 72),
-                 Fraction(0), Fraction(1, 720)))
-            previous = asymptotics._seed_poly_cache(2, bad)
-        for name in names:
-            for check in _SUITES[name]:
-                results.append(check(ctx))
-    finally:
-        if corrupt:
-            asymptotics._seed_poly_cache(2, previous)
-    return results
+    return [check(ctx) for name in names for check in _SUITES[name]]

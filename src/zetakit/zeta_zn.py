@@ -329,8 +329,8 @@ def zeta_zn_closed_poly(m: int, ctx: Optional[PrecisionContext] = None) -> Ratio
 
     zeta_n(m) is 4^(-m) sum_k csc(pi k/n)^(2m), whose large-n expansion
     terminates; :func:`zetakit.asymptotics.csc_power_polynomial` assembles
-    it exactly from Bernoulli numbers and caches it.  The result is exact,
-    so ``ctx`` is not used.
+    it exactly from Bernoulli numbers.  The result is exact, so ``ctx`` is
+    not used.
     """
     if not 1 <= m <= POLY_CAP:
         raise DomainError(f"closed polynomials supported for 1 <= m <= {POLY_CAP}")

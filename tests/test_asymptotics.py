@@ -1,12 +1,15 @@
 """Large-n expansion, zeta extraction, cot route, functional-equation bridge."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from zetakit import (
     DomainError,
     PoleError,
+    PrecisionContext,
     cot_expansion_route,
     csc_power_polynomial,
     euler_zeta_negative,
@@ -19,6 +22,7 @@ from zetakit import (
     zeta_zn_direct,
     sine_power_sum,
 )
+from zetakit.core import mpf_to_fraction
 from zetakit.verify import _reconstructed_poly
 from zetakit.zeta_zn import POLY_CAP
 
@@ -57,6 +61,44 @@ def test_terms_poles(ctx):
 def test_terms_vanishing_lead_at_even_positive(ctx):
     terms = expansion_terms(2, ctx)
     assert terms[0].coefficient.value == 0
+
+
+@pytest.mark.parametrize("s", [-0.5, -1, -3, -2.5, complex(0.3, 0.2), -201, 300.5])
+def test_leading_coefficient_matches_gamma_quotient(s):
+    # 2^s zeta_Z(s/2) = pi^(-1/2) Gamma(1/2-s/2)/Gamma(1-s/2), the truth at
+    # 2 bits + 64; at s = -201 the closed form must run at a scaled tolerance
+    ctx = PrecisionContext(256)
+    lead = expansion_terms(s, ctx)[0].coefficient
+    hi = MPContext()
+    hi.prec = 2 * 256 + 64
+    z = hi.mpc(s)
+    truth = hi.gamma(hi.mpf(1) / 2 - z / 2) / hi.gamma(1 - z / 2) / hi.sqrt(hi.pi)
+    assert abs(hi.mpc(lead.value) - truth) <= lead.err
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_leading_coefficient_exact_at_negative_even(ctx, m):
+    # 2^(-2m) zeta_Z(-m) = C(2m, m) / 4^m, a dyadic rational, exactly
+    lead = expansion_terms(-2 * m, ctx)[0].coefficient.value
+    assert lead.imag == 0
+    assert mpf_to_fraction(lead.real) == Fraction(comb(2 * m, m), 4 ** m)
+
+
+@pytest.mark.parametrize("s, calls", [(0, 0), (-1, 0), (-3, 0), (-0.5, 1)])
+def test_extract_evaluates_riemann_zeta_only_for_reference(ctx, monkeypatch, s, calls):
+    # the leading term comes from the closed form; only a non-integer s needs
+    # the Riemann zeta, once, for the reference value
+    import zetakit.numerics as numerics
+    real = numerics.riemann_zeta_numeric
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "riemann_zeta_numeric", counted)
+    extract_zeta(s, 16, 1000, ctx)
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------- extraction

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism, round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +116,24 @@ def test_malformed_precision_env_is_usage_error(capsys, monkeypatch):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--tol=0"], None),
+    (["--tol=-1e-5"], None),
+    (["--precision-bits=32"], None),
+    (["--max-terms=0"], None),
+    ([], "32"),
+], ids=["tol-zero", "tol-negative", "bits-32", "max-terms-0", "env-bits-32"])
+def test_out_of_range_global_flag_is_usage_error(capsys, monkeypatch, argv, env):
+    # PrecisionContext refuses these values; they are usage errors (exit 2),
+    # not domain errors of the evaluation (exit 3)
+    if env is not None:
+        monkeypatch.setenv("ZETAKIT_PRECISION_BITS", env)
+    code, out, err = run_cli(capsys, *argv, "eval", "zeta-z", "--s=-3")
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err
+
+
 @pytest.mark.parametrize("s", ["2", "-2", "0.5"])
 def test_eval_zeta_zn_needs_two_vertices(capsys, s):
     # the exact polynomial, the negative-integer sum and the direct sum all
@@ -170,11 +189,17 @@ def test_verify_zeta_z_at_lowest_precision(capsys):
     assert "5/5 checks passed" in out
 
 
-def test_verify_corrupt_fails(capsys):
-    code, out, _ = run_cli(capsys, "verify", "zeta-zn", "--corrupt")
+def test_verify_corrupt_fails(capsys, monkeypatch):
+    # a closed polynomial with the sign of its constant term flipped at m = 2
+    # must fail the exactness check; verify looks the function up at call time
+    import zetakit.zeta_zn as zzn
+    bad = zzn.RationalPolynomial((Fraction(11, 720), Fraction(0), Fraction(1, 72),
+                                  Fraction(0), Fraction(1, 720)))
+    monkeypatch.setattr(zzn, "zeta_zn_closed_poly",
+                        lambda m, ctx=None: bad if m == 2 else zeta_zn_closed_poly(m, ctx))
+    code, out, _ = run_cli(capsys, "verify", "zeta-zn")
     assert code == 1
     assert "[FAIL] closed-poly-exactness" in out
-    # the poisoned cache entry is restored afterwards
     assert str(zeta_zn_closed_poly(2)) == "(n^4 + 10*n^2 - 11)/720"
 
 

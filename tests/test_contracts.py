@@ -14,7 +14,9 @@ from zetakit import (
     PrecisionContext,
     bernoulli,
     digamma,
+    extract_zeta,
     gamma,
+    sine_power_sum,
     zeta_z_closed,
     zeta_z_deriv,
     zeta_z_mellin,
@@ -22,7 +24,6 @@ from zetakit import (
     zeta_zn_closed_poly,
     zeta_zn_direct,
 )
-from zetakit.asymptotics import _clear_poly_cache
 
 
 def test_precision_context_validation():
@@ -40,8 +41,6 @@ def test_precision_context_validation():
 def test_hpreal_invariants():
     with pytest.raises(DomainError):
         HPReal(1.0, err=-1)
-    with pytest.raises(DomainError):
-        HPReal(1.0, err=0.5, exact=True)
 
 
 def test_product_respects_term_budget():
@@ -56,6 +55,30 @@ def test_packaged_result_refuses_err_above_tol(route):
     # rather than return an err above the tolerance
     with pytest.raises(NoConvergence):
         route(complex(0.45, 0.1), PrecisionContext(64, 1e-27))
+
+
+def test_fraction_tolerance_refuses_with_noconvergence():
+    # a Fraction tolerance is accepted, so the refusal message must format it
+    ctx = PrecisionContext(64, Fraction(1, 10 ** 27))
+    with pytest.raises(NoConvergence):
+        zeta_z_mellin(complex(0.45, 0.1), ctx)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: digamma(1j, c),
+    lambda c: sine_power_sum(5, 1j, c),
+    lambda c: zeta_z_deriv(complex(-1, 1), c),
+    lambda c: extract_zeta(complex(-1, 1), 16, 64, c),
+], ids=["digamma", "sine_power_sum", "zeta_z_deriv", "extract_zeta"])
+def test_real_entry_points_refuse_complex_argument(ctx, call):
+    with pytest.raises(DomainError):
+        call(ctx)
+
+
+def test_real_entry_point_accepts_zero_imaginary_part(ctx):
+    r = digamma(complex(0.3, 0), ctx)
+    assert r.value == digamma(0.3, ctx).value
+    assert isinstance(r.value, type(ctx.mp.mpf(0)))
 
 
 def _exact_or_refused(call):
@@ -88,8 +111,7 @@ def test_direct_sum_complex_argument(ctx, mp):
 
 
 def test_concurrent_evaluations_agree(ctx):
-    # shared Bernoulli memo, polynomial cache, and context under 8 threads
-    _clear_poly_cache()
+    # shared Bernoulli memo and context under 8 threads
     errors = []
     results = [None] * 8
 

@@ -19,7 +19,6 @@ from zetakit import (
     sine_odd_power_sum,
     sine_power_sum,
 )
-from zetakit.asymptotics import _clear_poly_cache, _seed_poly_cache
 from zetakit.zeta_zn import POLY_CAP
 
 
@@ -253,16 +252,6 @@ def test_poly_cap(ctx):
         zeta_zn_closed_poly(POLY_CAP + 1, ctx)
 
 
-def test_poly_cache_seeding_visible(ctx):
-    bad = RationalPolynomial((Fraction(1),))
-    try:
-        _seed_poly_cache(1, bad)
-        assert zeta_zn_closed_poly(1, ctx) is bad
-    finally:
-        _clear_poly_cache()
-    assert zeta_zn_closed_poly(1, ctx).evaluate(5) == Fraction(2)
-
-
 def test_poly_verification_failure_raises(ctx, monkeypatch):
     # the verify oracle reconstructs from a corrupted value at one node and
     # must refuse; the production polynomial never reads the direct sums
@@ -286,17 +275,16 @@ def test_poly_verification_failure_raises(ctx, monkeypatch):
         Fraction(-1, 12), Fraction(0), Fraction(1, 12))
 
 
-def test_poly_check_requires_oracle_equality(ctx):
+def test_poly_check_requires_oracle_equality(ctx, monkeypatch):
     # 1e-60 off in one coefficient: inside the direct-sum threshold, but no
     # longer equal to the reconstruction oracle
+    import zetakit.zeta_zn as zzn
     from zetakit.verify import _check_poly_exactness
     near = RationalPolynomial(
         (Fraction(-1, 12) + Fraction(1, 10 ** 60), Fraction(0), Fraction(1, 12)))
-    previous = _seed_poly_cache(1, near)
-    try:
-        res = _check_poly_exactness(ctx)
-    finally:
-        _seed_poly_cache(1, previous)
+    monkeypatch.setattr(zzn, "zeta_zn_closed_poly",
+                        lambda m, c=None: near if m == 1 else zeta_zn_closed_poly(m, c))
+    res = _check_poly_exactness(ctx)
     assert not res.passed
     assert res.max_err <= 2.0 ** (-ctx.precision_bits // 2)
     assert res.detail.endswith("oracle mismatch at m = [1]")
