@@ -44,7 +44,6 @@ from .zeta_zn import (
 from .asymptotics import (
     ExpansionTerm,
     ZetaExtraction,
-    cot_expansion_route,
     csc_power_polynomial,
     euler_zeta_negative,
     evaluate_expansion,
@@ -54,7 +53,6 @@ from .asymptotics import (
 )
 from .spheres import (
     SphereRatio,
-    arithmetic_volume_demo,
     catalan,
     sphere_ratio,
     sphere_volume_gamma,

@@ -10,8 +10,7 @@ As n grows,
 The leading coefficient is 2^s zeta_Z(s/2), from the lattice closed form.
 This module evaluates those three terms, fits the subleading behavior on an
 n-grid to pull zeta(0), zeta(-1), zeta(-3), ... out of pure trigonometric
-data, expands the cotangent route into exact rational coefficients for the
-same comparison, and bridges the negative-integer Bernoulli values to the
+data, and bridges the negative-integer Bernoulli values to the
 positive even ones through the classical functional equation.  For positive
 integer exponents the expansion terminates (every further term carries a
 zeta value at a negative even integer) and reproduces the closed polynomials
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import List, Optional, Sequence
 
 from .core import (
@@ -44,7 +43,6 @@ __all__ = [
     "expansion_terms",
     "evaluate_expansion",
     "extract_zeta",
-    "cot_expansion_route",
     "euler_zeta_negative",
     "zeta_even_from_functional_eq",
     "csc_power_polynomial",
@@ -207,39 +205,6 @@ def extract_zeta(s, n_min: int, n_max: int,
         abs_error=abs(estimate - reference),
         n_grid=grid,
     )
-
-
-#: Highest Laurent order returned by the cotangent expansion route.
-COT_ORDER_CAP = 12
-
-
-def cot_expansion_route(m: int, order: int) -> List[Fraction]:
-    """Exact Laurent coefficients, in z = pi/(2n), of the cotangent form of
-    sum_k sin(pi k/n)^(2m+1).
-
-    With gamma_j = (-1)^j 4^j B_{2j} / (2j)! (the cotangent series), the
-    coefficient of z^(2j-1) is
-        4^(-m) gamma_j sum_{i=0}^{m} (-1)^(m-i) C(2m+1, i) (2m+1-2i)^(2j-1).
-    Returns [c_0, ..., c_order]; m = 0 reproduces the plain cot(pi/2n)
-    series 1, -1/3, -1/45, ...
-    """
-    if m < 0:
-        raise DomainError("m must be nonnegative")
-    if not 0 <= order <= COT_ORDER_CAP:
-        raise DomainError(f"order must lie in [0, {COT_ORDER_CAP}]")
-    out = []
-    for j in range(order + 1):
-        gamma_j = (-1) ** j * Fraction(4 ** j, factorial(2 * j)) * numerics.bernoulli(2 * j)
-        acc = Fraction(0)
-        for i in range(m + 1):
-            base = 2 * m + 1 - 2 * i
-            power = (
-                Fraction(1, base) if j == 0 else Fraction(base ** (2 * j - 1))
-            )
-            contrib = comb(2 * m + 1, i) * power
-            acc += -contrib if (m - i) % 2 else contrib
-        out.append(Fraction(1, 4 ** m) * gamma_j * acc)
-    return out
 
 
 def euler_zeta_negative(m: int) -> Fraction:

@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 from math import ceil, isfinite
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .core import (
     DomainError,
@@ -57,12 +57,15 @@ def _parse_number(text: str):
     raise _Usage(f"not a finite number: {text!r}")
 
 
-def _tolerance(text: str) -> float:
+def _tolerance(text: str) -> Union[float, Fraction]:
     """--tol follows the rule of :func:`_parse_number`: an infinite tolerance
-    would let every error bound meet it."""
+    would let every error bound meet it.  The value is a float, unless the
+    float is zero: then it is the exact Fraction of the text, so that a
+    tolerance below the float range, such as 1e-400, stays positive."""
     try:
-        return float(_parse_number(text))
-    except _Usage as exc:
+        x = float(_parse_number(text))
+        return x if x else Fraction(text.strip())
+    except (_Usage, ValueError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from mpmath.ctx_mp import MPContext
 
@@ -62,7 +62,8 @@ class PrecisionContext:
 
     ``precision_bits`` is the binary precision of returned values,
     ``target_tol`` the absolute error, positive and finite, that every
-    operation must certify (or raise :class:`NoConvergence`), and
+    operation must certify (or raise :class:`NoConvergence`): an int, a
+    float, or a Fraction for a tolerance below the float range, and
     ``max_terms`` caps series/product/quadrature subdivisions.  Kernels that
     miss the tolerance retry at up to 1024 extra bits (:func:`certify`);
     packaged results refuse (:func:`complex_result`).
@@ -71,7 +72,7 @@ class PrecisionContext:
     """
 
     precision_bits: int = 256
-    target_tol: float = 1e-30
+    target_tol: Union[float, Fraction] = 1e-30
     max_terms: int = 1_000_000
 
     def __post_init__(self) -> None:

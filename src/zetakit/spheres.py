@@ -2,9 +2,7 @@
 
 vol(S^n) = 2 pi^((n+1)/2) / Gamma((n+1)/2) factors as 2 Z(0) Z(-1) ... Z(-n+1),
 with the single ratio vol(S^n)/vol(S^(n-1)) = Z(-n+1).  Catalan numbers show
-up as zeta_Z(-m)/(m+1), and the classical arithmetic-volume products
-zeta(2)...zeta(n) and zeta(2) zeta(4)...zeta(2n) are provided as composed
-demonstrations of the same special values.
+up as zeta_Z(-m)/(m+1).
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .core import (
     get_context,
 )
 from . import numerics
-from .asymptotics import zeta_even_from_functional_eq
 from .zeta_z import big_z
 
 __all__ = [
@@ -32,7 +29,6 @@ __all__ = [
     "sphere_volume_zproduct",
     "sphere_ratio",
     "catalan",
-    "arithmetic_volume_demo",
 ]
 
 
@@ -97,39 +93,3 @@ def catalan(m: int) -> int:
     if m < 0:
         raise DomainError("Catalan index must be nonnegative")
     return comb(2 * m, m) // (m + 1)
-
-
-def arithmetic_volume_demo(group: str, n: int,
-                           ctx: Optional[PrecisionContext] = None) -> EvalResult:
-    """Classical zeta-product volumes: 'SL' gives zeta(2) zeta(3) ... zeta(n)
-    (n >= 2), 'Sp' gives zeta(2) zeta(4) ... zeta(2n) (n >= 1).
-
-    A pedagogical composition of zeta values only; no measure normalization
-    is modeled.  Even arguments route through the exact functional-equation
-    bridge, odd ones through Euler-Maclaurin summation.
-    """
-    ctx = get_context(ctx)
-    mp = ctx.mp
-    if group == "SL":
-        if n < 2:
-            raise DomainError("SL demo needs n >= 2")
-        args = range(2, n + 1)
-    elif group == "Sp":
-        if n < 1:
-            raise DomainError("Sp demo needs n >= 1")
-        args = range(2, 2 * n + 1, 2)
-    else:
-        raise DomainError("group must be 'SL' or 'Sp'")
-    v = mp.one
-    err_rel = mp.zero
-    for k in args:
-        if k % 2 == 0:
-            zk = zeta_even_from_functional_eq(k // 2, ctx)
-            v *= zk.value.value.real
-            err_rel += zk.err / abs(zk.value.value)
-        else:
-            zk = numerics.riemann_zeta_numeric(k, ctx)
-            v *= zk.value.real
-            err_rel += zk.err / abs(zk.value)
-        err_rel += mp.mpf(2) ** (4 - mp.prec)
-    return complex_result(ctx, v, abs(v) * err_rel, False, "zeta-product-demo")

@@ -120,7 +120,8 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     (2 pi)^(-2J-1) int_K^inf |g^(2J+1)| <= 8 zeta(3) (2J-1)! / ((2 pi)^(2J+1)
     d^(2J)) with d = K - 2|s|.  J is the first order that meets the
     tolerance; when the bound stops falling first (2J >= 2 pi d), K grows
-    fourfold, or an explicit ``terms`` raises NoConvergence.  ``err`` covers
+    fourfold and the partial product is extended over the new factors, or
+    an explicit ``terms`` raises NoConvergence.  ``err`` covers
     that remainder and the rounding, including the O(K log K) cancellation
     inside G(K), and the rounding of an s that is not exact at working
     precision, amplified by :func:`_log_deriv_bound`; the rounding term only
@@ -141,10 +142,11 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     absz = abs(z)
     K = terms if terms is not None else max(256, int(4 * absz) + 16)
     tol = ctx.tol
+    partial = None
     while True:
         if K > ctx.max_terms:
             raise NoConvergence("product truncation exceeds max_terms")
-        P = _partial_product(mp, z, K)
+        P, partial = _partial_product(mp, z, K, partial)
         # the stopping rule |P| expm1(R_J) <= tol/4, solved for R_J once
         order = _em_tail_order(mp, K - 2 * absz, mp.log1p(tol / 4 / abs(P)))
         if order is not None:
@@ -179,9 +181,12 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
             raise NoConvergence("requested truncation cannot certify the tolerance")
 
 
-def _partial_product(mp, z, K: int):
-    """P_K = prod_{k<=K} (k-z)^2 / (k (k-2z)) for real (mpf) or complex z, as
-    the quotient of two products: one division in place of K.
+def _partial_product(mp, z, K: int, partial=None):
+    """(P_K, partial) for P_K = prod_{k<=K} (k-z)^2 / (k (k-2z)), real (mpf)
+    or complex z, as the quotient of two products: one division in place of
+    K.  ``partial`` is the raw state (k, numerator, denominator) after the
+    factors up to k; passing the one returned for a smaller K forms only the
+    factors k+1..K, with the roundings of a build from k = 1.
 
     The numerator prod (k-z)^2 and the denominator prod (k^2 - 2kz), with
     2kz exact, are accumulated in raw ``mpmath.libmp`` tuples at prec with
@@ -196,25 +201,25 @@ def _partial_product(mp, z, K: int):
     """
     prec, rnd = mp.prec, round_nearest
     if isinstance(z, mp.mpc):
+        k0, num, den = partial or (0, mpc_one, mpc_one)
         a, b = z._mpc_
         a2, b2 = mpf_shift(a, 1), mpf_shift(b, 1)
-        num = den = mpc_one
-        for k in range(1, K + 1):
+        for k in range(k0 + 1, K + 1):
             f = (mpf_sub(from_int(k), a, prec, rnd), mpf_neg(b))
             num = mpc_mul(num, mpc_square(f, prec, rnd), prec, rnd)
             g = (mpf_sub(from_int(k * k), mpf_mul(a2, from_int(k)), prec, rnd),
                  mpf_mul(b2, from_int(-k)))
             den = mpc_mul(den, g, prec, rnd)
-        return mp.make_mpc(mpc_div(num, den, prec, rnd))
+        return mp.make_mpc(mpc_div(num, den, prec, rnd)), (K, num, den)
+    k0, num, den = partial or (0, fone, fone)
     a = z._mpf_
     a2 = mpf_shift(a, 1)
-    num = den = fone
-    for k in range(1, K + 1):
+    for k in range(k0 + 1, K + 1):
         f = mpf_sub(from_int(k), a, prec, rnd)
         num = mpf_mul(num, mpf_mul(f, f, prec, rnd), prec, rnd)
         g = mpf_sub(from_int(k * k), mpf_mul(a2, from_int(k)), prec, rnd)
         den = mpf_mul(den, g, prec, rnd)
-    return mp.make_mpf(mpf_div(num, den, prec, rnd))
+    return mp.make_mpf(mpf_div(num, den, prec, rnd)), (K, num, den)
 
 
 #: 8 zeta(3) rounded up: the constant of the Euler-Maclaurin tail remainder.

@@ -1,4 +1,4 @@
-"""Large-n expansion, zeta extraction, cot route, functional-equation bridge."""
+"""Large-n expansion, zeta extraction, functional-equation bridge."""
 
 from fractions import Fraction
 from math import comb
@@ -10,7 +10,6 @@ from zetakit import (
     DomainError,
     PoleError,
     PrecisionContext,
-    cot_expansion_route,
     csc_power_polynomial,
     euler_zeta_negative,
     evaluate_expansion,
@@ -20,7 +19,6 @@ from zetakit import (
     zeta_even_from_functional_eq,
     zeta_zn_closed_poly,
     zeta_zn_direct,
-    sine_power_sum,
 )
 from zetakit.core import mpf_to_fraction
 from zetakit.verify import _reconstructed_poly
@@ -137,49 +135,6 @@ def test_extract_domain(ctx):
     # two-term fit would match exactly, hiding its error
     with pytest.raises(DomainError):
         extract_zeta(-1, 4, 5, ctx)
-
-
-# ---------------------------------------------------------------- cot route
-
-def test_cot_route_base_series():
-    assert cot_expansion_route(0, 2) == [
-        Fraction(1), Fraction(-1, 3), Fraction(-1, 45)]
-
-
-def test_cot_route_numeric_check_order_five(ctx, mp):
-    # truncating after z^3 leaves an O(n^-5) defect against cot(pi/2n)
-    coeffs = cot_expansion_route(0, 2)
-    n = 100
-    z = mp.pi / (2 * n)
-    series = mp.convert(coeffs[0]) / z + mp.convert(coeffs[1]) * z \
-        + mp.convert(coeffs[2]) * z ** 3
-    actual = mp.cospi(Fraction(1, 2 * n)) / mp.sinpi(Fraction(1, 2 * n))
-    defect = abs(actual - series)
-    scale = Fraction(2, 945)  # next cot coefficient magnitude
-    assert mp.convert(scale) * z ** 5 * mp.mpf("0.3") < defect \
-        < mp.convert(scale) * z ** 5 * 3
-
-
-def test_cot_route_matches_direct_sine_sums(ctx, mp):
-    # m = 1, order 4: the series reproduces sum sin^3 with O(z^9) defects
-    coeffs = cot_expansion_route(1, 4)
-    defects = []
-    for n in (200, 400):
-        z = mp.pi / (2 * n)
-        series = sum(mp.convert(c) * z ** (2 * j - 1) for j, c in enumerate(coeffs))
-        exact = sine_power_sum(n, 3, ctx).value
-        defects.append(abs(series - exact))
-    assert defects[0] < mp.mpf(10) ** -12
-    # halving z must shrink the defect by about 2^9
-    ratio = defects[0] / defects[1]
-    assert 2 ** 8 < ratio < 2 ** 10
-
-
-def test_cot_route_order_cap():
-    with pytest.raises(DomainError):
-        cot_expansion_route(1, 13)
-    with pytest.raises(DomainError):
-        cot_expansion_route(-1, 2)
 
 
 # ---------------------------------------------------------------- Euler values

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zetakit import zeta_zn_closed_poly
-from zetakit.cli import main
+from zetakit.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +108,23 @@ def test_non_finite_tolerance_is_usage_error(capsys, tol):
     assert "not a finite number" in captured.err
 
 
+def test_tolerance_below_float_range(capsys):
+    # 1e-400 underflows a float; it is read exactly and met at 2048 bits
+    code, out, _ = run_cli(capsys, "--precision-bits", "2048", "--tol", "1e-400",
+                           "--format", "json", "eval", "zeta-z", "--s=1/4")
+    assert code == 0
+    err = json.loads(out)[0]["err"]
+    mantissa, exponent = err.split("e")
+    assert float(mantissa) > 0 and int(exponent) < -400
+
+
+@pytest.mark.parametrize("text", ["1e-30", "1/3", "2", "1e-310"])
+def test_tolerance_in_float_range_is_the_float(text):
+    # the tolerance every earlier call passed, so their stdout is unchanged
+    tol = _build_parser().parse_args(["--tol", text, "poly", "--m=1"]).tol
+    assert type(tol) is float and tol == float(Fraction(text))
+
+
 def test_malformed_precision_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("ZETAKIT_PRECISION_BITS", "abc")
     with pytest.raises(SystemExit) as exc:
@@ -119,10 +136,12 @@ def test_malformed_precision_env_is_usage_error(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, env", [
     (["--tol=0"], None),
     (["--tol=-1e-5"], None),
+    (["--tol=-1e-400"], None),
     (["--precision-bits=32"], None),
     (["--max-terms=0"], None),
     ([], "32"),
-], ids=["tol-zero", "tol-negative", "bits-32", "max-terms-0", "env-bits-32"])
+], ids=["tol-zero", "tol-negative", "tol-negative-below-float", "bits-32",
+        "max-terms-0", "env-bits-32"])
 def test_out_of_range_global_flag_is_usage_error(capsys, monkeypatch, argv, env):
     # PrecisionContext refuses these values; they are usage errors (exit 2),
     # not domain errors of the evaluation (exit 3)

@@ -238,7 +238,7 @@ def test_zeta_range_edges(ctx, mp):
 
 # 1024 bits/1e-120, the lattice-deep precision: Euler-Maclaurin points
 # (four real, two complex, and 1/2 + 400i, where N = |Im s| + 8 exceeds
-# the precision's default of 358 terms) and one reflected point
+# the precision's default of b/5 = 211 terms) and one reflected point
 _DEEP_ZETA = [2.5, 0.3, 7.7, -0.4, -5.3, complex(0.7, 3.1), complex(0.5, 40),
               complex(0.5, 400)]
 
@@ -251,6 +251,69 @@ def test_zeta_honest_at_1024_bits(s):
     r = riemann_zeta_numeric(s, ctx)
     assert r.err <= ctx.tol
     assert abs(mp.mpc(r.value) - mp.zeta(mp.mpc(s))) <= r.err
+
+
+def _em_orders(monkeypatch):
+    """Lists that record each Euler-Maclaurin sum's length N (from the power
+    sum) and every Bernoulli index formed; the highest is 2M + 2, for the
+    remainder bound at order M."""
+    lengths, indices = [], []
+    power_sum, bern_mpf = numerics._power_sum, numerics._bern_mpf
+
+    def counted_power_sum(mp, s, N):
+        lengths.append(N)
+        return power_sum(mp, s, N)
+
+    def counted_bern_mpf(mp, k, div):
+        indices.append(k)
+        return bern_mpf(mp, k, div)
+
+    monkeypatch.setattr(numerics, "_power_sum", counted_power_sum)
+    monkeypatch.setattr(numerics, "_bern_mpf", counted_bern_mpf)
+    return lengths, indices
+
+
+def _em_bound(mp, s, N, M):
+    """The remainder bound of _em_zeta_raw's docstring, from the exact
+    Bernoulli number: |B_2M+2/(2M+2)! (s)_2M+1| N^(-sigma-2M-1)
+    |s+2M+1|/(sigma+2M+1)."""
+    b = bernoulli(2 * M + 2)
+    poch = mp.one
+    for i in range(2 * M + 1):
+        poch *= s + i
+    return (mp.mpf(abs(b.numerator)) / (b.denominator * factorial(2 * M + 2))
+            * abs(poch) * mp.power(N, -s.real - 2 * M - 1)
+            * abs(s + 2 * M + 1) / (s.real + 2 * M + 1))
+
+
+@pytest.mark.parametrize("bits,tol,s", [
+    (256, 1e-30, 2.5), (256, 1e-30, -0.4), (256, 1e-100, complex(0.7, 3.1)),
+    (1024, 1e-120, 7.7), (1024, 1e-120, complex(0.5, 40)),
+], ids=str)
+def test_zeta_order_is_least_for_its_length(bits, tol, s, monkeypatch):
+    # the proved bound at (N, M) meets the target min(tol, 2^-prec) and the
+    # one at (N, M - 1) misses it; 1e-100 lies below 2^-286, the others above
+    ctx = PrecisionContext(bits, tol)
+    mp = ctx.mp
+    z = ctx.mpc(s)
+    z = z.real if z.imag == 0 else z
+    lengths, indices = _em_orders(monkeypatch)
+    numerics._em_zeta_raw(mp, z, ctx.tol, ctx.max_terms)
+    N, M = lengths[0], max(indices) // 2 - 1
+    target = min(ctx.tol, mp.mpf(2) ** -mp.prec)
+    assert M >= 1
+    assert _em_bound(mp, z, N, M) <= target < _em_bound(mp, z, N, M - 1)
+
+
+@pytest.mark.parametrize("s", [2.5, -5.3, complex(0.7, 3.1)], ids=str)
+def test_zeta_length_and_order_fit_the_target(s, monkeypatch):
+    # at 1024 bits/1e-120 the remainder target is 2^-1054, which N + M <= 400
+    # terms meet (one sum: the reflected point sums at 1 - s)
+    ctx = PrecisionContext(1024, 1e-120)
+    lengths, indices = _em_orders(monkeypatch)
+    riemann_zeta_numeric(s, ctx)
+    assert len(lengths) == 1
+    assert lengths[0] + max(indices) // 2 - 1 <= 400
 
 
 # (bits, tol, s): near the pole at 1, |zeta'(s)| ~ 1/(s-1)^2 amplifies the

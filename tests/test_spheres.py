@@ -1,4 +1,4 @@
-"""Sphere volumes, the Z-product factorization, Catalan numbers, demos."""
+"""Sphere volumes, the Z-product factorization, Catalan numbers."""
 
 from fractions import Fraction
 from math import comb
@@ -7,10 +7,8 @@ import pytest
 
 from zetakit import (
     DomainError,
-    arithmetic_volume_demo,
     big_z,
     catalan,
-    riemann_zeta_numeric,
     sphere_ratio,
     sphere_volume_gamma,
     sphere_volume_zproduct,
@@ -127,38 +125,6 @@ def test_volume_unimodal_peak_at_six(ctx):
     assert all(vols[i] < vols[i + 1] for i in range(6))
     assert all(vols[i] > vols[i + 1] for i in range(6, 20))
     assert float(sphere_volume_gamma(80, ctx).value.re) < 1e-12
-
-
-# ---------------------------------------------------------------- demos
-
-def test_demo_single_factors(ctx, mp):
-    sl2 = arithmetic_volume_demo("SL", 2, ctx)
-    assert abs(sl2.value.value - mp.pi ** 2 / 6) < ctx.tol
-    sp1 = arithmetic_volume_demo("Sp", 1, ctx)
-    assert abs(sp1.value.value - mp.pi ** 2 / 6) < ctx.tol
-
-
-def test_demo_sl3_oracle(ctx, mp):
-    # oracle: Euler-Maclaurin values of zeta(2) and zeta(3)
-    oracle = riemann_zeta_numeric(2, ctx).value * riemann_zeta_numeric(3, ctx).value
-    r = arithmetic_volume_demo("SL", 3, ctx)
-    assert abs(r.value.value - oracle) <= r.err + 4 * ctx.tol
-    assert abs(r.value.value - mp.mpf("1.97730")) < 1e-5
-
-
-def test_demo_sp_products(ctx, mp):
-    sp2 = arithmetic_volume_demo("Sp", 2, ctx)
-    expected = (mp.pi ** 2 / 6) * (mp.pi ** 4 / 90)
-    assert abs(sp2.value.value - expected) <= sp2.err + 8 * ctx.tol * float(expected)
-
-
-def test_demo_domain(ctx):
-    with pytest.raises(DomainError):
-        arithmetic_volume_demo("SL", 1, ctx)
-    with pytest.raises(DomainError):
-        arithmetic_volume_demo("Sp", 0, ctx)
-    with pytest.raises(DomainError):
-        arithmetic_volume_demo("SO", 3, ctx)
 
 
 def test_big_z_feeds_products(ctx, mp):

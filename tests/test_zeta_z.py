@@ -125,6 +125,32 @@ def test_product_grows_k_fourfold(monkeypatch):
     assert abs(p.value.value - c.value.value) <= p.err
 
 
+# (s, the K it grows to) at 1024 bits/1e-120, where the first K misses
+_PRODUCT_GROWTH = [(complex(-60.3, 2), 1028), (-70.7, 4768), (complex(-100.2, -5), 1668)]
+
+
+@pytest.mark.parametrize("s,K", _PRODUCT_GROWTH, ids=str)
+def test_product_growth_is_bit_identical(s, K):
+    # extending the partial product over the new factors keeps the roundings
+    # of a build from k = 1: value and err equal those at the final K
+    ctx = PrecisionContext(1024, 1e-120)
+    grown = zeta_z_product(s, ctx)
+    direct = zeta_z_product(s, ctx, terms=K)
+    assert grown.value.value._mpc_ == direct.value.value._mpc_
+    assert grown.err == direct.err
+
+
+def test_product_growth_forms_each_factor_once(monkeypatch):
+    # K grows from 257 to 1028 at s = -60.3+2i: each factor (k - s)^2 is
+    # squared once, 1028 in all, not 257 + 1028
+    squares = []
+    mpc_square = zeta_z.mpc_square
+    monkeypatch.setattr(zeta_z, "mpc_square",
+                        lambda *a: squares.append(a) or mpc_square(*a))
+    zeta_z_product(complex(-60.3, 2), PrecisionContext(1024, 1e-120))
+    assert len(squares) == 1028
+
+
 def test_product_refuses_uncertifiable_truncation(ctx):
     # at K = 8 (d = K - 2|s| = 7.5) the Euler-Maclaurin remainder bound
     # bottoms out near 1e-21, above the 1e-30 budget: refuse, never return
