@@ -14,6 +14,12 @@ order whose proved remainder bound meets the target.  The error
 bounds of gamma, digamma and zeta also cover the rounding of an argument
 that is not exact at working precision.
 
+The hot loops of the Mellin quadrature and the discrete-circle sums use the
+fixed-point kernels here: exp, cos/sin and log of Python ints at F
+fractional bits, each an argument reduction around the basecase series that
+mpmath's own ``mpf_exp``, ``mpf_cos_sin`` and ``mpf_log`` call, and integer
+powers by binary powering.
+
 Every kernel that returns a bounded value runs through :func:`core.certify`:
 when its ``err`` misses ``target_tol`` it is recomputed with up to 1024 extra
 bits, then refuses with NoConvergence.  Poles are found by :func:`core.snap`.
@@ -180,6 +186,92 @@ def _bern_mpf(mp, k: int, div: int):
     b = bernoulli(k)
     return mp.make_mpf(libmp.from_rational(b.numerator, b.denominator * div,
                                            mp.prec, libmp.round_nearest))
+
+
+# --------------------------------------------------------------------------
+# fixed-point kernels: Python ints x standing for x 2^-F
+#
+# The hot loops of the Mellin quadrature and the discrete-circle sums run on
+# these, with F = prec + FIXED_GUARD, so that no mpf is normalised per term.
+# Each of exp, cos/sin and log is within FIXED_ULPS units of 2^-F of the
+# truth (relatively for exp, absolutely for the others), so FIXED_GUARD
+# leaves the callers 2^(FIXED_GUARD - 10) such calls per term before their
+# error reaches one unit of 2^-prec; ``_pow_fixed`` states its own bound.
+# ``test_fixed_point_kernels`` measures them against mpmath at twice the
+# bits, on both sides of mpmath's series cutoffs.
+
+#: Fractional bits of the fixed-point loops beyond the working precision.
+FIXED_GUARD = 20
+#: Units of 2^-F that one kernel call may be off by.
+FIXED_ULPS = 2 ** 10
+
+
+def _exp_fixed(x: int, F: int) -> int:
+    """e^(x 2^-F) at F fractional bits.
+
+    x = n ln 2 + t with 0 <= t < ln 2 and ln 2 taken at F + g bits, g four
+    bits above those of |n|, so the reduction moves t by less than 2^-(F+3);
+    then e^t is ``exp_basecase``, the series ``mpf_exp`` itself calls, and
+    the shift by n is exact up to the last unit when n < 0.
+    """
+    g = (abs(x) >> F).bit_length() + 4
+    n, t = divmod(x << g, libmp.ln2_fixed(F + g))
+    v = libmp.libelefun.exp_basecase(t >> g, F)
+    return v << n if n >= 0 else v >> -n
+
+
+def _cos_sin_fixed(x: int, F: int) -> Tuple[int, int]:
+    """(cos, sin)(x 2^-F) at F fractional bits.
+
+    x = n pi/2 + t with 0 <= t < pi/2, pi/2 taken at F + g bits as in
+    :func:`_exp_fixed`; then ``cos_sin_basecase``, which ``mpf_cos_sin``
+    calls, and the quarter-turn symmetries of n mod 4.
+    """
+    g = (abs(x) >> F).bit_length() + 4
+    n, t = divmod(x << g, libmp.pi_fixed(F + g - 1))
+    c, s = libmp.libelefun.cos_sin_basecase(t >> g, F)
+    m = n & 3
+    if m == 1:
+        return -s, c
+    if m == 2:
+        return -c, -s
+    if m == 3:
+        return s, -c
+    return c, s
+
+
+def _log_fixed(x: int, F: int) -> int:
+    """log(x 2^-F) at F fractional bits, for x > 0.
+
+    x = y 2^e with y 2^-F in [1/2, 1) (truncated when e > 0, a relative
+    change below 2^(1-F)); log y is ``log_taylor_cached`` up to mpmath's
+    ``LOG_TAYLOR_PREC`` and ``mpf_log`` at F + 10 bits above it, as in
+    ``mpf_log``; e ln 2 takes ln 2 at four bits above those of |e|.
+    """
+    e = x.bit_length() - F
+    y = x >> e if e >= 0 else x << -e
+    if F <= libmp.libelefun.LOG_TAYLOR_PREC:
+        m = libmp.libelefun.log_taylor_cached(y, F)
+    else:
+        m = libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp(y, -F), F + 10), F)
+    g = abs(e).bit_length() + 4
+    return m + ((e * libmp.ln2_fixed(F + g)) >> g)
+
+
+def _pow_fixed(x: int, q: int, F: int) -> int:
+    """(x 2^-F)^q at F fractional bits for an integer q >= 0, by binary
+    powering with each product truncated.
+
+    While every power x^j, j <= q, stays below 2, the truncations and an
+    error of d units in x add up to at most 3 q (d + 1) units."""
+    r = 1 << F
+    while q:
+        if q & 1:
+            r = (r * x) >> F
+        q >>= 1
+        if q:
+            x = (x * x) >> F
+    return r
 
 
 # --------------------------------------------------------------------------

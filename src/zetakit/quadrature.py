@@ -10,13 +10,15 @@ The endpoint singularity (pi x)^(-2s) integrates in closed form to
 pi^(-2s)/(1-2s); the smooth remainder (2 sin(pi x/2))^(-2s) - (pi x)^(-2s)
 goes to one nested tanh-sinh rule on (0, 1).  Nodes, weights and the two
 logarithms at each node do not depend on s, so they are cached per
-(working bits, level), as raw ``mpmath.libmp`` tuples, and shared across
-evaluation points and threads.  The node sum runs on those tuples
-(:func:`_node_sum`): e^(-2s log x) is ``mpf_exp`` for real s and, for
-complex s, ``mpf_exp`` of the real part times ``mpf_cos_sin`` of the
-imaginary part, both at prec + 4 and multiplied at prec, exactly as
-mpmath's ``mpc_exp`` forms it, so the sums are bit-identical to mpmath's
-own operators.
+(working bits, level) and shared across evaluation points and threads.
+They are cached as Python-integer fixed point, the logarithms at F =
+prec + 20 fractional bits and the weights at F + prec + 17, and the node
+sum (:func:`_node_sum`) runs on them: e^(-2s log x) is
+``numerics._exp_fixed`` of the real part times ``numerics._cos_sin_fixed``
+of the imaginary part, and the sums are exact integer sums rounded once.
+Each node term stays within a few thousand units of 2^-F of the truth,
+relatively, which the rounding term of :func:`heat_mellin_integral` covers
+with room to spare.
 """
 
 from __future__ import annotations
@@ -24,15 +26,16 @@ from __future__ import annotations
 import threading
 from typing import Tuple
 
-from mpmath.libmp import fzero, mpf_add, mpf_cos_sin, mpf_exp, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .core import NoConvergence, PrecisionContext
+from .numerics import FIXED_GUARD, _cos_sin_fixed, _exp_fixed
 from .numerics import _i0e_raw  # noqa: F401  the benchmark tracer wraps this name
 
 _MAX_LEVEL = 13
 
 _CACHE_LOCK = threading.Lock()
-# (working_bits, level) -> raw libmp nodes (w, log(pi x), log(2 sin(pi x/2)))
+# (working_bits, level) -> fixed-point nodes (w, log(pi x), log(2 sin(pi x/2)))
 _NODE_CACHE: dict = {}
 
 
@@ -53,23 +56,38 @@ def _ymax(mp, wb: int):
     return (wb + 16) * mp.ln2 / 2
 
 
+def _frac_bits(wb: int) -> Tuple[int, int]:
+    """Fractional bits (F, FW) of the cached logarithms and weights."""
+    F = wb + FIXED_GUARD
+    return F, F + wb + 17
+
+
 def _nodes(mp, wb: int, level: int) -> tuple:
     """Nodes (w, log(pi x), log(2 sin(pi x/2))) of one level on (0, 1), as
-    raw ``mpmath.libmp`` tuples.
+    fixed-point ints: the logarithms at F = wb + FIXED_GUARD fractional bits
+    and the weight at F + wb + 17, so that every weight, at least
+    (pi/4) e^(-2 ymax) > 2^-(wb+17), keeps F significant bits.
 
     The abscissa pair at u is x- = 1/(1+e^(2y)) and x+ = 1 - x-, y =
     (pi/2) sinh u, with the sine at x+ taken as cospi(x-/2) so nothing
     cancels near x = 1; w is the tanh-sinh weight (pi/2) cosh u / cosh(y)^2
-    halved for the unit interval.
+    halved for the unit interval.  All three are formed in mpmath at wb
+    bits, then truncated to their fixed points.
     """
     key = (wb, level)
     with _CACHE_LOCK:
         cached = _NODE_CACHE.get(key)
     if cached is not None:
         return cached
+    F, FW = _frac_bits(wb)
     h = mp.mpf(2) ** (-level)
     ymax = _ymax(mp, wb)
     log_pi = mp.log(mp.pi)
+
+    def node(w, log_line, log_chord):
+        return (to_fixed(w._mpf_, FW), to_fixed(log_line._mpf_, F),
+                to_fixed(log_chord._mpf_, F))
+
     nodes = []
     for j in _level_js(level):
         u = j * h
@@ -79,11 +97,9 @@ def _nodes(mp, wb: int, level: int) -> tuple:
         e2y = mp.exp(2 * y)
         w = mp.pi * mp.cosh(u) / (e2y + 2 + 1 / e2y)
         xm = 1 / (1 + e2y)
-        nodes.append((w._mpf_, (log_pi - mp.log1p(e2y))._mpf_,
-                      mp.log(2 * mp.sinpi(xm / 2))._mpf_))
+        nodes.append(node(w, log_pi - mp.log1p(e2y), mp.log(2 * mp.sinpi(xm / 2))))
         if j:  # the centre node x = 1/2 is its own reflection
-            nodes.append((w._mpf_, (log_pi - mp.log1p(1 / e2y))._mpf_,
-                          mp.log(2 * mp.cospi(xm / 2))._mpf_))
+            nodes.append(node(w, log_pi - mp.log1p(1 / e2y), mp.log(2 * mp.cospi(xm / 2))))
     result = tuple(nodes)
     with _CACHE_LOCK:
         return _NODE_CACHE.setdefault(key, result)
@@ -93,50 +109,64 @@ def _node_sum(mp, m2s, nodes) -> Tuple:
     """(sum of w (chord - line), sum of w (|chord| + |line|)) over the nodes,
     chord = e^(m2s log(2 sin(pi x/2))) and line = e^(m2s log(pi x)).
 
-    Raw ``mpmath.libmp`` arithmetic at prec with rounding to nearest, in the
-    order mpmath's own operators take and with complex exponentials formed
-    as ``mpc_exp`` forms them (module docstring), so the sums are
-    bit-identical to theirs; the mass takes the real exponential, the
-    modulus, in place of ``abs``.
+    Python-integer fixed point at F = prec + FIXED_GUARD fractional bits
+    (:func:`_nodes`): m2s is truncated to F bits, each exponent m2s log is
+    one product, and the exponentials are ``numerics._exp_fixed`` of the
+    real part times ``numerics._cos_sin_fixed`` of the imaginary part; the
+    sums are exact integer sums, rounded once to prec.
+
+    Relative to its own w (|chord| + |line|), each node term is off by at
+    most 2^12 + (2 ymax + 2) + |m2s| units of 2^-F: two kernel calls of at
+    most 2^10 units each; the truncation of m2s times |log| <= 2 ymax + 2
+    and that of the logarithms times |m2s|; and single units for the
+    weight, the exponents and, for complex m2s, the products truncated to F
+    bits, absolute errors of 2^-F w that stay relative because |chord| +
+    |line| > 1/2 + 1/pi on the strip.  As F = prec + 20, that is below one
+    unit of 2^(1-prec) per node, which :func:`heat_mellin_integral` counts,
+    while 2 ymax + 2 < 2^20, plus |m2s| of the 2 |m2s| (2 ymax + 2) it
+    counts for the logarithms, which mpmath rounded at prec.
     """
-    prec, rnd = mp.prec, round_nearest
+    prec = mp.prec
+    F, FW = _frac_bits(prec)
+    shift = -(F + FW)  # w times an F-bit value
     if isinstance(m2s, mp.mpc):
-        a, b = m2s._mpc_
-        re = im = mass = fzero
+        a, b = (to_fixed(t, F) for t in m2s._mpc_)
+        re = im = mass = 0
         for w, log_line, log_chord in nodes:
-            rc = mpf_exp(mpf_mul(a, log_chord, prec, rnd), prec + 4, rnd)
-            cc, sc = mpf_cos_sin(mpf_mul(b, log_chord, prec, rnd), prec + 4, rnd)
-            rl = mpf_exp(mpf_mul(a, log_line, prec, rnd), prec + 4, rnd)
-            cl, sl = mpf_cos_sin(mpf_mul(b, log_line, prec, rnd), prec + 4, rnd)
-            dre = mpf_sub(mpf_mul(rc, cc, prec, rnd), mpf_mul(rl, cl, prec, rnd), prec, rnd)
-            dim = mpf_sub(mpf_mul(rc, sc, prec, rnd), mpf_mul(rl, sl, prec, rnd), prec, rnd)
-            re = mpf_add(re, mpf_mul(dre, w, prec, rnd), prec, rnd)
-            im = mpf_add(im, mpf_mul(dim, w, prec, rnd), prec, rnd)
-            mass = mpf_add(mass, mpf_mul(w, mpf_add(rc, rl, prec, rnd), prec, rnd), prec, rnd)
-        return mp.make_mpc((re, im)), mp.make_mpf(mass)
-    a = m2s._mpf_
-    part = mass = fzero
+            rc = _exp_fixed((a * log_chord) >> F, F)
+            cc, sc = _cos_sin_fixed((b * log_chord) >> F, F)
+            rl = _exp_fixed((a * log_line) >> F, F)
+            cl, sl = _cos_sin_fixed((b * log_line) >> F, F)
+            re += w * ((rc * cc - rl * cl) >> F)
+            im += w * ((rc * sc - rl * sl) >> F)
+            mass += w * (rc + rl)
+        return (mp.make_mpc((from_man_exp(re, shift, prec, round_nearest),
+                             from_man_exp(im, shift, prec, round_nearest))),
+                mp.make_mpf(from_man_exp(mass, shift, prec, round_nearest)))
+    a = to_fixed(m2s._mpf_, F)
+    part = mass = 0
     for w, log_line, log_chord in nodes:
-        chord = mpf_exp(mpf_mul(a, log_chord, prec, rnd), prec, rnd)
-        line = mpf_exp(mpf_mul(a, log_line, prec, rnd), prec, rnd)
-        part = mpf_add(part, mpf_mul(w, mpf_sub(chord, line, prec, rnd), prec, rnd), prec, rnd)
-        mass = mpf_add(mass, mpf_mul(w, mpf_add(chord, line, prec, rnd), prec, rnd), prec, rnd)
-    return mp.make_mpf(part), mp.make_mpf(mass)
+        chord = _exp_fixed((a * log_chord) >> F, F)
+        line = _exp_fixed((a * log_line) >> F, F)
+        part += w * (chord - line)
+        mass += w * (chord + line)
+    return (mp.make_mpf(from_man_exp(part, shift, prec, round_nearest)),
+            mp.make_mpf(from_man_exp(mass, shift, prec, round_nearest)))
 
 
 def heat_mellin_integral(ctx: PrecisionContext, s, tol) -> Tuple:
     """(value, error bound) of integral_0^1 (2 sin(pi x/2))^(-2s) dx, which
     is zeta_Z(s) for s on the strip 0 < Re(s) < 1/2.
 
-    Each level's node sum runs in raw libmp tuples (:func:`_node_sum`), a
-    complex e^(-2s log x) as ``mpf_exp`` of its real part times
-    ``mpf_cos_sin`` of its imaginary part, both at prec + 4, multiplied at
-    prec; the level arithmetic stays in mpmath numbers.  The error is the change
-    between the last two levels plus a rounding term.  That term covers the
-    summed magnitude of the node terms, since the two exponentials at a node
-    each reach (pi x)^(-2 Re s) and cancel, each with a relative error of
-    about |2s log(pi x)| ulps; it also covers the closed-form term and the
-    nodes past the cutoff.
+    Each level's node sum runs in Python-integer fixed point
+    (:func:`_node_sum`); the level arithmetic stays in mpmath numbers.  The
+    error is the change between the last two levels plus a rounding term.
+    That term covers the summed magnitude of the node terms, since the two
+    exponentials at a node each reach (pi x)^(-2 Re s) and cancel, each
+    with a relative error of about |2s log(pi x)| units of 2^-prec from the
+    logarithms mpmath rounded at prec, and one unit per node for the
+    weights, the fixed-point kernels (:func:`_node_sum`) and the sums; it
+    also covers the closed-form term and the nodes past the cutoff.
     """
     mp = ctx.mp
     wb = ctx.working_bits

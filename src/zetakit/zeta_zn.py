@@ -3,12 +3,19 @@
     zeta_n(s) = 4^(-s) sum_{k=1}^{n-1} sin(pi k / n)^(-2s).
 
 The direct sum, as sum_k (2 sin(pi k/n))^(-2s), and the sine-power sums that
-extraction reads share one streaming kernel, :func:`_power_sum`.  It makes
-sin(pi k/n) by rotating (cos, sin)(pi/n) in Python-integer fixed point at
-wp = prec + 2 bitlen(n) + 4 bits; the rotation drifts by at most 3k units of
-2^(-wp), and since sin(pi k/n) >= 2 min(k, n-k)/n every sine, past pi/2
-too, stays within 2^(-prec-3) of the truth, relatively.  Integer and
-half-integer powers then take no logarithm or exponential.
+extraction reads share one streaming kernel, :func:`_power_sum`, which runs
+in Python-integer fixed point from the sines to the sum.  It makes
+sin(pi k/n) by rotating (cos, sin)(pi/n) at wp = prec + 2 bitlen(n) + 4
+bits; the rotation drifts by at most 3k units of 2^(-wp), and since
+sin(pi k/n) >= 2 min(k, n-k)/n every sine, past pi/2 too, stays within
+2^(-prec-3) of the truth, relatively.  Every term is then formed relative to
+one block scale, the largest term, which is known before the loop (k = 1
+for a negative power, n//2 otherwise), at prec + 20 fractional bits or
+more: integer and half-integer powers by a ratio of two sines, binary
+powering and ``math.isqrt``, other powers by the fixed-point logarithm and
+exponential of :mod:`zetakit.numerics`.  The terms are summed exactly as
+integers and scaled once, and each carries at most 2^13 units of
+2^(-prec-20) relative to the scale, inside the rounding budget of the err.
 
 Negative integer values are exact alternating binomial sums, odd half-integer
 values collapse to short cotangent sums (evaluated with mpmath's own sines,
@@ -23,22 +30,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isqrt, lcm
 from typing import Optional, Union
 
 from mpmath.libmp import (
     from_man_exp,
     from_rational,
-    fzero,
-    mpf_add,
-    mpf_cos_sin,
+    ln2_fixed,
     mpf_cos_sin_pi,
     mpf_exp,
-    mpf_log,
     mpf_mul,
-    mpf_pow_int,
     mpf_shift,
-    mpf_sqrt,
+    mpf_sin_pi,
     round_nearest,
     to_fixed,
     to_int,
@@ -54,7 +57,14 @@ from .core import (
     exact_result,
     get_context,
 )
-from .numerics import _rounded
+from .numerics import (
+    FIXED_GUARD,
+    _cos_sin_fixed,
+    _exp_fixed,
+    _log_fixed,
+    _pow_fixed,
+    _rounded,
+)
 
 __all__ = [
     "DiscreteCircle",
@@ -178,66 +188,118 @@ def _power_sum(mp, n: int, p, fold: bool, double: bool, dp=0):
 
     The sines come from :func:`_rotated_sines` at wp = prec + 2 bitlen(n) +
     4 bits, each within e_s = 2^(-prec-3) of the truth, relatively, on the
-    folded and the unfolded range alike.  Powers go by the exponent's kind:
-    ``mpf_pow_int`` for integers, ``mpf_pow_int`` times one ``mpf_sqrt`` for
-    half-integers, and otherwise one ``mpf_log`` at prec + 8 plus the bits
-    of |p| L, L = bitlen(n) + 1 >= |log x_k|, followed by ``mpf_exp`` (real
-    p) or ``mpf_exp`` of the real part and ``mpf_cos_sin`` of the imaginary
-    part (complex p), whose real exponential is the term's modulus.  The
-    sum is accumulated in raw ``mpmath.libmp`` tuples at prec with rounding
-    to nearest.
+    folded and the unfolded range alike.  The terms are summed in
+    Python-integer fixed point under one block scale S = x_m^Re(p), the
+    largest term modulus, known before the loop: m = 1 for Re p < 0 and m =
+    n//2 otherwise.  Each term is t_k = (x_k /
+    x_m)^p <= 1 + 2^-prec at F = prec + 20 fractional bits or more, so no
+    term underflows against the largest, whatever the size of S; the sum is
+    one exact integer sum, times S once at the end.  Powers go by the
+    exponent's kind, all at H = max(F, wp) + bitlen(|p|) + 1 bits:
+
+    * integer q: the ratio r_k = s_k/s_m, or s_m/s_k for q < 0 (one integer
+      division of the two sines), raised to |q| by ``numerics._pow_fixed``;
+    * half-integer: the same ratio at 2H bits, whose ``math.isqrt`` is
+      r_k^(1/2) at H bits, times r_k^|q| for the integer part q;
+    * otherwise ``numerics._log_fixed`` of the sine at H bits, l_k, and
+      ``numerics._exp_fixed`` of p (l_k - l_m) at F bits; for complex p the
+      phase Im(p) log x_k goes to ``numerics._cos_sin_fixed``.
+
+    H - F >= bitlen(|p|) + 1 makes each error of d units of 2^-H in a
+    logarithm or ratio move a term by at most d units of 2^-F, and
+    ``_pow_fixed`` keeps within 3 |q| units of 2^-H; with at most four
+    kernel calls of at most 2^10 units each, every t_k is within 2^13 units
+    of 2^-F = 2^(-prec-20), relative to S, of (s_k / s_m)^p.  S itself is
+    ``mpf_exp`` of Re(p) log x_m, with log x_m the same fixed-point value,
+    so s_m cancels and S t_k is s_k^p apart from those 2^13 units and a few
+    ulps of S.
 
     With M the sum of the term moduli, err is M ((|p| + 1) e_s + (count +
-    16) 2^(1-prec) + 2 dp L): the sine's relative error raised to the power
-    p, the rounding of each term (at most 16 units of 2^(1-prec)) and of each
-    addition (half a unit per part), and the caller's rounding of p, which
-    moves a term by |dp log x_k| (doubled for the second order).
+    16) 2^(1-prec) + 2 dp L), L = bitlen(n) + 1 >= |log x_k|: the sine's
+    relative error raised to the power p, the fixed-point error of each
+    term (2^13 units of 2^-F, far below its 2^(1-prec) M since S <= M) and
+    of S and the final product (within the 16 units), and the caller's
+    rounding of p, which moves a term by |dp log x_k| (doubled for the
+    second order).
     """
     prec = mp.prec
     wp = prec + 2 * n.bit_length() + _ROTATION_GUARD
-    rnd = round_nearest
+    F = prec + FIXED_GUARD
+    H = max(F, wp) + int(abs(p)).bit_length() + 1
     count = n // 2 if fold else n - 1
     lbits = n.bit_length() + 1
-    wl = prec + 8 + int(abs(p) * lbits + 1).bit_length()
-    exp0 = (1 if double else 0) - wp
-    sines = enumerate(_rotated_sines(n, count, wp), 1)
-    if isinstance(p, mp.mpc):
-        a, b = p._mpc_
-        re = im = mass = fzero
-        for k, s in sines:
-            log_x = mpf_log(from_man_exp(s, exp0), wl)
-            r = mpf_exp(mpf_mul(a, log_x, wl), prec, rnd)
-            if fold and 2 * k != n:
-                r = mpf_shift(r, 1)
-            cos_t, sin_t = mpf_cos_sin(mpf_mul(b, log_x, wl), prec, rnd)
-            re = mpf_add(re, mpf_mul(r, cos_t, prec, rnd), prec, rnd)
-            im = mpf_add(im, mpf_mul(r, sin_t, prec, rnd), prec, rnd)
-            mass = mpf_add(mass, r, prec, rnd)
-        total, mass = mp.make_mpc((re, im)), mp.make_mpf(mass)
+    a, b = p._mpc_ if isinstance(p, mp.mpc) else (p._mpf_, None)
+    neg = a[0]  # the sign bit of Re p
+
+    def log_sine(s):  # log(s 2^-wp) at H bits
+        return _log_fixed(s << (H - wp), H)
+
+    # the block: the sine s_m of the largest term, m = 1 or n//2
+    m = 1 if neg else n // 2
+    top = to_fixed(mpf_sin_pi(from_rational(m, n, wp + 8), wp + 8), wp)
+    log_top = log_sine(top)
+    ln2 = ln2_fixed(H) if double else 0
+    scale = mpf_exp(mpf_mul(a, from_man_exp(log_top + ln2, -H)), prec, round_nearest)
+    pa = to_fixed(a, H)
+
+    def scaled(acc, bits):
+        return mpf_mul(from_man_exp(acc, -bits), scale, prec, round_nearest)
+
+    def modulus(log_s):  # e^(Re(p) (log s_k - log s_m)) at F bits
+        return _exp_fixed((pa * (log_s - log_top)) >> (2 * H - F), F)
+
+    weights = (2 if fold and 2 * k != n else 1 for k in range(1, count + 1))
+    terms = zip(weights, _rotated_sines(n, count, wp))
+    if b is not None:
+        pb = to_fixed(b, H)
+        re = im = mass = 0
+        for w, s in terms:
+            log_s = log_sine(s)
+            r = modulus(log_s)
+            c, si = _cos_sin_fixed((pb * (log_s + ln2)) >> (2 * H - F), F)
+            re += w * ((r * c) >> F)
+            im += w * ((r * si) >> F)
+            mass += w * r
+        total = mp.make_mpc((scaled(re, F), scaled(im, F)))
+        return total, mp.make_mpf(scaled(mass, F)) * _rel(mp, p, count, dp, lbits)
+    # a raw mpf (sign, odd mantissa, exponent, bits) is an integer when
+    # the mantissa is 0 or the exponent >= 0, a half-integer at -1
+    if not a[1] or a[2] >= -1:
+        q, half = divmod(abs(to_int(mpf_shift(a, 1))), 2)
+
+        def power(s):
+            num, den = (top, s) if neg else (s, top)
+            if not half:
+                return _pow_fixed((num << H) // den, q, H)
+            r2 = (num << 2 * H) // den
+            return (_pow_fixed(r2 >> H, q, H) * isqrt(r2)) >> H
+        bits = H
     else:
-        # a raw mpf (sign, odd mantissa, exponent, bits) is an integer when
-        # the mantissa is 0 or the exponent >= 0, a half-integer at -1
-        a = p._mpf_
-        if not a[1] or a[2] >= 0:
-            q = to_int(a)
-            power = lambda x: mpf_pow_int(x, q, prec, rnd)
-        elif a[2] == -1:
-            q = (to_int(mpf_shift(a, 1)) - 1) // 2
-            power = lambda x: mpf_mul(mpf_pow_int(x, q, prec, rnd),
-                                      mpf_sqrt(x, prec, rnd), prec, rnd)
-        else:
-            power = lambda x: mpf_exp(mpf_mul(a, mpf_log(x, wl), wl), prec, rnd)
-        acc = fzero
-        for k, s in sines:
-            t = power(from_man_exp(s, exp0))
-            if fold and 2 * k != n:
-                t = mpf_shift(t, 1)
-            acc = mpf_add(acc, t, prec, rnd)
-        total = mass = mp.make_mpf(acc)  # every term is positive
+        def power(s):
+            return modulus(log_sine(s))
+        bits = F
+    total = mp.make_mpf(scaled(sum(w * power(s) for w, s in terms), bits))
+    return total, total * _rel(mp, p, count, dp, lbits)  # every term is positive
+
+
+def _rel(mp, p, count: int, dp, lbits: int):
+    """The relative error bound of a power sum (:func:`_power_sum`)."""
     two = mp.mpf(2)
-    rel = ((abs(p) + 1) * two ** (-prec - 3) + (count + 16) * two ** (1 - prec)
-           + 2 * dp * lbits)
-    return total, mass * rel
+    return ((abs(p) + 1) * two ** (-mp.prec - 3) + (count + 16) * two ** (1 - mp.prec)
+            + 2 * dp * lbits)
+
+
+def _first_bits(c: PrecisionContext, n: int, x, dp) -> int:
+    """Precision bits at which the folded sum of sin(pi k/n)^x meets the
+    tolerance on its first run.  Its mass is M <= 2 count S (1 +
+    2^-prec)^|x| < 3 count S, S the block scale of :func:`_power_sum`, and
+    its err is M times :func:`_rel`, which halves with each added bit (dp,
+    the rounding of x, halves with it)."""
+    mp = c.mp
+    count = n // 2
+    top = mp.sinpi(mp.mpf(1 if x < 0 else count) / n)
+    bound = 3 * count * top ** x * _rel(mp, x, count, dp, n.bit_length() + 1)
+    return c.precision_bits + max(0, int(mp.ceil(mp.log(bound / c.tol, 2))))
 
 
 def sine_power_sum(n: Union[int, DiscreteCircle], power,
@@ -247,13 +309,20 @@ def sine_power_sum(n: Union[int, DiscreteCircle], power,
     The sines come from a fixed-point rotation with a proved drift bound
     (:func:`_rotated_sines`), never from a rounded pi*k/n product, so accuracy
     survives large n; err covers the rounding of a power that is not exact
-    at working precision.
+    at working precision.  The sum runs once, at the precision that the
+    largest term shows it needs (:func:`_first_bits`) if that is above the
+    context's, so that :func:`core.certify` never discards a full sum.
     """
     nn = _vertex_count(n)
 
     def compute(c: PrecisionContext) -> HPReal:
         x = c.mpf(power)
-        dp = abs(x) * c.eps if _rounded(power, x) else 0
+        rounded = _rounded(power, x)  # an input exact at c stays exact above
+        bits = _first_bits(c, nn, x, abs(x) * c.eps if rounded else 0)
+        if bits > c.precision_bits:
+            c = c.with_bits(bits)
+            x = c.mpf(power)
+        dp = abs(x) * c.eps if rounded else 0
         return HPReal(*_power_sum(c.mp, nn, x, True, False, dp))
 
     return certify(get_context(ctx), compute, "sine_power_sum")

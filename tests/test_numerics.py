@@ -1,4 +1,5 @@
-"""Kernel tests: Gamma, digamma, Bernoulli, the scaled Bessel series, zeta."""
+"""Kernel tests: Gamma, digamma, Bernoulli, the scaled Bessel series, zeta,
+and the fixed-point kernels of the hot loops."""
 
 import random
 import sys
@@ -253,6 +254,32 @@ def test_zeta_honest_at_1024_bits(s):
     assert abs(mp.mpc(r.value) - mp.zeta(mp.mpc(s))) <= r.err
 
 
+@pytest.mark.parametrize("F", [84, 306, 420, 640, 1100, 3122])
+def test_fixed_point_kernels(F):
+    # each kernel within FIXED_ULPS units of 2^-F of mpmath at 2F + 64 bits,
+    # below and above mpmath's series cutoffs (cos/sin 400, exp 600, log
+    # 2500 bits); exp relative to max(1, e^x), pow as _pow_fixed promises
+    mp = MPContext()
+    mp.prec = 2 * F + 64
+    rng = random.Random(F)
+    unit = mp.ldexp(1, -F)
+    ulps = numerics.FIXED_ULPS
+    for _ in range(30):
+        x = rng.randrange(-(300 << F), 300 << F) >> rng.randrange(0, F)
+        t = mp.ldexp(x, -F)
+        e = mp.exp(t)
+        assert abs(mp.ldexp(numerics._exp_fixed(x, F), -F) - e) <= ulps * unit * max(1, e)
+        c, s = numerics._cos_sin_fixed(x, F)
+        assert abs(mp.ldexp(c, -F) - mp.cos(t)) <= ulps * unit
+        assert abs(mp.ldexp(s, -F) - mp.sin(t)) <= ulps * unit
+        y = (rng.randrange(1, 1 << (F + 40)) >> rng.randrange(0, F + 30)) or 1
+        assert abs(mp.ldexp(numerics._log_fixed(y, F), -F) - mp.log(mp.ldexp(y, -F))) <= ulps * unit
+        q = rng.randrange(0, 5000)
+        r = rng.randrange(1 << (F - 1), 1 << F)
+        got = mp.ldexp(numerics._pow_fixed(r, q, F), -F)
+        assert abs(got - mp.ldexp(r, -F) ** q) <= 3 * q * unit
+
+
 def _em_orders(monkeypatch):
     """Lists that record each Euler-Maclaurin sum's length N (from the power
     sum) and every Bernoulli index formed; the highest is 2M + 2, for the
@@ -356,8 +383,8 @@ def _sine_power_oracle(mp, n, power):
 
 # (context, kernel call, the same value from mpmath at high precision); the
 # kernels miss the tolerance at the context's own precision and must retry
-# with more bits rather than return an err above tol, except at the two
-# near-pole points, whose argument rounds
+# with more bits (the sine-power sum starts at them) rather than return an
+# err above tol, except at the two near-pole points, whose argument rounds
 _LOW = PrecisionContext(64, 1e-27)
 _MID = PrecisionContext(256, 1e-30)
 _ESCALATIONS = {

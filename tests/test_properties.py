@@ -10,7 +10,13 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
-from zetakit import PrecisionContext, riemann_zeta_numeric
+from zetakit import (
+    PrecisionContext,
+    riemann_zeta_numeric,
+    sine_power_sum,
+    zeta_z_mellin,
+    zeta_zn_direct,
+)
 
 _PROFILE = settings(derandomize=True, database=None, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -48,3 +54,97 @@ def test_riemann_zeta_is_honest(point):
     x = mp.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else mp.mpc(s)
     assert r.err <= ctx.tol
     assert abs(mp.mpc(r.value) - mp.zeta(x)) <= r.err
+
+
+def _truth_context(bits):
+    mp = MPContext()
+    mp.prec = 2 * bits + 64
+    return mp
+
+
+def _exact(mp, s):
+    """s as an mpmath number at 2 bits + 64 (a Fraction rounded once there)."""
+    return mp.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else mp.mpc(s)
+
+
+def _sine_sum(mp, n, p, double):
+    """sum_k x_k^p, x_k = (2 if double else 1) sin(pi k/n), from mpmath sines."""
+    return mp.fsum(((2 if double else 1) * mp.sinpi(mp.mpf(k) / n)) ** p for k in range(1, n))
+
+
+@st.composite
+def _reals(draw, lo, hi):
+    """A Fraction in [lo, hi]: an integer, a half-integer, or a non-dyadic
+    Fraction, which the sums round."""
+    den = draw(st.sampled_from([1, 2, 3, 7]))
+    return Fraction(draw(st.integers(lo * den, hi * den)), den)
+
+
+@st.composite
+def _circle_points(draw):
+    """(bits, n, s) with n in 2..2000 and s real or complex, Re s in
+    [-4, 3/2] so that the sums stay within every tolerance of _CONTEXTS; a
+    complex s has dyadic float parts."""
+    bits = draw(st.sampled_from(sorted(_CONTEXTS)))
+    n = draw(st.integers(2, 2000))
+    if draw(st.booleans()):
+        s = draw(_reals(-4, 1))
+    else:
+        s = complex(draw(st.integers(-256, 96)) / 64, draw(st.integers(-64, 64)) / 16)
+    return bits, n, s
+
+
+@settings(_PROFILE, max_examples=16)
+@given(_circle_points())
+def test_zeta_zn_direct_is_honest(point):
+    # both folds; truth: the sum of mpmath sine powers at 2 bits + 64
+    bits, n, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    truth = _sine_sum(mp, n, -2 * _exact(mp, s), True)
+    for fold in (True, False):
+        r = zeta_zn_direct(n, s, ctx, fold=fold)
+        assert r.err <= ctx.tol
+        assert abs(mp.mpc(r.value.value) - truth) <= r.err
+
+
+@st.composite
+def _power_points(draw):
+    """(bits, n, p) with n in 2..2000 and a real power p in [-6, 8]."""
+    return (draw(st.sampled_from(sorted(_CONTEXTS))), draw(st.integers(2, 2000)),
+            draw(_reals(-6, 8)))
+
+
+@settings(_PROFILE, max_examples=12)
+@given(_power_points())
+def test_sine_power_sum_is_honest(point):
+    bits, n, p = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    r = sine_power_sum(n, p, ctx)
+    assert r.err <= ctx.tol
+    assert abs(r.value - _sine_sum(mp, n, _exact(mp, p), False)) <= r.err
+
+
+@st.composite
+def _strip_points(draw):
+    """(bits, s) with 0 < Re s < 1/2: a real Fraction in [1/64, 31/64], or a
+    complex s with dyadic parts, Re s in [1/16, 7/16] and |Im s| <= 1."""
+    bits = draw(st.sampled_from(sorted(_CONTEXTS)))
+    if draw(st.booleans()):
+        return bits, Fraction(draw(st.integers(1, 31)), 64)
+    return bits, complex(draw(st.integers(4, 28)) / 64, draw(st.integers(-16, 16)) / 16)
+
+
+@settings(_PROFILE, max_examples=10)
+@given(_strip_points())
+def test_zeta_z_mellin_is_honest(point):
+    # truth: the Gamma closed form 4^-s Gamma(1/2 - s) / (sqrt(pi) Gamma(1 - s))
+    bits, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    z = _exact(mp, s)
+    truth = mp.power(4, -z) * mp.gamma(mp.mpf(1) / 2 - z) / (mp.sqrt(mp.pi) * mp.gamma(1 - z))
+    r = zeta_z_mellin(s, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - truth) <= r.err

@@ -19,6 +19,7 @@ from zetakit import (
     sine_odd_power_sum,
     sine_power_sum,
 )
+from zetakit import zeta_zn
 from zetakit.zeta_zn import POLY_CAP
 
 
@@ -117,10 +118,10 @@ def test_direct_rotation_drift_is_covered():
     assert abs(r.value.re - ctx.mp.mpf(exact.numerator) / exact.denominator) <= r.err
 
 
-def _truth_1200(n, p, double):
-    """sum_k x_k^p, x_k = (2 if double else 1) sin(pi k/n), at 1200 bits."""
+def _truth(n, p, double, prec=1200):
+    """sum_k x_k^p, x_k = (2 if double else 1) sin(pi k/n), at prec bits."""
     mp = MPContext()
-    mp.prec = 1200
+    mp.prec = prec
     q = mp.mpf(p.numerator) / p.denominator if isinstance(p, Fraction) else mp.convert(p)
     return mp.fsum(((2 if double else 1) * mp.sin(mp.pi * k / n)) ** q
                    for k in range(1, n)), mp
@@ -138,7 +139,7 @@ def _truth_1200(n, p, double):
 def test_direct_error_bound_is_honest(bits, tol, n, s):
     ctx = PrecisionContext(bits, tol)
     r = zeta_zn_direct(n, s, ctx)
-    truth, mp = _truth_1200(n, -2 * s, True)
+    truth, mp = _truth(n, -2 * s, True)
     assert r.err <= tol
     assert abs(mp.mpc(r.value.value) - truth) <= r.err
 
@@ -150,9 +151,48 @@ def test_direct_error_bound_is_honest(bits, tol, n, s):
 def test_sine_power_sum_error_bound_is_honest(n, p):
     ctx = PrecisionContext(64, 1e-12)
     r = sine_power_sum(n, p, ctx)
-    truth, mp = _truth_1200(n, p, False)
+    truth, mp = _truth(n, p, False)
     assert r.err <= ctx.tol
     assert abs(r.value - truth) <= r.err
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("kind, s", [
+    pytest.param(kind, s, id=kind) for kind, s in
+    (("generic", Fraction(-7, 3)), ("complex", complex(0.75, -1.5)),
+     ("half-integer", Fraction(-5, 4)))
+])
+def test_sums_above_log_taylor_prec(kind, s, n):
+    # at 3072 bits the fixed-point kernels run at F > 2500 bits, where the
+    # logarithm leaves mpmath's cached Taylor series for mpf_log and exp,
+    # cos and sin take their long series; the truth is mpmath at 6200 bits
+    ctx = PrecisionContext(3072, 1e-300)
+    p = -2 * s
+    truth, mp = _truth(n, p, True, 6200)
+    r = zeta_zn_direct(n, s, ctx)
+    assert abs(mp.mpc(r.value.value) - truth) <= r.err
+    if kind != "complex":
+        truth, mp = _truth(n, p, False, 6200)
+        r = sine_power_sum(n, p, ctx)
+        assert abs(r.value - truth) <= r.err
+
+
+def test_sine_power_sum_runs_once_at_the_precision_it_needs(monkeypatch):
+    # at 256 bits the folded sum of sin(pi k/2000)^-20 misses 1e-30 (err
+    # 3.9e-27); the block scale shows it before the loop, so the one sum
+    # runs at the bits it needs instead of being discarded by certify
+    calls = []
+    power_sum = zeta_zn._power_sum
+
+    def counted(mp, *args):
+        calls.append(mp.prec)
+        return power_sum(mp, *args)
+
+    monkeypatch.setattr(zeta_zn, "_power_sum", counted)
+    ctx = PrecisionContext(256, 1e-30)
+    r = sine_power_sum(2000, -20, ctx)
+    assert len(calls) == 1 and calls[0] > ctx.working_bits
+    assert r.err <= ctx.tol
 
 
 # ---------------------------------------------------------------- exact negatives
