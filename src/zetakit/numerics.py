@@ -6,33 +6,37 @@ recurrence-shift plus Stirling-series scheme appropriate at high precision).
 Everything else is implemented here because downstream identities consume
 exact rationals or certified bounds: the Bernoulli numbers are exact
 Fractions from the integer tangent numbers (Brent & Harvey 2011), and the
-Euler-Maclaurin zeta sums k^-s multiplicatively, one power per prime, with
-coefficients B_2j/(2j)! rounded once from their exact values.  Its length N
-and order M are sized from the remainder target 2^-b = min(tol, 2^-prec):
-N = b/5, the ratio at which measured cost is near its least, and M the least
-order whose proved remainder bound meets the target.  The error
+Euler-Maclaurin zeta sums k^-s multiplicatively, one power per prime.  Its
+length N and order M are sized from the remainder target 2^-b = min(tol,
+2^-prec): N = b/7, the ratio at which measured cost is near its least, and
+M the least order whose proved remainder bound meets the target.  The error
 bounds of gamma, digamma and zeta also cover the rounding of an argument
 that is not exact at working precision.
 
-The hot loops of the Mellin quadrature and the discrete-circle sums use the
-fixed-point kernels here: exp, cos/sin and log of Python ints at F
-fractional bits, each an argument reduction around the basecase series that
-mpmath's own ``mpf_exp``, ``mpf_cos_sin`` and ``mpf_log`` call, and integer
-powers by binary powering.
+The hot loops run in Python-integer fixed point at F = prec + FIXED_GUARD
+fractional bits, so that no mpf is normalised per term.  The Mellin
+quadrature and the discrete-circle sums use the kernels here: exp, cos/sin
+and log of Python ints, each an argument reduction around the basecase
+series that mpmath's own ``mpf_exp``, ``mpf_cos_sin`` and ``mpf_log`` call,
+and integer powers by binary powering.  The Euler-Maclaurin zeta runs its
+order walk and correction sum as one integer recurrence, on coefficients
+B_2j/(2j)! rounded once per working precision; its power sum stays on
+``mp.power``, one per prime.
 
 Every kernel that returns a bounded value runs through :func:`core.certify`:
 when its ``err`` misses ``target_tol`` it is recomputed with up to 1024 extra
 bits, then refuses with NoConvergence.  Poles are found by :func:`core.snap`.
 
 All functions are pure.  The only shared mutable state is the Bernoulli memo
-table, which is guarded by a lock.
+and the Euler-Maclaurin coefficient table, each guarded by a lock.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 from typing import Optional, Tuple
 
 from mpmath import libmp
@@ -181,18 +185,13 @@ def bernoulli(k: int) -> Fraction:
         return _BERN_EVEN[half]
 
 
-def _bern_mpf(mp, k: int, div: int):
-    """B_k / div rounded once to the precision of mp."""
-    b = bernoulli(k)
-    return mp.make_mpf(libmp.from_rational(b.numerator, b.denominator * div,
-                                           mp.prec, libmp.round_nearest))
-
-
 # --------------------------------------------------------------------------
 # fixed-point kernels: Python ints x standing for x 2^-F
 #
 # The hot loops of the Mellin quadrature and the discrete-circle sums run on
-# these, with F = prec + FIXED_GUARD, so that no mpf is normalised per term.
+# these, with F = prec + FIXED_GUARD, so that no mpf is normalised per term
+# (the Euler-Maclaurin zeta's recurrence, :func:`_em_tail`, runs at the
+# same F but calls none of them).
 # Each of exp, cos/sin and log is within FIXED_ULPS units of 2^-F of the
 # truth (relatively for exp, absolutely for the others), so FIXED_GUARD
 # leaves the callers 2^(FIXED_GUARD - 10) such calls per term before their
@@ -358,39 +357,159 @@ def _power_sum(mp, s, N: int):
 
 
 #: N / b for the Euler-Maclaurin zeta, 2^-b its remainder target.  The
-#: least order M is then about 2N/3.  Timed at 256 and 1024 bits, real and
-#: complex s (pure-Python mpmath), the kernel is within a few per cent of
-#: its fastest for N/b from 0.2 to 0.3, and 10-30 % slower at 0.14.
-_EM_N_PER_BIT = 1 / 5
+#: least order M is then about 1.3 N.  With the order walk in fixed point
+#: the power sum dominates: timed at 64, 256 and 1024 bits, real and
+#: complex s (pure-Python mpmath, best of 9-15), the kernel at 256 and 1024
+#: bits is 5-20 % faster at N/b = 1/7 than at 1/5, and 1/8 is within noise
+#: of 1/7; at 64 bits 1/5 to 1/8 are all within noise.
+_EM_N_PER_BIT = 1 / 7
 
 
-def _em_coefficients(mp, s, N: int, target):
-    """(coefficients, bound) for the least order M whose remainder bound at
-    N is at most target (see :func:`_em_zeta_raw`), the coefficients being
-    B_2j/(2j)! (s)_{2j-1} for j = 1..M; None when the bound turns upward
-    above target first, and NoConvergence past M = 4 prec.
+_EM_LOCK = threading.Lock()
+# working bits -> (B_2/2!, B_4/4!, ...), each as (m, e) for m 2^-e
+_EM_TABLE: dict = {}
 
-    The bound at M is the magnitude of the coefficient j = M + 1 times
-    N^(-sigma-2M-1) |s+2M+1|/(sigma+2M+1), so the walk forms each
-    coefficient the sum needs, plus one.
+
+def _em_coefficients(wb: int, count: int) -> tuple:
+    """B_2j/(2j)! for j = 1..count at least, each as (m, e) with value
+    m 2^-e, |m| >= 2^F and F = wb + FIXED_GUARD: rounded to nearest once from
+    the exact Bernoulli number, so within 2^-(F+1) of it, relatively.
+
+    One table per working precision, shared by the zeta kernel and the
+    product route's tail, across calls and threads, and guarded by a lock.
+    It grows on demand, by at least half its length, and asks the Bernoulli
+    memo for its last entry first, so that the memo grows in one pass.
     """
+    with _EM_LOCK:
+        table = _EM_TABLE.get(wb, ())
+    have = len(table)
+    if have >= count:
+        return table
+    count = max(count, 3 * have // 2)
+    F = wb + FIXED_GUARD
+    bernoulli(2 * count)
+    fact = factorial(2 * have)
+    new = []
+    for j in range(have + 1, count + 1):
+        fact *= (2 * j - 1) * 2 * j
+        b = bernoulli(2 * j)
+        num, den = b.numerator, b.denominator * fact
+        e = F + 1 - abs(num).bit_length() + den.bit_length()
+        new.append((((num << (e + 1)) // den + 1) >> 1, e))
+    with _EM_LOCK:
+        if len(_EM_TABLE.get(wb, ())) < count:
+            _EM_TABLE[wb] = table + tuple(new)
+        return _EM_TABLE[wb]
+
+
+def _log2_abs(re: int, im: int) -> float:
+    """log2 |re + i im| from the top 64 bits of the larger part; -inf at 0."""
+    k = max(max(abs(re), abs(im)).bit_length() - 64, 0)
+    h = math.hypot(re >> k, im >> k)
+    return math.log2(h) + k if h else -math.inf
+
+
+#: Bits by which the screen of :func:`_em_tail` may pass an order whose
+#: float estimate lies above the target: far above the estimate's own
+#: error (at most 2^-40 bits, measured against the bound in mpmath numbers
+#: over 18,582 orders at 64 to 3000 bits, real and complex s), and far
+#: below the fall of the bound per order.
+_EM_SCREEN_SLACK = 2.0 ** -20
+
+
+def _em_tail(mp, s, N: int, target):
+    """(tail, bound, M) for the least order M whose remainder bound at N is
+    at most target (see :func:`_em_zeta_raw`), with
+
+        tail = sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} N^(1-2j),
+
+    so that N^-s tail is the Euler-Maclaurin correction; None when the bound
+    turns upward above target first, and NoConvergence past M = 4 prec.
+
+    Python-integer fixed point at F = prec + FIXED_GUARD fractional bits.
+    P_j = (s)_{2j-1} N^(1-2j) is carried as a Gaussian integer u + iv times
+    2^-e, the larger part at least 2^F: P_1 = s/N is rounded once, and
+    P_{j+1} = P_j Q_j / N^2 with Q_j = (s+2j-1)(s+2j) = s^2 + (4j-1) s +
+    (2j-1) 2j formed from s and s^2 truncated to F bits.  Each term
+    c_j P_j, c_j = B_2j/(2j)! from :func:`_em_coefficients`, is one integer
+    product shifted onto the 2^-F grid of an exact integer sum.
+
+    The order is screened, then proved.  The bound at order m is |c_{m+1}
+    P_{m+1}| N^-sigma |s+2m+1|/(sigma+2m+1); its log2 is read in floats from
+    the top bits of the integers, within about 2^-40 bits, and where that
+    reads at most log2 target + :data:`_EM_SCREEN_SLACK` the bound itself
+    is formed in mpmath numbers and compared with target.  The first m that
+    passes is M; every m below it read above log2 target + 2^-20, so its
+    bound misses the target, and M is the least order, exactly.
+
+    Error budget.  Re(s + k) >= 1/2 for k >= 1 (sigma >= -1/2), so the
+    truncations of s and s^2 (one unit of 2^-F per part, none for a part of
+    s of size 2^-20 or more) leave Q_j within 6 units of 2^-F of the truth,
+    relatively; the floor division by 2^sh N^2 that brings u + iv back to
+    F + 1 bits adds at most 2 more, and so does the conversion of P_1.  So
+    P_j is within 2^(2-prec) + 8j 2^-F relatively, the first term the
+    rounding of s/N.  A term adds the 2^-(F+1) of c_j and one unit of 2^-F
+    per part from its shift, so the j-th term of N^-s tail is within |T_j|
+    (2^(2-prec) + (8j + 1) 2^-F) + 2 N^-sigma 2^-F of T_j.  Both |T_j| and
+    N^-sigma lie below the bound on every term and partial sum that
+    :func:`_em_zeta_raw` budgets: the bounds fall up to M, so |T_j| <=
+    |T_1| |s+1|/(sigma+1) <= |s| |s+1| N^(-sigma-1)/6, below N^(1-min(sigma,
+    0)) for |Im s| < N.  With F = prec + 20 the error is then below 2^(3-
+    prec) times that bound while 8j + 3 <= 2^22, that is for any M below
+    2^19, and the budget allows 2^(10-prec): F needs no widening.
+    """
+    prec = mp.prec
+    F = prec + FIXED_GUARD
     sigma = s.real
-    coef = []
-    poch, fact, last = s, 1, None
-    npow = mp.power(N, -sigma - 1)  # N^(-sigma-2M-1)
-    n2 = mp.mpf(N) ** 2
-    for M in range(4 * mp.prec + 1):
-        fact *= (2 * M + 1) * (2 * M + 2)
-        a = _bern_mpf(mp, 2 * M + 2, fact) * poch
-        bound = abs(a) * npow * abs(s + 2 * M + 1) / (sigma + 2 * M + 1)
-        if bound <= target:
-            return coef, bound
-        if last is not None and bound >= last:
+    cplx = isinstance(s, mp.mpc)
+    a, b = s._mpc_ if cplx else (s._mpf_, libmp.fzero)
+    sr, si = libmp.to_fixed(a, F), libmp.to_fixed(b, F)
+    s2r, s2i = (sr * sr - si * si) >> F, (sr * si) >> (F - 1)
+    # P_1 = s/N as (u + iv) 2^-e, the larger part of F + 1 bits
+    p1 = s / N
+    parts = p1._mpc_ if cplx else (p1._mpf_, libmp.fzero)
+    e = F + 1 - max((x[2] + x[3] for x in parts if x[1]), default=F + 1)
+    u, v = (libmp.to_fixed(x, e) for x in parts)
+    n2 = N * N
+    nb = n2.bit_length()
+    npow = mp.power(N, -sigma)
+    nlog = -float(sigma) * math.log2(N)
+    tlog = math.log2(target.man) + target.exp + _EM_SCREEN_SLACK
+    # 4/3 of the default length N covers the least order of a real s there
+    coef = _em_coefficients(prec, int(-tlog * _EM_N_PER_BIT * 4 / 3) + 4)
+    acc_r = acc_i = 0
+    last = None
+    for m in range(4 * prec + 1):
+        if m >= len(coef):
+            coef = _em_coefficients(prec, m + 1)
+        cm, ce = coef[m]  # B_(2m+2)/(2m+2)!
+        k = 2 * m + 1
+        est = math.log2(abs(cm)) - ce + _log2_abs(u, v) - e + nlog
+        if cplx:
+            est += _log2_abs(sr + (k << F), si) - math.log2(sr + (k << F))
+        if est <= tlog:
+            bound = (mp.ldexp(abs(cm), -ce) * mp.ldexp(mp.hypot(u, v), -e)
+                     * npow * abs(s + k) / (sigma + k))
+            if bound <= target:
+                tail = (libmp.from_man_exp(acc_r, -F, prec, libmp.round_nearest),
+                        libmp.from_man_exp(acc_i, -F, prec, libmp.round_nearest))
+                return (mp.make_mpc(tail) if cplx else mp.make_mpf(tail[0])), bound, m
+        if last is not None and est >= last:
             return None
-        coef.append(a)
-        poch *= (s + 2 * M + 1) * (s + 2 * M + 2)
-        npow /= n2
-        last = bound
+        last = est
+        sh = ce + e - F
+        if sh >= 0:
+            acc_r += (cm * u) >> sh
+            acc_i += (cm * v) >> sh
+        else:
+            acc_r += (cm * u) << -sh
+            acc_i += (cm * v) << -sh
+        qr = s2r + (2 * k + 1) * sr + (k * (k + 1) << F)
+        qi = s2i + (2 * k + 1) * si
+        xr, xi = u * qr - v * qi, u * qi + v * qr
+        sh = max(abs(xr), abs(xi)).bit_length() - F - 1 - nb
+        u, v = (xr >> sh) // n2, (xi >> sh) // n2
+        e += F - sh
     raise NoConvergence("Euler-Maclaurin zeta: term budget exhausted")
 
 
@@ -405,17 +524,20 @@ def _em_zeta_raw(mp, s, tol, max_terms: int) -> Tuple:
     target is 2^-b = min(tol, 2^-prec): past tol, since callers such as the
     functional-equation check compare values at working precision, but no
     further, since the rounding term below is larger than 2^-prec anyway.
-    N = b/5 (:data:`_EM_N_PER_BIT`), at least 12 and |Im s| + 8, and M is
+    N = b/7 (:data:`_EM_N_PER_BIT`), at least 12 and |Im s| + 8, and M is
     the least order whose bound at that N meets the target
-    (:func:`_em_coefficients`); should the bound turn upward first, N grows
-    by half.  At 1024 bits and real s that is N = 211 and M of about 145.
+    (:func:`_em_tail`); should the bound turn upward first, N grows by half.
+    At 1024 bits and real s that is N = 151 and M of about 190.
 
-    The power sum is multiplicative (:func:`_power_sum`): a term k^-s is a
-    product of at most log2 N prime powers, so it carries the roundings of
-    at most log2 N powers and log2 N products, not of one mp.power.  Each
-    coefficient B_2j/(2j)! is rounded once from its exact value.  Both fit
-    inside the rounding budget below, 2^10 units in the last place per term
-    (4 log2 N of them at most, for any N a list can hold), times a bound on
+    The order walk and the correction sum are one integer recurrence in
+    fixed point (:func:`_em_tail`), on coefficients B_2j/(2j)! rounded once
+    per working precision (:func:`_em_coefficients`); the correction is then
+    scaled by the one power N^-s that the two middle terms share.  The power
+    sum is multiplicative (:func:`_power_sum`): a term k^-s is a product of
+    at most log2 N prime powers, so it carries the roundings of at most
+    log2 N powers and log2 N products, not of one mp.power.  Each fits inside
+    the rounding budget below, 2^10 units in the last place per term (4
+    log2 N of them at most, for any N a list can hold), times a bound on
     every term and partial sum, over the N + M terms.
     """
     sigma = s.real
@@ -424,22 +546,16 @@ def _em_zeta_raw(mp, s, tol, max_terms: int) -> Tuple:
     while True:
         if N > max_terms:
             raise NoConvergence("Euler-Maclaurin zeta: term budget exhausted")
-        found = _em_coefficients(mp, s, N, target)
+        found = _em_tail(mp, s, N, target)
         if found is not None:
             break
         N = int(N * 1.5) + 1
-    coef, bound = found
-    acc = _power_sum(mp, s, N)
-    acc += mp.power(N, 1 - s) / (s - 1) + mp.power(N, -s) / 2
-    npow = mp.power(N, -s - 1)
-    n2 = mp.mpf(N) ** 2
-    for a in coef:
-        acc += a * npow
-        npow /= n2
+    tail, bound, M = found
+    acc = _power_sum(mp, s, N) + mp.power(N, -s) * (N / (s - 1) + mp.mpf(0.5) + tail)
     # the k^-s partial sums can exceed |acc| when phases cancel, so the
     # rounding mass is bounded by the term count times the largest magnitude
     round_err = (abs(acc) + mp.mpf(N) ** (1 - min(sigma, 0)) + 1) \
-        * mp.mpf(2) ** (10 - mp.prec) * (N + len(coef))
+        * mp.mpf(2) ** (10 - mp.prec) * (N + M)
     return acc, bound + round_err
 
 

@@ -28,6 +28,7 @@ from typing import Optional
 from mpmath.libmp import (
     fone,
     from_int,
+    from_rational,
     mpc_div,
     mpc_mul,
     mpc_one,
@@ -35,6 +36,7 @@ from mpmath.libmp import (
     mpf_div,
     mpf_mul,
     mpf_neg,
+    mpf_pi,
     mpf_shift,
     mpf_sub,
     round_nearest,
@@ -71,9 +73,11 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
 
     Nonpositive integers return the exact central binomial coefficient
     C(-2s, -s); positive integers return an exact zero flagged as a simple
-    zero; positive half-integers raise PoleError.  ``use_exact_paths=False``
-    forces the generic Gamma route (useful for cross-checking the exact
-    values against the analytic continuation).
+    zero; positive half-integers raise PoleError.  A negative half-integer
+    s = -m - 1/2, given exactly, returns the rational 8 16^m / ((m+1)
+    C(2m+2, m+1)) over pi, rounded once (:func:`_at_negative_half_integer`).
+    ``use_exact_paths=False`` forces the generic Gamma route (useful for
+    cross-checking the exact values against the analytic continuation).
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -87,6 +91,8 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
                 n = -int(q)
                 return exact_result(ctx, Fraction(comb(2 * n, n)), "closed-form")
             return exact_result(ctx, Fraction(0), "closed-form", note="simple-zero")
+        if use_exact_paths and z == q and not numerics._rounded(s, z):
+            return _at_negative_half_integer(ctx, -int(q + Fraction(1, 2)))
     g1 = numerics.gamma(mp.mpf(1) / 2 - z, ctx)
     g2 = numerics.gamma(1 - z, ctx)
     v = mp.power(4, -z) / mp.sqrt(mp.pi) * g1.value / g2.value
@@ -94,6 +100,21 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
     if numerics._rounded(s, z):
         rel += abs(z) * _log_deriv_bound(mp, z) * ctx.eps
     return complex_result(ctx, v, abs(v) * rel, False, "closed-form")
+
+
+def _at_negative_half_integer(ctx: PrecisionContext, m: int) -> EvalResult:
+    """zeta_Z(-m-1/2) = 8 16^m m! (m+1)! / ((2m+2)! pi) = 8 16^m / ((m+1)
+    C(2m+2, m+1) pi), the Gamma closed form at 1/2 - s = m + 1 and 1 - s =
+    m + 3/2.  The rational and pi are taken at prec + 10 bits and their
+    quotient is rounded once to prec: half a unit in the last place, at most
+    2^-prec relatively, and the 2^(1-prec) of err covers that and the two
+    roundings at prec + 10."""
+    mp = ctx.mp
+    q = Fraction(8 * 16 ** m, (m + 1) * comb(2 * m + 2, m + 1))
+    wp = mp.prec + 10
+    v = mp.make_mpf(mpf_div(from_rational(q.numerator, q.denominator, wp, round_nearest),
+                            mpf_pi(wp, round_nearest), mp.prec, round_nearest))
+    return complex_result(ctx, v, v * mp.ldexp(1, 1 - mp.prec), True, "closed-form")
 
 
 def _log_deriv_bound(mp, z):
@@ -118,7 +139,9 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     vanishing at infinity and g^(n)(x) = (-1)^(n-1) (n-1)! (2(x-s)^-n - x^-n
     - (x-2s)^-n).  The remainder is proved: |R_J| <= 2 zeta(2J+1)
     (2 pi)^(-2J-1) int_K^inf |g^(2J+1)| <= 8 zeta(3) (2J-1)! / ((2 pi)^(2J+1)
-    d^(2J)) with d = K - 2|s|.  J is the first order that meets the
+    d^(2J)) with d = K - 2|s|.  Each B_2j/(2j (2j-1)) is B_2j/(2j)! from
+    the table of :func:`numerics._em_coefficients`, times (2j-2)!, rounded
+    once.  J is the first order that meets the
     tolerance; when the bound stops falling first (2J >= 2 pi d), K grows
     fourfold and the partial product is extended over the new factors, or
     an explicit ``terms`` raises NoConvergence.  ``err`` covers
@@ -157,10 +180,11 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
             L = -G - (2 * la - lb - lc) / 2
             ia, ib, ic = 1 / a, mp.one / K, 1 / c
             ia2, ib2, ic2 = ia * ia, ib * ib, ic * ic
-            for j in range(1, J + 1):
-                L -= (numerics._bern_mpf(mp, 2 * j, 2 * j * (2 * j - 1))
-                      * (2 * ia - ib - ic))
+            fact = 1  # (2j-2)!, so that B_2j/(2j)! (2j-2)! = B_2j/(2j (2j-1))
+            for j, (m, e) in enumerate(numerics._em_coefficients(mp.prec, J)[:J], start=1):
+                L -= mp.ldexp(m * fact, -e) * (2 * ia - ib - ic)
                 ia, ib, ic = ia * ia2, ib * ib2, ic * ic2
+                fact *= (2 * j - 1) * 2 * j
             v = P * mp.exp(L)
             # rounding: P (at most 5K + 2 roundings, see _partial_product),
             # the J correction terms, and the cancellation among the three

@@ -50,6 +50,7 @@ from mpmath.libmp import (
 from .core import (
     DomainError,
     EvalResult,
+    HPComplex,
     HPReal,
     PrecisionContext,
     certify,
@@ -331,19 +332,30 @@ def sine_power_sum(n: Union[int, DiscreteCircle], power,
 def zeta_zn_direct(n: Union[int, DiscreteCircle], s,
                    ctx: Optional[PrecisionContext] = None, *,
                    fold: bool = True) -> EvalResult:
-    """The defining finite sum at working precision (any complex s), as
-    sum_k (2 sin(pi k/n))^(-2s); err covers the rounding of an s that is not
-    exact at working precision."""
+    """The defining finite sum (any complex s), as sum_k (2 sin(pi k/n))^(-2s);
+    err covers the rounding of an s that is not exact at working precision.
+
+    The sum runs at the context's precision and, should its err miss the
+    tolerance there, again with more bits (:func:`core.certify`); a sum run
+    above the context's precision adds to err its rounding to it."""
     nn = _vertex_count(n)
     ctx = get_context(ctx)
-    z = ctx.mpc(s)
-    if z.imag == 0:
-        z = z.real
-    if z == 0:
+    z0 = ctx.mpc(s)
+    if z0 == 0:
         return exact_result(ctx, Fraction(nn - 1), "direct-sum")
-    dp = 2 * abs(z) * ctx.eps if _rounded(s, z) else 0
-    v, err = _power_sum(ctx.mp, nn, -2 * z, fold, True, dp)
-    return complex_result(ctx, v, err, False, "direct-sum")
+
+    def compute(c: PrecisionContext) -> HPComplex:
+        z = z0 if c is ctx else c.mpc(s)
+        if z.imag == 0:
+            z = z.real
+        dp = 2 * abs(z) * c.eps if _rounded(s, z) else 0
+        v, err = _power_sum(c.mp, nn, -2 * z, fold, True, dp)
+        if c is not ctx:
+            err += abs(v) * ctx.eps
+        return HPComplex(v, err)
+
+    r = certify(ctx, compute, "zeta_zn_direct")
+    return complex_result(ctx, r.value, r.err, False, "direct-sum")
 
 
 def zeta_zn_negative_int(n: Union[int, DiscreteCircle], m: int) -> Fraction:

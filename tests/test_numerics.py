@@ -154,6 +154,54 @@ def test_bernoulli_memo_is_order_independent(monkeypatch):
     assert numerics._BERN_EVEN[:301] == reference
 
 
+def test_cold_zeta_builds_the_tangent_numbers_once(monkeypatch):
+    # the first 1024-bit zeta of a process fills the Bernoulli memo and the
+    # coefficient table in one pass, not in rising steps
+    monkeypatch.setattr(numerics, "_BERN_EVEN", [Fraction(1)])
+    monkeypatch.setattr(numerics, "_EM_TABLE", {})
+    calls = []
+    tangent = numerics._tangent_numbers
+    monkeypatch.setattr(numerics, "_tangent_numbers", lambda n: calls.append(n) or tangent(n))
+    riemann_zeta_numeric(2.5, PrecisionContext(1024, 1e-120))
+    assert len(calls) == 1
+
+
+def test_zeta_coefficient_table_is_exact_to_its_bits(monkeypatch):
+    # each B_2j/(2j)! within 2^-(F+1) of the exact value, relatively, and
+    # the table is the same whether it grows in one request or in several
+    monkeypatch.setattr(numerics, "_EM_TABLE", {})
+    wb = 286
+    F = wb + numerics.FIXED_GUARD
+    grown = [numerics._em_coefficients(wb, count) for count in (1, 70, 71, 200)][-1]
+    monkeypatch.setattr(numerics, "_EM_TABLE", {})
+    once = numerics._em_coefficients(wb, 200)
+    assert grown[:200] == once[:200]
+    for j, (m, e) in enumerate(once[:200], start=1):
+        c = bernoulli(2 * j) / factorial(2 * j)
+        assert abs(m) >= 2 ** F
+        assert abs(Fraction(m, 2 ** e) - c) <= abs(c) / 2 ** (F + 1)
+
+    # concurrent requests each get at least their count, and the table they
+    # leave is the one-request table
+    monkeypatch.setattr(numerics, "_EM_TABLE", {})
+    counts = (1, 150, 60, 200, 90, 10)
+    got = {}
+    threads = [threading.Thread(target=lambda n=n: got.setdefault(n, numerics._em_coefficients(wb, n)))
+               for n in counts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(got[n]) >= n and got[n][:n] == once[:n] for n in counts)
+    assert numerics._EM_TABLE[wb][:200] == once[:200]
+
+
 # ---------------------------------------------------------------- bessel
 
 def _i0_series_oracle(mp, t, terms=400):
@@ -239,7 +287,7 @@ def test_zeta_range_edges(ctx, mp):
 
 # 1024 bits/1e-120, the lattice-deep precision: Euler-Maclaurin points
 # (four real, two complex, and 1/2 + 400i, where N = |Im s| + 8 exceeds
-# the precision's default of b/5 = 211 terms) and one reflected point
+# the precision's default of b/7 = 151 terms) and one reflected point
 _DEEP_ZETA = [2.5, 0.3, 7.7, -0.4, -5.3, complex(0.7, 3.1), complex(0.5, 40),
               complex(0.5, 400)]
 
@@ -282,22 +330,23 @@ def test_fixed_point_kernels(F):
 
 def _em_orders(monkeypatch):
     """Lists that record each Euler-Maclaurin sum's length N (from the power
-    sum) and every Bernoulli index formed; the highest is 2M + 2, for the
-    remainder bound at order M."""
-    lengths, indices = [], []
-    power_sum, bern_mpf = numerics._power_sum, numerics._bern_mpf
+    sum) and its order M, as the kernel's order walk returns it."""
+    lengths, orders = [], []
+    power_sum, em_tail = numerics._power_sum, numerics._em_tail
 
     def counted_power_sum(mp, s, N):
         lengths.append(N)
         return power_sum(mp, s, N)
 
-    def counted_bern_mpf(mp, k, div):
-        indices.append(k)
-        return bern_mpf(mp, k, div)
+    def counted_em_tail(mp, s, N, target):
+        found = em_tail(mp, s, N, target)
+        if found is not None:
+            orders.append(found[2])
+        return found
 
     monkeypatch.setattr(numerics, "_power_sum", counted_power_sum)
-    monkeypatch.setattr(numerics, "_bern_mpf", counted_bern_mpf)
-    return lengths, indices
+    monkeypatch.setattr(numerics, "_em_tail", counted_em_tail)
+    return lengths, orders
 
 
 def _em_bound(mp, s, N, M):
@@ -324,9 +373,9 @@ def test_zeta_order_is_least_for_its_length(bits, tol, s, monkeypatch):
     mp = ctx.mp
     z = ctx.mpc(s)
     z = z.real if z.imag == 0 else z
-    lengths, indices = _em_orders(monkeypatch)
+    lengths, orders = _em_orders(monkeypatch)
     numerics._em_zeta_raw(mp, z, ctx.tol, ctx.max_terms)
-    N, M = lengths[0], max(indices) // 2 - 1
+    N, M = lengths[0], orders[0]
     target = min(ctx.tol, mp.mpf(2) ** -mp.prec)
     assert M >= 1
     assert _em_bound(mp, z, N, M) <= target < _em_bound(mp, z, N, M - 1)
@@ -337,10 +386,10 @@ def test_zeta_length_and_order_fit_the_target(s, monkeypatch):
     # at 1024 bits/1e-120 the remainder target is 2^-1054, which N + M <= 400
     # terms meet (one sum: the reflected point sums at 1 - s)
     ctx = PrecisionContext(1024, 1e-120)
-    lengths, indices = _em_orders(monkeypatch)
+    lengths, orders = _em_orders(monkeypatch)
     riemann_zeta_numeric(s, ctx)
     assert len(lengths) == 1
-    assert lengths[0] + max(indices) // 2 - 1 <= 400
+    assert lengths[0] + orders[0] <= 400
 
 
 # (bits, tol, s): near the pole at 1, |zeta'(s)| ~ 1/(s-1)^2 amplifies the

@@ -14,7 +14,9 @@ from zetakit import (
     PrecisionContext,
     riemann_zeta_numeric,
     sine_power_sum,
+    zeta_z_closed,
     zeta_z_mellin,
+    zeta_z_product,
     zeta_zn_direct,
 )
 
@@ -148,3 +150,47 @@ def test_zeta_z_mellin_is_honest(point):
     r = zeta_z_mellin(s, ctx)
     assert r.err <= ctx.tol
     assert abs(mp.mpc(r.value.value) - truth) <= r.err
+
+
+def _zeta_z_truth(mp, z):
+    """4^-z Gamma(1/2 - z) / (sqrt(pi) Gamma(1 - z)) in mpmath numbers."""
+    return mp.power(4, -z) * mp.gamma(mp.mpf(1) / 2 - z) * mp.rgamma(1 - z) / mp.sqrt(mp.pi)
+
+
+@st.composite
+def _lattice_points(draw):
+    """(bits, s) with -8 <= Re s <= 8: a real Fraction (an integer, a
+    half-integer or a non-dyadic Fraction), or a complex s with dyadic parts
+    and 1/16 <= |Im s| <= 4.  Every real s stays 1/8 from the poles at the
+    positive half-integers, and a positive one off the integers and
+    half-integers, where the product degenerates."""
+    bits = draw(st.sampled_from(sorted(_CONTEXTS)))
+    if draw(st.booleans()):
+        s = draw(_reals(-8, 8))
+        assume(s <= 0 or min(abs(s - Fraction(k, 2)) for k in range(1, 18)) >= Fraction(1, 8))
+        return bits, s
+    return bits, complex(draw(st.integers(-512, 512)) / 64,
+                         draw(st.integers(1, 64)) / 16 * draw(st.sampled_from([1, -1])))
+
+
+@settings(_PROFILE, max_examples=16)
+@given(_lattice_points())
+def test_zeta_z_closed_is_honest(point):
+    # truth: mpmath's Gamma quotient at 2 bits + 64, taken at the exact s
+    bits, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    r = zeta_z_closed(s, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - _zeta_z_truth(mp, _exact(mp, s))) <= r.err
+
+
+@settings(_PROFILE, max_examples=12)
+@given(_lattice_points())
+def test_zeta_z_product_is_honest(point):
+    bits, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    r = zeta_z_product(s, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - _zeta_z_truth(mp, _exact(mp, s))) <= r.err

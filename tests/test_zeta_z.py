@@ -43,6 +43,40 @@ def test_closed_negative_half_integers(ctx, mp):
     assert abs(r.value.value - 4 / mp.pi) < mp.mpf(10) ** -70
 
 
+@pytest.mark.parametrize("bits,tol", [(64, 1e-12), (256, 1e-30), (1024, 1e-120)], ids=str)
+def test_closed_half_integer_path_matches_gamma_route(bits, tol):
+    # s = -m - 1/2 takes the rational over pi, rounded once; it agrees with
+    # the Gamma route within both errs and its err covers mpmath's Gamma
+    # quotient at 2 bits + 64
+    ctx = PrecisionContext(bits, tol)
+    mp = MPContext()
+    mp.prec = 2 * bits + 64
+    for m in (0, 1, 2, 5, 12, 20):
+        s = Fraction(-2 * m - 1, 2)
+        r = zeta_z_closed(s, ctx)
+        g = zeta_z_closed(s, ctx, use_exact_paths=False)
+        assert r.method == "closed-form" and r.exact is None and r.err <= ctx.tol
+        assert abs(r.value.value - g.value.value) <= r.err + g.err
+        x = mp.mpf(-2 * m - 1) / 2
+        truth = mp.power(4, -x) * mp.gamma(mp.mpf(1) / 2 - x) / (mp.sqrt(mp.pi) * mp.gamma(1 - x))
+        assert abs(mp.mpc(r.value.value) - truth) <= r.err
+    assert abs(mp.mpc(zeta_z_closed(-0.5, ctx).value.value) - 4 / mp.pi) <= ctx.tol
+
+
+def test_closed_half_integer_path_needs_the_exact_argument():
+    # an s that merely snaps to -1/2, or rounds onto it, keeps the Gamma route
+    ctx = PrecisionContext(256, 1e-30)
+    calls = []
+    gamma = zeta_z.numerics.gamma
+    near = Fraction(-1, 2) + Fraction(1, 10 ** 50)  # within the snapping radius 2^-128
+    for s in (Fraction(-1, 2), -0.5, near):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zeta_z.numerics, "gamma", lambda z, c: calls.append(z) or gamma(z, c))
+            zeta_z_closed(s, ctx)
+        assert bool(calls) == (s is near)
+
+
 def test_closed_simple_zeros(ctx):
     for n in range(1, 11):
         r = zeta_z_closed(n, ctx)

@@ -31,6 +31,34 @@ def test_direct_single_term(ctx, mp):
     assert abs(r.value.re - Fraction(1, 4)) < ctx.tol
 
 
+@pytest.mark.parametrize("fold", [True, False])
+def test_direct_sum_escalates_to_meet_the_tolerance(fold):
+    # at 64 bits/1e-12 the sum for n = 1000, s = 3 (about 2.5e13) misses the
+    # tolerance at the context's precision and is served with more bits;
+    # err, which covers the rounding back to 64 bits, holds against mpmath
+    ctx = PrecisionContext(64, 1e-12)
+    mp = MPContext()
+    mp.prec = 400
+    truth = mp.fsum((2 * mp.sinpi(mp.mpf(k) / 1000)) ** -6 for k in range(1, 1000))
+    r = zeta_zn_direct(1000, 3, ctx, fold=fold)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - truth) <= r.err
+
+
+def test_direct_sum_runs_once_when_the_first_precision_serves(monkeypatch):
+    ctx = PrecisionContext(256, 1e-30)
+    calls = []
+    power_sum = zeta_zn._power_sum
+
+    def counted(mp, *args):
+        calls.append(mp.prec)
+        return power_sum(mp, *args)
+
+    monkeypatch.setattr(zeta_zn, "_power_sum", counted)
+    zeta_zn_direct(300, Fraction(3, 7), ctx)
+    assert calls == [ctx.working_bits]
+
+
 def test_direct_exact_algebra_oracle(ctx, mp):
     # n = 3, s = 2: sin^2(pi/3) = 3/4 exactly, so 4^(-2) * 2 * (4/3)^2 = 2/9
     oracle = Fraction(1, 16) * 2 * Fraction(4, 3) ** 2
