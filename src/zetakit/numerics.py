@@ -190,8 +190,9 @@ def bernoulli(k: int) -> Fraction:
 #
 # The hot loops of the Mellin quadrature and the discrete-circle sums run on
 # these, with F = prec + FIXED_GUARD, so that no mpf is normalised per term
-# (the Euler-Maclaurin zeta's recurrence, :func:`_em_tail`, runs at the
-# same F but calls none of them).
+# (the Euler-Maclaurin zeta's recurrence, :func:`_em_tail`, and the product
+# route's partial product and tail sum run at the same F but call none of
+# them).
 # Each of exp, cos/sin and log is within FIXED_ULPS units of 2^-F of the
 # truth (relatively for exp, absolutely for the others), so FIXED_GUARD
 # leaves the callers 2^(FIXED_GUARD - 10) such calls per term before their

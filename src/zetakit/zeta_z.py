@@ -8,7 +8,9 @@ Three independent evaluation routes are provided and cross-checked:
   integers;
 * ``zeta_z_product`` -- the infinite product prod_k (k-s)^2 / (k (k-2s)),
   truncated with a certified tail: one Euler-Maclaurin sum of its
-  logarithm with a proved remainder bound;
+  logarithm with a proved remainder bound, its length sized from the bits
+  the value must carry, the partial product and the tail's correction sum
+  in Python-integer fixed point;
 * ``zeta_z_mellin``  -- tanh-sinh quadrature of the heat-trace Mellin
   integral in its spectral form integral_0^1 (2 sin(pi x/2))^(-2s) dx on the
   convergence strip 0 < Re(s) < 1/2; it evaluates no Gamma function, so it
@@ -21,25 +23,19 @@ paths at the integers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
 from mpmath.libmp import (
-    fone,
-    from_int,
+    from_man_exp,
     from_rational,
-    mpc_div,
-    mpc_mul,
-    mpc_one,
-    mpc_square,
+    fzero,
     mpf_div,
-    mpf_mul,
-    mpf_neg,
     mpf_pi,
-    mpf_shift,
-    mpf_sub,
     round_nearest,
+    to_fixed,
 )
 
 from .core import (
@@ -124,34 +120,47 @@ def _log_deriv_bound(mp, z):
     return numerics._psi_bound(mp, mp.mpf(1) / 2 - z) + numerics._psi_bound(mp, 1 - z) + 2
 
 
+#: d / b for the product route, d = K - 2|s| and 2^-b its target relative to
+#: the value.  Timed against 0.15 to 0.4: flat at 64 and 256 bits, 0.3 and
+#: 0.4 fastest at 1024 bits.
+_PRODUCT_D_PER_BIT = 0.3
+
+
 def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
                    terms: Optional[int] = None) -> EvalResult:
     """Truncated product prod_{k<=K} (k-s)^2 / (k (k-2s)) with certified tail.
 
-    The partial product is one quotient, prod (k-s)^2 / prod k (k-2s), both
-    products accumulated in raw libmp tuples with at most 5K + 2 roundings
-    in all (:func:`_partial_product`).  The tail log sum_{k>K} g(k),
-    g(x) = 2 log(x-s) - log x - log(x-2s), is one Euler-Maclaurin sum at K:
+    The tail log sum_{k>K} g(k), g(x) = 2 log(x-s) - log x - log(x-2s), is
+    one Euler-Maclaurin sum at K, with a = K - s, c = K - 2s and l_x =
+    log(x/K) (the x log x terms of the antiderivative G cancel):
 
-        -G(K) - g(K)/2 - sum_{j<=J} B_2j / (2j)! g^(2j-1)(K) + R_J,
+        (c + 1/2) l_c - (2a + 1) l_a - sum_{j<=J} B_2j/(2j (2j-1))
+        (2a^(1-2j) - K^(1-2j) - c^(1-2j)) + R_J,
 
-    with G(x) = 2(x-s) log(x-s) - x log x - (x-2s) log(x-2s) the antiderivative
-    vanishing at infinity and g^(n)(x) = (-1)^(n-1) (n-1)! (2(x-s)^-n - x^-n
-    - (x-2s)^-n).  The remainder is proved: |R_J| <= 2 zeta(2J+1)
-    (2 pi)^(-2J-1) int_K^inf |g^(2J+1)| <= 8 zeta(3) (2J-1)! / ((2 pi)^(2J+1)
-    d^(2J)) with d = K - 2|s|.  Each B_2j/(2j (2j-1)) is B_2j/(2j)! from
-    the table of :func:`numerics._em_coefficients`, times (2j-2)!, rounded
-    once.  J is the first order that meets the
-    tolerance; when the bound stops falling first (2J >= 2 pi d), K grows
-    fourfold and the partial product is extended over the new factors, or
-    an explicit ``terms`` raises NoConvergence.  ``err`` covers
-    that remainder and the rounding, including the O(K log K) cancellation
-    inside G(K), and the rounding of an s that is not exact at working
-    precision, amplified by :func:`_log_deriv_bound`; the rounding term only
-    grows with K, so when it alone exceeds the tolerance NoConvergence is
-    raised at once, naming precision as the cause.  Positive integers and
-    half-integers (zeros and poles of the product) raise
-    NeedsLimitInterpretation.
+    |R_J| <= 8 zeta(3) (2J-1)! / ((2 pi)^(2J+1) d^(2J)), d = K - 2|s|.
+    K = 2|s| + d with d = 0.3 b + 3 (:data:`_PRODUCT_D_PER_BIT`), 2^b =
+    |value| / tol from ``mp.mag`` (0 <= b <= prec) and |value| taken as
+    4^-Re s (the closed form's Gamma quotient is at most 1 for Re s <= 0,
+    about |tan(pi s)| / sqrt(pi s) for s > 0).  At J = floor(pi d) the bound
+    is below 31 e^(-2 pi d) < 2^(5-9d) (Stirling), under 2^(-b-2) for any
+    d/b of at least 1/9: the first K serves unless |value| exceeds its
+    estimate.  J is the first order with R_J <= x/(1+x), x = tol / (4 |v0|)
+    with v0 = P_K e^(-G(K) - g(K)/2), so |v0| (e^R_J - 1) <= tol/4
+    (:func:`_tail_order`).  When the bound stops falling first, K grows
+    fourfold and the partial product is extended, or an explicit ``terms``
+    raises NoConvergence.
+
+    Rounding, in units u = 2^-prec of |v|, with the fixed-point parts at F =
+    prec + ``FIXED_GUARD``: P_K within (3K + 1) 2^(1-F) + u
+    (:func:`_partial_product`) fits 3K 4u; the correction sum within J
+    2^(6-F) (:func:`_tail_sum`) fits 4J 4u; l_x within (3 + |l_x|) u (two
+    roundings in x/K) puts the leading part within 4 mass u, fitting 4 mass
+    4u; the conversions, the exp and the product take the 16 4u.  ``err``
+    adds the remainder and the rounding of an s not exact at working
+    precision (:func:`_log_deriv_bound`).  The rounding term only grows with
+    K, so when it alone exceeds the tolerance NoConvergence is raised at
+    once, naming precision.  Positive integers and half-integers (zeros and
+    poles of the product) raise NeedsLimitInterpretation.
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -163,37 +172,29 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     if z.imag == 0:
         z = z.real  # keep the product in real arithmetic when possible
     absz = abs(z)
-    K = terms if terms is not None else max(256, int(4 * absz) + 16)
     tol = ctx.tol
+    b = min(mp.prec, max(0, int(-2 * z.real) + 1 - mp.mag(tol)))
+    K = terms if terms is not None else int(2 * absz) + int(_PRODUCT_D_PER_BIT * b) + 3
     partial = None
     while True:
         if K > ctx.max_terms:
             raise NoConvergence("product truncation exceeds max_terms")
         P, partial = _partial_product(mp, z, K, partial)
-        # the stopping rule |P| expm1(R_J) <= tol/4, solved for R_J once
-        order = _em_tail_order(mp, K - 2 * absz, mp.log1p(tol / 4 / abs(P)))
+        a, c = K - z, K - 2 * z
+        la, lc = mp.log(a / K), mp.log(c / K)
+        wa, wc = 2 * a + 1, c + mp.mpf(0.5)
+        L = wc * lc - wa * la  # -G(K) - g(K)/2
+        x = tol / (4 * abs(P) * mp.exp(L.real))  # tol / (4 |v0|)
+        order = _tail_order(mp, K - 2 * absz, x / (1 + x))
         if order is not None:
             J, R = order
-            a, c = K - z, K - 2 * z
-            la, lb, lc = mp.log(a), mp.log(K), mp.log(c)
-            G = 2 * a * la - K * lb - c * lc
-            L = -G - (2 * la - lb - lc) / 2
-            ia, ib, ic = 1 / a, mp.one / K, 1 / c
-            ia2, ib2, ic2 = ia * ia, ib * ib, ic * ic
-            fact = 1  # (2j-2)!, so that B_2j/(2j)! (2j-2)! = B_2j/(2j (2j-1))
-            for j, (m, e) in enumerate(numerics._em_coefficients(mp.prec, J)[:J], start=1):
-                L -= mp.ldexp(m * fact, -e) * (2 * ia - ib - ic)
-                ia, ib, ic = ia * ia2, ib * ib2, ic * ic2
-                fact *= (2 * j - 1) * 2 * j
-            v = P * mp.exp(L)
-            # rounding: P (at most 5K + 2 roundings, see _partial_product),
-            # the J correction terms, and the cancellation among the three
-            # K log K terms of G(K)
-            mass = 2 * abs(a * la) + abs(K * lb) + abs(c * lc)
+            v = P * mp.exp(L - _tail_sum(mp, z, K, J))
+            mass = abs(wa) * (1 + abs(la)) + abs(wc) * (1 + abs(lc))
             rounding = abs(v) * (3 * K + 4 * J + 16 + 4 * mass) * mp.mpf(2) ** (2 - mp.prec)
             if numerics._rounded(s, z):
                 rounding += abs(v * z) * _log_deriv_bound(mp, z) * ctx.eps
-            err = abs(v) * mp.expm1(R) * (1 + mp.mpf(2) ** -10) + rounding
+            # e^R - 1 <= R/(1-R) for 0 <= R < 1
+            err = abs(v) * R / (1 - R) * (1 + mp.mpf(2) ** -10) + rounding
             if err <= tol:
                 return complex_result(ctx, v, err, True, "product")
             # the rounding term only grows with K: no larger K can certify
@@ -205,66 +206,123 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
             raise NoConvergence("requested truncation cannot certify the tolerance")
 
 
+def _dyadic(z):
+    """(m_re, m_im, sh) with z = (m_re + i m_im) 2^-sh exactly, sh >= 0."""
+    parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
+    sh = max([-p[2] for p in parts if p[1]] + [0])
+    return to_fixed(parts[0], sh), to_fixed(parts[1], sh), sh
+
+
+def _divide(xr: int, xi: int, yr: int, yi: int, F: int):
+    """(qr, qi, t), (qr + i qi) 2^-t = (xr + i xi) / (yr + i yi) with each
+    part floored and the larger at least 2^F: within 2^(1-F) relatively."""
+    dd = yr * yr + yi * yi
+    nr, ni = xr * yr + xi * yi, xi * yr - xr * yi
+    t = max(0, F + 1 + dd.bit_length() - max(nr.bit_length(), ni.bit_length()))
+    return (nr << t) // dd, (ni << t) // dd, t
+
+
+def _to_mp(mp, re: int, im: int, e: int, cplx: bool):
+    """(re + i im) 2^e rounded to prec, as an mpc when cplx, else an mpf."""
+    re, im = (from_man_exp(x, e, mp.prec, round_nearest) for x in (re, im))
+    return mp.make_mpc((re, im)) if cplx else mp.make_mpf(re)
+
+
 def _partial_product(mp, z, K: int, partial=None):
     """(P_K, partial) for P_K = prod_{k<=K} (k-z)^2 / (k (k-2z)), real (mpf)
-    or complex z, as the quotient of two products: one division in place of
-    K.  ``partial`` is the raw state (k, numerator, denominator) after the
-    factors up to k; passing the one returned for a smaller K forms only the
-    factors k+1..K, with the roundings of a build from k = 1.
+    or complex z; passing the ``partial`` state returned for a smaller K
+    forms only the new factors, with the truncations of a build from k = 1.
 
-    The numerator prod (k-z)^2 and the denominator prod (k^2 - 2kz), with
-    2kz exact, are accumulated in raw ``mpmath.libmp`` tuples at prec with
-    rounding to nearest.  Each factor costs two subtractions (k - z and
-    k^2 - 2kz), one squaring and two multiplies, each within u = 2^(-prec)
-    of its result, relatively: 5 real roundings, or for complex z 3 complex
-    multiplies (each component rounded once from exact products, so within
-    u |result|) plus the two subtractions.  The final division, whose
-    complex form works at prec + 10 before its last rounding, is within
-    1.01 u, so P_K is within (5K + 3) u of the exact product (K u is
-    tiny), inside the 3K 2^(2-prec) = 12K u that the caller budgets.
+    With z = m 2^-sh (:func:`_dyadic`), k - z and k (k-2z) are exact
+    Gaussian integers over 2^sh.  prod (k-z) and prod k (k-2z) are carried
+    as Gaussian integers with exponents, both parts floored after each
+    factor to the grid that leaves the larger F + 1 bits (F = prec +
+    ``FIXED_GUARD``), a relative change below 2^(1-F); P_K, the square of
+    the one over the other, is one quotient (:func:`_divide`) rounded once:
+    within (3K + 1) 2^(1-F) + 2^-prec of the exact product.
     """
-    prec, rnd = mp.prec, round_nearest
-    if isinstance(z, mp.mpc):
-        k0, num, den = partial or (0, mpc_one, mpc_one)
-        a, b = z._mpc_
-        a2, b2 = mpf_shift(a, 1), mpf_shift(b, 1)
-        for k in range(k0 + 1, K + 1):
-            f = (mpf_sub(from_int(k), a, prec, rnd), mpf_neg(b))
-            num = mpc_mul(num, mpc_square(f, prec, rnd), prec, rnd)
-            g = (mpf_sub(from_int(k * k), mpf_mul(a2, from_int(k)), prec, rnd),
-                 mpf_mul(b2, from_int(-k)))
-            den = mpc_mul(den, g, prec, rnd)
-        return mp.make_mpc(mpc_div(num, den, prec, rnd)), (K, num, den)
-    k0, num, den = partial or (0, fone, fone)
-    a = z._mpf_
-    a2 = mpf_shift(a, 1)
+    F = mp.prec + numerics.FIXED_GUARD
+    mr, mi, sh = _dyadic(z)
+    k0, (nr, ni, ne), (dr, di, de) = partial or (0, (1, 0, 0), (1, 0, 0))
     for k in range(k0 + 1, K + 1):
-        f = mpf_sub(from_int(k), a, prec, rnd)
-        num = mpf_mul(num, mpf_mul(f, f, prec, rnd), prec, rnd)
-        g = mpf_sub(from_int(k * k), mpf_mul(a2, from_int(k)), prec, rnd)
-        den = mpf_mul(den, g, prec, rnd)
-    return mp.make_mpf(mpf_div(num, den, prec, rnd)), (K, num, den)
+        x = k << sh
+        ar, br, bi = x - mr, k * (x - 2 * mr), 2 * k * mi  # times ar - i mi, br - i bi
+        nr, ni = nr * ar + ni * mi, ni * ar - nr * mi
+        dr, di = dr * br + di * bi, di * br - dr * bi
+        t = max(nr.bit_length(), ni.bit_length()) - F - 1
+        if t > 0:
+            nr, ni, ne = nr >> t, ni >> t, ne + t
+        t = max(dr.bit_length(), di.bit_length()) - F - 1
+        if t > 0:
+            dr, di, de = dr >> t, di >> t, de + t
+    qr, qi, t = _divide(nr * nr - ni * ni, 2 * nr * ni, dr, di, F)
+    P = _to_mp(mp, qr, qi, 2 * ne - de - sh * K - t, bool(mi))
+    return P, (K, (nr, ni, ne), (dr, di, de))
 
 
 #: 8 zeta(3) rounded up: the constant of the Euler-Maclaurin tail remainder.
 _EIGHT_ZETA3 = 9.6168
 
 
-def _em_tail_order(mp, d, rmax):
+def _tail_order(mp, d, rmax):
     """(J, R_J) for the first order J whose remainder bound R_J =
     8 zeta(3) (2J-1)! / ((2 pi)^(2J+1) d^(2J)) is at most rmax, or None when
-    the bound stops falling first (2J >= 2 pi d)."""
+    the bound stops falling first (2J >= 2 pi d).  log2 R_J is screened in
+    floats; at the first J that reads at most log2 rmax +
+    ``numerics._EM_SCREEN_SLACK``, far above the floats' error, R_J is
+    formed in mpmath numbers and compared with rmax.
+    """
     if d <= 0:
         return None
-    two_pi_d = 2 * mp.pi * d
-    R = _EIGHT_ZETA3 / (two_pi_d ** 2 * 2 * mp.pi)
+    two_pi_d = 2 * math.pi * float(d)
+    step = -2 * math.log2(two_pi_d)
+    lr = math.log2(_EIGHT_ZETA3 / (2 * math.pi)) + step
+    tlog = math.log2(rmax.man) + rmax.exp + numerics._EM_SCREEN_SLACK
     J = 1
-    while R > rmax:
+    while True:
+        if lr <= tlog:
+            R = _EIGHT_ZETA3 * mp.factorial(2 * J - 1) / (2 * mp.pi * (2 * mp.pi * d) ** (2 * J))
+            if R <= rmax:
+                return J, R
         if 2 * J >= two_pi_d:
             return None
-        R *= (2 * J) * (2 * J + 1) / two_pi_d ** 2
+        lr += math.log2(2 * J * (2 * J + 1)) + step
         J += 1
-    return J, R
+
+
+def _tail_sum(mp, z, K: int, J: int):
+    """sum_{j<=J} B_2j/(2j (2j-1)) (2a^(1-2j) - K^(1-2j) - c^(1-2j)), a =
+    K - z, c = K - 2z, for an order J from :func:`_tail_order` at d = K - 2|z|.
+
+    Q_j = (2j-2)! x^(1-2j) is a Gaussian integer of F + 1 bits with an
+    exponent (F = prec + ``FIXED_GUARD``): Q_1 = 1/x, one quotient of the
+    exact x 2^sh, and Q_(j+1) = Q_j (2j-1) 2j Q_1^2, cut to F + 1 bits, so
+    within 4j 2^(1-F).  Each c_j Q_j, c_j = B_2j/(2j)! within 2^-(F+1)
+    (:func:`numerics._em_coefficients`), is floored onto the 2^-F grid of an
+    exact sum, rounded once.  J has 2(J-1) < 2 pi d <= 2 pi |x| and d > 0.19
+    (R_1 < 1 at J = 1), so the terms fall, each below 1/(12 d) < 1, and the
+    sum is within J (3 + 8J/(3d)) 2^(1-F) < J 2^(6-F).
+    """
+    F = mp.prec + numerics.FIXED_GUARD
+    mr, mi, sh = _dyadic(z)
+    coef = numerics._em_coefficients(mp.prec, J)
+    x = K << sh
+    acc_r = acc_i = 0
+    for w, xr, xi in ((2, x - mr, -mi), (-1, x, 0), (-1, x - 2 * mr, -2 * mi)):
+        u, v, e = _divide(1, 0, xr, xi, F)
+        e -= sh
+        yr, yi = u * u - v * v, 2 * u * v
+        t = max(yr.bit_length(), yi.bit_length()) - F - 1
+        yr, yi, ye = yr >> t, yi >> t, 2 * e - t
+        for j in range(1, J + 1):
+            cm, ce = coef[j - 1]
+            acc_r += w * ((cm * u) >> (ce + e - F))
+            acc_i += w * ((cm * v) >> (ce + e - F))
+            f = (2 * j - 1) * 2 * j
+            u, v = (u * yr - v * yi) * f, (u * yi + v * yr) * f
+            t = max(u.bit_length(), v.bit_length()) - F - 1
+            u, v, e = u >> t, v >> t, e + ye - t
+    return _to_mp(mp, acc_r, acc_i, -F, bool(mi))
 
 
 def zeta_z_mellin(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:

@@ -12,6 +12,8 @@ from mpmath.ctx_mp import MPContext
 
 from zetakit import (
     PrecisionContext,
+    digamma,
+    gamma,
     riemann_zeta_numeric,
     sine_power_sum,
     zeta_z_closed,
@@ -185,8 +187,30 @@ def test_zeta_z_closed_is_honest(point):
     assert abs(mp.mpc(r.value.value) - _zeta_z_truth(mp, _exact(mp, s))) <= r.err
 
 
-@settings(_PROFILE, max_examples=12)
-@given(_lattice_points())
+#: the lowest Re s of the product property per precision, above the point
+#: (about -88 at 256 bits/1e-30) where the working bits stop holding the
+#: tolerance against |zeta_Z(s)| ~ C(-2s, -s) and the route refuses by
+#: contract
+_PRODUCT_FLOOR = {64: -8, 256: -20, 1024: -100}
+
+
+@st.composite
+def _product_points(draw):
+    """(bits, s) with _PRODUCT_FLOOR[bits] <= Re s <= 8: a real Fraction, as
+    in _lattice_points, or a complex s with dyadic parts and 1/16 <= |Im s|
+    <= 60, so that K = 2|s| + d reaches past 300 at 1024 bits."""
+    bits = draw(st.sampled_from(sorted(_CONTEXTS)))
+    lo = _PRODUCT_FLOOR[bits]
+    if draw(st.booleans()):
+        s = draw(_reals(lo, 8))
+        assume(s <= 0 or min(abs(s - Fraction(k, 2)) for k in range(1, 18)) >= Fraction(1, 8))
+        return bits, s
+    return bits, complex(draw(st.integers(lo * 64, 512)) / 64,
+                         draw(st.integers(1, 960)) / 16 * draw(st.sampled_from([1, -1])))
+
+
+@settings(_PROFILE, max_examples=16)
+@given(_product_points())
 def test_zeta_z_product_is_honest(point):
     bits, s = point
     ctx = PrecisionContext(bits, _CONTEXTS[bits])
@@ -194,3 +218,55 @@ def test_zeta_z_product_is_honest(point):
     r = zeta_z_product(s, ctx)
     assert r.err <= ctx.tol
     assert abs(mp.mpc(r.value.value) - _zeta_z_truth(mp, _exact(mp, s))) <= r.err
+
+
+def _off_poles(s) -> bool:
+    """Whether s is at least 1/8 from every nonpositive integer, a pole of
+    Gamma and digamma."""
+    return min(abs(complex(s) + n) for n in range(11)) >= 1 / 8
+
+
+@st.composite
+def _gamma_points(draw):
+    """(bits, s) with |Re s| <= 10 off the pole disks: a complex s with dyadic
+    parts and |Im s| <= 8, or a real Fraction, which gamma rounds unless it
+    is an integer or a half-integer."""
+    bits = draw(st.sampled_from(sorted(_CONTEXTS)))
+    if draw(st.booleans()):
+        s = draw(_reals(-10, 10))
+    else:
+        s = complex(draw(st.integers(-640, 640)) / 64, draw(st.integers(-128, 128)) / 16)
+    assume(_off_poles(s))
+    return bits, s
+
+
+@settings(_PROFILE, max_examples=16)
+@given(_gamma_points())
+def test_gamma_is_honest(point):
+    # truth: mpmath's gamma at 2 bits + 64, taken at the exact s
+    bits, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    r = gamma(s, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value) - mp.gamma(_exact(mp, s))) <= r.err
+
+
+@st.composite
+def _digamma_points(draw):
+    """(bits, s) with s a real Fraction in [-10, 10] off the pole disks."""
+    bits = draw(st.sampled_from(sorted(_CONTEXTS)))
+    s = draw(_reals(-10, 10))
+    assume(_off_poles(s))
+    return bits, s
+
+
+@settings(_PROFILE, max_examples=12)
+@given(_digamma_points())
+def test_digamma_is_honest(point):
+    bits, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    r = digamma(s, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpf(r.value) - mp.digamma(_exact(mp, s))) <= r.err

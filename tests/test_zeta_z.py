@@ -126,7 +126,7 @@ _HONEST_POINTS = {
     pytest.param(256, 1e-30, Fraction(1, 4), 400, id="terms400"),
     pytest.param(64, 1e-12, complex(-2.5, 1.5), 300, id="64bits-terms300"),
     pytest.param(1024, 1e-120, complex(0.2, 0.3), 400, id="1024bits-terms400"),
-    # far up the imaginary axis: |s| = 60, K = 4|s| + 16
+    # far up the imaginary axis: |s| = 60, so K = 2|s| + d is far above d
     pytest.param(64, 1e-12, complex(0.25, 60), None, id="64bits-cplx-im60"),
     pytest.param(1024, 1e-120, complex(0.25, 60), None, id="1024bits-cplx-im60"),
 ] + [
@@ -144,45 +144,76 @@ def test_product_error_bound_is_honest(bits, tol, s, terms):
     assert abs(p.value.value - c.value.value) <= p.err
 
 
+def _record_builds(monkeypatch):
+    """The (first new factor, K) of each partial-product build, in order."""
+    builds = []
+    build = zeta_z._partial_product
+    monkeypatch.setattr(zeta_z, "_partial_product", lambda mp, z, K, partial=None: (
+        builds.append((partial[0] + 1 if partial else 1, K)) or build(mp, z, K, partial)))
+    return builds
+
+
+@pytest.mark.parametrize("bits, tol, s", [
+    (1024, 1e-120, -70.7), (1024, 1e-120, complex(-60.3, 2)), (256, 1e-30, complex(-60.3, 2)),
+], ids=str)
+def test_product_aims_the_tail_order_at_the_value(monkeypatch, bits, tol, s):
+    # |zeta_Z(s)| is far above the partial product's size at these points: an
+    # order aimed at |P_K| misses the tolerance and K grows; aimed at the
+    # value, the first K serves
+    builds = _record_builds(monkeypatch)
+    p = zeta_z_product(s, PrecisionContext(bits, tol))
+    assert len(builds) == 1
+    assert p.err <= tol
+
+
+@pytest.mark.parametrize("bits, tol, factors", [(256, 1e-30, 64), (1024, 1e-120, 192)])
+def test_product_sizes_k_from_the_target(monkeypatch, bits, tol, factors):
+    builds = _record_builds(monkeypatch)
+    zeta_z_product(Fraction(1, 4), PrecisionContext(bits, tol))
+    assert sum(K - k + 1 for k, K in builds) <= factors
+
+
 def test_product_grows_k_fourfold(monkeypatch):
-    # at s = -60.3+2i, 1024 bits, the first K (256) misses the tolerance, so
-    # K grows to 1024; the result is still honest against the closed form
-    orders = []
-    tail_order = zeta_z._em_tail_order
-    monkeypatch.setattr(zeta_z, "_em_tail_order",
-                        lambda *a: orders.append(a) or tail_order(*a))
+    # with d = K - 2|s| undersized, the remainder bound at s = -60.3+2i,
+    # 1024 bits, stops falling above the tolerance, so K grows fourfold once;
+    # the result is still honest against the closed form
+    monkeypatch.setattr(zeta_z, "_PRODUCT_D_PER_BIT", 0)
+    builds = _record_builds(monkeypatch)
     s = complex(-60.3, 2)
     p = zeta_z_product(s, PrecisionContext(1024, 1e-120))
     c = zeta_z_closed(s, PrecisionContext(2048, 1e-120))
-    assert len(orders) == 2
+    assert [K for _, K in builds] == [builds[0][1], 4 * builds[0][1]]
     assert p.err <= 1e-120
     assert abs(p.value.value - c.value.value) <= p.err
 
 
-# (s, the K it grows to) at 1024 bits/1e-120, where the first K misses
-_PRODUCT_GROWTH = [(complex(-60.3, 2), 1028), (-70.7, 4768), (complex(-100.2, -5), 1668)]
+# points whose first K is undersized when d = K - 2|s| is cut to its minimum
+_PRODUCT_GROWTH = [complex(-60.3, 2), -70.7, complex(-100.2, -5)]
 
 
-@pytest.mark.parametrize("s,K", _PRODUCT_GROWTH, ids=str)
-def test_product_growth_is_bit_identical(s, K):
-    # extending the partial product over the new factors keeps the roundings
-    # of a build from k = 1: value and err equal those at the final K
+@pytest.mark.parametrize("s", _PRODUCT_GROWTH, ids=str)
+def test_product_growth_is_bit_identical(monkeypatch, s):
+    # extending the partial product over the new factors keeps the
+    # truncations of a build from k = 1: value and err equal those at the
+    # final K
+    monkeypatch.setattr(zeta_z, "_PRODUCT_D_PER_BIT", 0)
+    builds = _record_builds(monkeypatch)
     ctx = PrecisionContext(1024, 1e-120)
     grown = zeta_z_product(s, ctx)
-    direct = zeta_z_product(s, ctx, terms=K)
+    assert len(builds) == 2
+    direct = zeta_z_product(s, ctx, terms=builds[-1][1])
     assert grown.value.value._mpc_ == direct.value.value._mpc_
     assert grown.err == direct.err
 
 
 def test_product_growth_forms_each_factor_once(monkeypatch):
-    # K grows from 257 to 1028 at s = -60.3+2i: each factor (k - s)^2 is
-    # squared once, 1028 in all, not 257 + 1028
-    squares = []
-    mpc_square = zeta_z.mpc_square
-    monkeypatch.setattr(zeta_z, "mpc_square",
-                        lambda *a: squares.append(a) or mpc_square(*a))
+    # K grows fourfold at s = -60.3+2i: the second build forms only the
+    # factors past the first K, so each factor is formed once
+    monkeypatch.setattr(zeta_z, "_PRODUCT_D_PER_BIT", 0)
+    builds = _record_builds(monkeypatch)
     zeta_z_product(complex(-60.3, 2), PrecisionContext(1024, 1e-120))
-    assert len(squares) == 1028
+    (k1, K1), (k2, K2) = builds
+    assert (k1, k2, K2) == (1, K1 + 1, 4 * K1)
 
 
 def test_product_refuses_uncertifiable_truncation(ctx):
@@ -298,7 +329,7 @@ def _mellin_reference(ctx, z, tol):
 @pytest.mark.parametrize("bits, tol", [(64, 1e-12), (256, 1e-30), (1024, 1e-60)])
 @pytest.mark.parametrize("s", [0.02, 0.25, 0.3125, 0.48, complex(0.1, 0.3),
                                complex(0.375, -0.25)])
-def test_mellin_node_sum_is_bit_identical(bits, tol, s):
+def test_mellin_node_sum_is_within_rounding(bits, tol, s):
     # fixed point gives up bit-identity with mpmath's operators: each
     # level's node sum is within the rounding term alone, mass (nodes + 16)
     # 2^(1-prec), of the same nodes summed in mpmath numbers
