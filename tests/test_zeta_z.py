@@ -342,6 +342,35 @@ def test_mellin_node_sum_is_within_rounding(bits, tol, s):
         assert abs(ref - part) <= mass * (len(nodes) + 16) * mp.mpf(2) ** (1 - mp.prec)
 
 
+def _mellin_level_loop(ctx, z, tol):
+    """The route's level loop with each level's nodes summed in reverse
+    order: the fixed-point node sum is an exact integer sum rounded once,
+    so the order can change no bit of it."""
+    mp = ctx.mp
+    m2s = -2 * z
+    total, prev = mp.zero, None
+    for level in range(quadrature._MAX_LEVEL + 1):
+        nodes = quadrature._nodes(mp, ctx.working_bits, level)
+        part, _ = quadrature._node_sum(mp, m2s, nodes[::-1])
+        total = total / 2 + mp.mpf(2) ** (-level) * part
+        if level >= 4 and abs(total - prev) <= tol:
+            return mp.power(mp.pi, m2s) / (1 - 2 * z) + total
+        prev = total
+
+
+@pytest.mark.parametrize("bits, tol", [(64, 1e-12), (256, 1e-30), (1024, 1e-60)])
+@pytest.mark.parametrize("s", [0.02, 0.25, 0.3125, 0.48, complex(0.1, 0.3),
+                               complex(0.375, -0.25)])
+def test_mellin_node_sum_is_bit_identical(bits, tol, s):
+    # the route's value is bit-identical to its level loop run over node
+    # sums taken in reverse node order
+    ctx = PrecisionContext(bits, tol)
+    z = ctx.mpc(s)
+    z = z.real if z.imag == 0 else z
+    ref = ctx.mp.mpc(_mellin_level_loop(ctx, z, ctx.tol / 2))
+    assert zeta_z_mellin(s, ctx).value.value._mpc_ == ref._mpc_
+
+
 # ---------------------------------------------------------------- Z(s)
 
 def test_big_z_values(ctx, mp):
