@@ -8,7 +8,6 @@ from .core import (
     DomainError,
     EvalResult,
     HPComplex,
-    HPReal,
     IllConditioned,
     NeedsLimitInterpretation,
     NoConvergence,
@@ -33,7 +32,6 @@ from .zeta_z import (
     zeta_z_product,
 )
 from .zeta_zn import (
-    DiscreteCircle,
     RationalPolynomial,
     sine_odd_power_sum,
     sine_power_sum,

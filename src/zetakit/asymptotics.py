@@ -28,7 +28,6 @@ from .core import (
     DomainError,
     EvalResult,
     HPComplex,
-    HPReal,
     IllConditioned,
     PrecisionContext,
     complex_result,
@@ -51,20 +50,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExpansionTerm:
-    """One term coefficient * n^power of the large-n expansion."""
+    """One term coefficient * n^power_of_n of the large-n expansion."""
 
     coefficient: HPComplex
-    power_of_n: HPComplex
+    power_of_n: object
     description: str
 
 
 @dataclass(frozen=True)
 class ZetaExtraction:
-    """A zeta value recovered from sine-sum data on an n-grid."""
+    """A zeta value recovered from sine-sum data on an n-grid: ``estimate``
+    with the fit's rms residual as err, and ``s`` and ``reference`` plain
+    mpf, the latter Euler's rational or the Euler-Maclaurin value."""
 
-    s: HPReal
-    estimate: HPReal
-    reference: HPReal
+    s: object
+    estimate: HPComplex
+    reference: object
     abs_error: object
     n_grid: List[int]
 
@@ -106,11 +107,10 @@ def expansion_terms(s, ctx: Optional[PrecisionContext] = None) -> List[Expansion
     z2 = numerics.riemann_zeta_numeric(z - 2, ctx)
     c3 = z / 3 * mp.power(mp.pi, 2 - z) * z2.value
     c3_err = abs(z / 3 * mp.power(mp.pi, 2 - z)) * z2.err + abs(c3) * eps
-    one = mp.mpc(1)
     return [
-        ExpansionTerm(HPComplex(lead, lead_err), HPComplex(one), "leading"),
-        ExpansionTerm(HPComplex(mp.mpc(c2), c2_err), HPComplex(mp.mpc(z)), "zeta(s)"),
-        ExpansionTerm(HPComplex(mp.mpc(c3), c3_err), HPComplex(mp.mpc(z - 2)), "zeta(s-2)"),
+        ExpansionTerm(HPComplex(lead, lead_err), mp.mpc(1), "leading"),
+        ExpansionTerm(HPComplex(mp.mpc(c2), c2_err), mp.mpc(z), "zeta(s)"),
+        ExpansionTerm(HPComplex(mp.mpc(c3), c3_err), mp.mpc(z - 2), "zeta(s-2)"),
     ]
 
 
@@ -124,7 +124,7 @@ def evaluate_expansion(terms: Sequence[ExpansionTerm], n,
     for t in terms:
         if t.coefficient.value == 0:
             continue
-        p = mp.power(n, t.power_of_n.value)
+        p = mp.power(n, t.power_of_n)
         acc += t.coefficient.value * p
         err += (t.coefficient.err or mp.zero) * abs(p)
     err += abs(acc) * mp.mpf(2) ** (6 - mp.prec)
@@ -199,9 +199,9 @@ def extract_zeta(s, n_min: int, n_max: int,
     else:
         reference = numerics.riemann_zeta_numeric(x, ctx).value.real
     return ZetaExtraction(
-        s=HPReal(x, mp.zero),
-        estimate=HPReal(estimate, rms),
-        reference=HPReal(reference, mp.zero),
+        s=x,
+        estimate=HPComplex(estimate, rms),
+        reference=reference,
         abs_error=abs(estimate - reference),
         n_grid=grid,
     )

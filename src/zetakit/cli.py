@@ -113,7 +113,7 @@ def _format_value(ctx, result, scientific: bool = False) -> tuple:
         if result.exact is not None:
             return _format_rational(result.exact), "0", result.method, True
         value, method = result.value.value, result.method
-    else:  # HPReal / HPComplex
+    else:  # HPComplex
         value, method = result.value, "direct"
     return (_format_number(ctx, value, scientific),
             _format_decimal(ctx, result.err, True), method, False)
@@ -163,7 +163,7 @@ def _cmd_eval(args) -> int:
     elif target == "zeta-zn":
         if args.s is None or args.n is None:
             raise _Usage("eval zeta-zn requires --n and --s")
-        n = zeta_zn.DiscreteCircle(args.n).n  # n >= 2 on every route below
+        n = zeta_zn._vertex_count(args.n)  # n >= 2 on every route below
         s = _parse_number(args.s)
         if isinstance(s, (int, Fraction)) and s == int(s) and int(s) < 0:
             result = zeta_zn.zeta_zn_negative_int(n, -int(s))
@@ -191,8 +191,7 @@ def _cmd_eval(args) -> int:
     else:  # riemann-zeta
         if args.s is None:
             raise _Usage("eval riemann-zeta requires --s")
-        hp = numerics.riemann_zeta_numeric(_parse_number(args.s), ctx)
-        result = hp
+        result = numerics.riemann_zeta_numeric(_parse_number(args.s), ctx)
         inputs = {"s": args.s}
     value, err, method, exact = _format_value(ctx, result,
                                               scientific=args.format == "csv")
@@ -325,7 +324,7 @@ def _cmd_extract(args) -> int:
         "n_min": args.n_min,
         "n_max": args.n_max,
         "estimate": _format_decimal(ctx, res.estimate.value, sci),
-        "reference": _format_decimal(ctx, res.reference.value, sci),
+        "reference": _format_decimal(ctx, res.reference, sci),
         "abs_error": _format_decimal(ctx, res.abs_error, True),
         "grid_points": len(res.n_grid),
     }

@@ -1,11 +1,12 @@
-"""Precision plumbing shared by every module: evaluation contexts, value
-carriers with error bounds, the precision policy, and the library's
-exception hierarchy.
+"""Precision plumbing shared by every module: evaluation contexts, the two
+value carriers, the precision policy, and the library's exception hierarchy.
 
 A :class:`PrecisionContext` owns a private mpmath context so that concurrent
-evaluations never race on global mpmath state.  Values are immutable; every
-numeric result carries an absolute error bound, and results that are known
-exactly carry the exact rational alongside the rounded rendering.
+evaluations never race on global mpmath state.  Values are immutable.  A
+kernel returns an :class:`HPComplex`, one real or complex value with an
+absolute error bound; a route returns an :class:`EvalResult`, which wraps
+that carrier with its certification status and method, and with the exact
+rational alongside the rounded rendering when the value is known exactly.
 
 The precision policy lives here: kernels that miss ``target_tol`` retry at
 up to 1024 extra bits (:func:`certify`), packaged results refuse
@@ -148,9 +149,9 @@ def certify(ctx: PrecisionContext, compute: Callable[[PrecisionContext], Any], w
     NoConvergence naming ``what``.
 
     ``compute`` converts its inputs into ``c`` (mpmath runs mixed arithmetic
-    at the left operand's precision) and returns an unrounded HPReal or
-    HPComplex: a result rounded by :func:`complex_result` carries a rounding
-    that its ``err`` does not cover, so routes refuse instead of escalating.
+    at the left operand's precision) and returns an unrounded HPComplex: a
+    result rounded by :func:`complex_result` carries a rounding that its
+    ``err`` does not cover, so routes refuse instead of escalating.
     """
     tol = ctx.tol
     for extra in (0,) + _BOOST_BITS:
@@ -173,26 +174,9 @@ def snap(ctx: PrecisionContext, z) -> Optional[Fraction]:
 
 
 @dataclass(frozen=True)
-class HPReal:
-    """A real scalar with an absolute error bound."""
-
-    value: Any
-    err: Any = 0
-
-    def __post_init__(self) -> None:
-        if self.err < 0:
-            raise DomainError("error bound must be nonnegative")
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
 class HPComplex:
-    """A complex scalar with a single absolute error bound on |value|."""
+    """A scalar, real (mpf) or complex (mpc), with one absolute error bound
+    on |value|: what the kernels return before a route packages it."""
 
     value: Any
     err: Any = 0

@@ -44,7 +44,6 @@ from mpmath import libmp
 from .core import (
     DomainError,
     HPComplex,
-    HPReal,
     NoConvergence,
     PoleError,
     PrecisionContext,
@@ -120,12 +119,12 @@ def gamma(s, ctx: Optional[PrecisionContext] = None) -> HPComplex:
     return certify(get_context(ctx), compute, "gamma")
 
 
-def digamma(s, ctx: Optional[PrecisionContext] = None) -> HPReal:
+def digamma(s, ctx: Optional[PrecisionContext] = None) -> HPComplex:
     """psi_0(s) for real s, accurate to the context tolerance.
 
     When s is not exact at working precision, err also covers its rounding,
     which |s psi'(s)| amplifies."""
-    def compute(c: PrecisionContext) -> HPReal:
+    def compute(c: PrecisionContext) -> HPComplex:
         x = c.mpf(s)
         if _gamma_pole(c, x):
             raise PoleError(f"digamma pole at {x}")
@@ -134,7 +133,7 @@ def digamma(s, ctx: Optional[PrecisionContext] = None) -> HPReal:
         if _rounded(s, x):
             # the rounding |x - s| <= |x| eps grows by psi'(x)
             err += abs(x) * _trigamma_bound(c.mp, x) * c.eps
-        return HPReal(d, err)
+        return HPComplex(d, err)
 
     return certify(get_context(ctx), compute, "digamma")
 
@@ -186,13 +185,16 @@ def bernoulli(k: int) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# fixed-point kernels: Python ints x standing for x 2^-F
+# fixed point: Gaussian integers with an exponent
 #
-# The hot loops of the Mellin quadrature and the discrete-circle sums run on
-# these, with F = prec + FIXED_GUARD, so that no mpf is normalised per term
-# (the Euler-Maclaurin zeta's recurrence, :func:`_em_tail`, and the product
-# route's partial product and tail sum run at the same F but call none of
-# them).
+# The hot loops run on triples (re, im, e) of Python ints standing for
+# (re + i im) 2^e, so that no mpf is normalised per term, at F = prec +
+# FIXED_GUARD: on the grid e = -F, or with F + 1 bits in the larger part.
+# ``_dyadic`` reads an mpf or mpc in, ``_trim`` and ``_divide`` cut a product
+# or a quotient to F + 1 bits, and ``_to_mp`` rounds the result back once.
+# The Mellin node sum and the discrete-circle sums also call exp, cos/sin,
+# log and integer powers of reals x 2^-F, below; the Euler-Maclaurin order
+# walk (:func:`_em_tail`) and the product route (zeta_z) call none of them.
 # Each of exp, cos/sin and log is within FIXED_ULPS units of 2^-F of the
 # truth (relatively for exp, absolutely for the others), so FIXED_GUARD
 # leaves the callers 2^(FIXED_GUARD - 10) such calls per term before their
@@ -204,6 +206,40 @@ def bernoulli(k: int) -> Fraction:
 FIXED_GUARD = 20
 #: Units of 2^-F that one kernel call may be off by.
 FIXED_ULPS = 2 ** 10
+
+
+def _dyadic(z, e: Optional[int] = None) -> Tuple[int, int, int]:
+    """(re, im, e) with z = (re + i im) 2^e for an mpf or mpc z: each part
+    floored onto the grid 2^e, or, when e is None, exactly, at the least
+    exponent of the parts and at most 0."""
+    parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, libmp.fzero)
+    if e is None:
+        e = min([p[2] for p in parts if p[1]] + [0])
+    return libmp.to_fixed(parts[0], -e), libmp.to_fixed(parts[1], -e), e
+
+
+def _trim(re: int, im: int, e: int, F: int) -> Tuple[int, int, int]:
+    """(re + i im) 2^e with both parts floored onto the grid that leaves the
+    larger at most F + 1 bits: a relative change below 2^(1-F)."""
+    t = max(re.bit_length(), im.bit_length()) - F - 1
+    if t > 0:
+        return re >> t, im >> t, e + t
+    return re, im, e
+
+
+def _divide(xr: int, xi: int, yr: int, yi: int, F: int) -> Tuple[int, int, int]:
+    """(qr, qi, e) with (qr + i qi) 2^e = (xr + i xi) / (yr + i yi), each
+    part floored and the larger at least 2^F: within 2^(1-F) relatively."""
+    dd = yr * yr + yi * yi
+    nr, ni = xr * yr + xi * yi, xi * yr - xr * yi
+    t = max(0, F + 1 + dd.bit_length() - max(nr.bit_length(), ni.bit_length()))
+    return (nr << t) // dd, (ni << t) // dd, -t
+
+
+def _to_mp(mp, re: int, im: int, e: int, cplx: bool):
+    """(re + i im) 2^e rounded to prec, as an mpc when cplx, else an mpf."""
+    re, im = (libmp.from_man_exp(x, e, mp.prec, libmp.round_nearest) for x in (re, im))
+    return mp.make_mpc((re, im)) if cplx else mp.make_mpf(re)
 
 
 def _exp_fixed(x: int, F: int) -> int:
@@ -367,13 +403,13 @@ _EM_N_PER_BIT = 1 / 7
 
 
 _EM_LOCK = threading.Lock()
-# working bits -> (B_2/2!, B_4/4!, ...), each as (m, e) for m 2^-e
+# working bits -> (B_2/2!, B_4/4!, ...), each as (m, e) for m 2^e
 _EM_TABLE: dict = {}
 
 
 def _em_coefficients(wb: int, count: int) -> tuple:
     """B_2j/(2j)! for j = 1..count at least, each as (m, e) with value
-    m 2^-e, |m| >= 2^F and F = wb + FIXED_GUARD: rounded to nearest once from
+    m 2^e, |m| >= 2^F and F = wb + FIXED_GUARD: rounded to nearest once from
     the exact Bernoulli number, so within 2^-(F+1) of it, relatively.
 
     One table per working precision, shared by the zeta kernel and the
@@ -395,8 +431,8 @@ def _em_coefficients(wb: int, count: int) -> tuple:
         fact *= (2 * j - 1) * 2 * j
         b = bernoulli(2 * j)
         num, den = b.numerator, b.denominator * fact
-        e = F + 1 - abs(num).bit_length() + den.bit_length()
-        new.append((((num << (e + 1)) // den + 1) >> 1, e))
+        e = abs(num).bit_length() - den.bit_length() - F - 1
+        new.append((((num << (1 - e)) // den + 1) >> 1, e))
     with _EM_LOCK:
         if len(_EM_TABLE.get(wb, ())) < count:
             _EM_TABLE[wb] = table + tuple(new)
@@ -428,8 +464,8 @@ def _em_tail(mp, s, N: int, target):
     turns upward above target first, and NoConvergence past M = 4 prec.
 
     Python-integer fixed point at F = prec + FIXED_GUARD fractional bits.
-    P_j = (s)_{2j-1} N^(1-2j) is carried as a Gaussian integer u + iv times
-    2^-e, the larger part at least 2^F: P_1 = s/N is rounded once, and
+    P_j = (s)_{2j-1} N^(1-2j) is carried as (u + iv) 2^e, the larger part
+    at least 2^F: P_1 = s/N is rounded once, and
     P_{j+1} = P_j Q_j / N^2 with Q_j = (s+2j-1)(s+2j) = s^2 + (4j-1) s +
     (2j-1) 2j formed from s and s^2 truncated to F bits.  Each term
     c_j P_j, c_j = B_2j/(2j)! from :func:`_em_coefficients`, is one integer
@@ -446,31 +482,28 @@ def _em_tail(mp, s, N: int, target):
     Error budget.  Re(s + k) >= 1/2 for k >= 1 (sigma >= -1/2), so the
     truncations of s and s^2 (one unit of 2^-F per part, none for a part of
     s of size 2^-20 or more) leave Q_j within 6 units of 2^-F of the truth,
-    relatively; the floor division by 2^sh N^2 that brings u + iv back to
-    F + 1 bits adds at most 2 more, and so does the conversion of P_1.  So
-    P_j is within 2^(2-prec) + 8j 2^-F relatively, the first term the
-    rounding of s/N.  A term adds the 2^-(F+1) of c_j and one unit of 2^-F
-    per part from its shift, so the j-th term of N^-s tail is within |T_j|
-    (2^(2-prec) + (8j + 1) 2^-F) + 2 N^-sigma 2^-F of T_j.  Both |T_j| and
-    N^-sigma lie below the bound on every term and partial sum that
-    :func:`_em_zeta_raw` budgets: the bounds fall up to M, so |T_j| <=
-    |T_1| |s+1|/(sigma+1) <= |s| |s+1| N^(-sigma-1)/6, below N^(1-min(sigma,
-    0)) for |Im s| < N.  With F = prec + 20 the error is then below 2^(3-
-    prec) times that bound while 8j + 3 <= 2^22, that is for any M below
-    2^19, and the budget allows 2^(10-prec): F needs no widening.
+    relatively; the cut (:func:`_trim`) and floor division by N^2 that bring
+    u + iv back to F + 1 bits add at most 2 more, and so does the conversion
+    of P_1.  So P_j is within 2^(2-prec) + 8j 2^-F relatively, the first
+    term the rounding of s/N.  A term adds the 2^-(F+1) of c_j and one unit
+    of 2^-F per part from its shift, so the j-th term of N^-s tail is within
+    |T_j| (2^(2-prec) + (8j + 1) 2^-F) + 2 N^-sigma 2^-F of T_j.  Both |T_j|
+    and N^-sigma lie below the bound on every term and partial sum that
+    :func:`_em_zeta_raw` budgets: the bounds fall up to M, so |T_j| <= |T_1|
+    |s+1|/(sigma+1) <= |s| |s+1| N^(-sigma-1)/6, below N^(1-min(sigma, 0))
+    for |Im s| < N.  With F = prec + 20 the error is then below 2^(3-prec)
+    times that bound while 8j + 3 <= 2^22, that is for any M below 2^19, and
+    the budget allows 2^(10-prec): F needs no widening.
     """
     prec = mp.prec
     F = prec + FIXED_GUARD
     sigma = s.real
     cplx = isinstance(s, mp.mpc)
-    a, b = s._mpc_ if cplx else (s._mpf_, libmp.fzero)
-    sr, si = libmp.to_fixed(a, F), libmp.to_fixed(b, F)
+    sr, si, _ = _dyadic(s, -F)
     s2r, s2i = (sr * sr - si * si) >> F, (sr * si) >> (F - 1)
-    # P_1 = s/N as (u + iv) 2^-e, the larger part of F + 1 bits
-    p1 = s / N
-    parts = p1._mpc_ if cplx else (p1._mpf_, libmp.fzero)
-    e = F + 1 - max((x[2] + x[3] for x in parts if x[1]), default=F + 1)
-    u, v = (libmp.to_fixed(x, e) for x in parts)
+    # P_1 = s/N, read exactly, shifted up by F and floored to F + 1 bits
+    u, v, e = _dyadic(s / N)
+    u, v, e = _trim(u << F, v << F, e - F, F)
     n2 = N * N
     nb = n2.bit_length()
     npow = mp.power(N, -sigma)
@@ -483,22 +516,20 @@ def _em_tail(mp, s, N: int, target):
     for m in range(4 * prec + 1):
         if m >= len(coef):
             coef = _em_coefficients(prec, m + 1)
-        cm, ce = coef[m]  # B_(2m+2)/(2m+2)!
+        cm, ce = coef[m]  # B_(2m+2)/(2m+2)! = cm 2^ce
         k = 2 * m + 1
-        est = math.log2(abs(cm)) - ce + _log2_abs(u, v) - e + nlog
+        est = math.log2(abs(cm)) + ce + _log2_abs(u, v) + e + nlog
         if cplx:
             est += _log2_abs(sr + (k << F), si) - math.log2(sr + (k << F))
         if est <= tlog:
-            bound = (mp.ldexp(abs(cm), -ce) * mp.ldexp(mp.hypot(u, v), -e)
+            bound = (mp.ldexp(abs(cm), ce) * mp.ldexp(mp.hypot(u, v), e)
                      * npow * abs(s + k) / (sigma + k))
             if bound <= target:
-                tail = (libmp.from_man_exp(acc_r, -F, prec, libmp.round_nearest),
-                        libmp.from_man_exp(acc_i, -F, prec, libmp.round_nearest))
-                return (mp.make_mpc(tail) if cplx else mp.make_mpf(tail[0])), bound, m
+                return _to_mp(mp, acc_r, acc_i, -F, cplx), bound, m
         if last is not None and est >= last:
             return None
         last = est
-        sh = ce + e - F
+        sh = -F - ce - e
         if sh >= 0:
             acc_r += (cm * u) >> sh
             acc_i += (cm * v) >> sh
@@ -507,10 +538,8 @@ def _em_tail(mp, s, N: int, target):
             acc_i += (cm * v) << -sh
         qr = s2r + (2 * k + 1) * sr + (k * (k + 1) << F)
         qi = s2i + (2 * k + 1) * si
-        xr, xi = u * qr - v * qi, u * qi + v * qr
-        sh = max(abs(xr), abs(xi)).bit_length() - F - 1 - nb
-        u, v = (xr >> sh) // n2, (xi >> sh) // n2
-        e += F - sh
+        xr, xi, e = _trim(u * qr - v * qi, u * qi + v * qr, e - F, F + nb)
+        u, v = xr // n2, xi // n2
     raise NoConvergence("Euler-Maclaurin zeta: term budget exhausted")
 
 

@@ -26,10 +26,10 @@ from __future__ import annotations
 import threading
 from typing import Tuple
 
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import to_fixed
 
 from .core import NoConvergence, PrecisionContext
-from .numerics import FIXED_GUARD, _cos_sin_fixed, _exp_fixed
+from .numerics import FIXED_GUARD, _cos_sin_fixed, _dyadic, _exp_fixed, _to_mp
 from .numerics import _i0e_raw  # noqa: F401  the benchmark tracer wraps this name
 
 _MAX_LEVEL = 13
@@ -110,10 +110,11 @@ def _node_sum(mp, m2s, nodes) -> Tuple:
     chord = e^(m2s log(2 sin(pi x/2))) and line = e^(m2s log(pi x)).
 
     Python-integer fixed point at F = prec + FIXED_GUARD fractional bits
-    (:func:`_nodes`): m2s is truncated to F bits, each exponent m2s log is
-    one product, and the exponentials are ``numerics._exp_fixed`` of the
-    real part times ``numerics._cos_sin_fixed`` of the imaginary part; the
-    sums are exact integer sums, rounded once to prec.
+    (:func:`_nodes`): m2s is floored to F bits (``numerics._dyadic``), each
+    exponent m2s log is one product, and the exponentials are
+    ``numerics._exp_fixed`` of the real part times
+    ``numerics._cos_sin_fixed`` of the imaginary part; the sums are exact
+    integer sums, rounded once to prec (``numerics._to_mp``).
 
     Relative to its own w (|chord| + |line|), each node term is off by at
     most 2^12 + (2 ymax + 2) + |m2s| units of 2^-F: two kernel calls of at
@@ -126,12 +127,12 @@ def _node_sum(mp, m2s, nodes) -> Tuple:
     while 2 ymax + 2 < 2^20, plus |m2s| of the 2 |m2s| (2 ymax + 2) it
     counts for the logarithms, which mpmath rounded at prec.
     """
-    prec = mp.prec
-    F, FW = _frac_bits(prec)
+    F, FW = _frac_bits(mp.prec)
     shift = -(F + FW)  # w times an F-bit value
-    if isinstance(m2s, mp.mpc):
-        a, b = (to_fixed(t, F) for t in m2s._mpc_)
-        re = im = mass = 0
+    cplx = isinstance(m2s, mp.mpc)
+    a, b, _ = _dyadic(m2s, -F)
+    re = im = mass = 0
+    if cplx:
         for w, log_line, log_chord in nodes:
             rc = _exp_fixed((a * log_chord) >> F, F)
             cc, sc = _cos_sin_fixed((b * log_chord) >> F, F)
@@ -140,18 +141,13 @@ def _node_sum(mp, m2s, nodes) -> Tuple:
             re += w * ((rc * cc - rl * cl) >> F)
             im += w * ((rc * sc - rl * sl) >> F)
             mass += w * (rc + rl)
-        return (mp.make_mpc((from_man_exp(re, shift, prec, round_nearest),
-                             from_man_exp(im, shift, prec, round_nearest))),
-                mp.make_mpf(from_man_exp(mass, shift, prec, round_nearest)))
-    a = to_fixed(m2s._mpf_, F)
-    part = mass = 0
-    for w, log_line, log_chord in nodes:
-        chord = _exp_fixed((a * log_chord) >> F, F)
-        line = _exp_fixed((a * log_line) >> F, F)
-        part += w * (chord - line)
-        mass += w * (chord + line)
-    return (mp.make_mpf(from_man_exp(part, shift, prec, round_nearest)),
-            mp.make_mpf(from_man_exp(mass, shift, prec, round_nearest)))
+    else:
+        for w, log_line, log_chord in nodes:
+            chord = _exp_fixed((a * log_chord) >> F, F)
+            line = _exp_fixed((a * log_line) >> F, F)
+            re += w * (chord - line)
+            mass += w * (chord + line)
+    return _to_mp(mp, re, im, shift, cplx), _to_mp(mp, mass, 0, shift, False)
 
 
 def heat_mellin_integral(ctx: PrecisionContext, s, tol) -> Tuple:

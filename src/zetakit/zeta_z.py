@@ -28,15 +28,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from mpmath.libmp import (
-    from_man_exp,
-    from_rational,
-    fzero,
-    mpf_div,
-    mpf_pi,
-    round_nearest,
-    to_fixed,
-)
+from mpmath.libmp import from_rational, mpf_div, mpf_pi, round_nearest
 
 from .core import (
     DomainError,
@@ -51,6 +43,7 @@ from .core import (
     snap,
 )
 from . import numerics
+from .numerics import FIXED_GUARD, _divide, _dyadic, _em_coefficients, _to_mp, _trim
 from .quadrature import heat_mellin_integral
 
 __all__ = [
@@ -206,57 +199,30 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
             raise NoConvergence("requested truncation cannot certify the tolerance")
 
 
-def _dyadic(z):
-    """(m_re, m_im, sh) with z = (m_re + i m_im) 2^-sh exactly, sh >= 0."""
-    parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
-    sh = max([-p[2] for p in parts if p[1]] + [0])
-    return to_fixed(parts[0], sh), to_fixed(parts[1], sh), sh
-
-
-def _divide(xr: int, xi: int, yr: int, yi: int, F: int):
-    """(qr, qi, t), (qr + i qi) 2^-t = (xr + i xi) / (yr + i yi) with each
-    part floored and the larger at least 2^F: within 2^(1-F) relatively."""
-    dd = yr * yr + yi * yi
-    nr, ni = xr * yr + xi * yi, xi * yr - xr * yi
-    t = max(0, F + 1 + dd.bit_length() - max(nr.bit_length(), ni.bit_length()))
-    return (nr << t) // dd, (ni << t) // dd, t
-
-
-def _to_mp(mp, re: int, im: int, e: int, cplx: bool):
-    """(re + i im) 2^e rounded to prec, as an mpc when cplx, else an mpf."""
-    re, im = (from_man_exp(x, e, mp.prec, round_nearest) for x in (re, im))
-    return mp.make_mpc((re, im)) if cplx else mp.make_mpf(re)
-
-
 def _partial_product(mp, z, K: int, partial=None):
     """(P_K, partial) for P_K = prod_{k<=K} (k-z)^2 / (k (k-2z)), real (mpf)
     or complex z; passing the ``partial`` state returned for a smaller K
     forms only the new factors, with the truncations of a build from k = 1.
 
-    With z = m 2^-sh (:func:`_dyadic`), k - z and k (k-2z) are exact
-    Gaussian integers over 2^sh.  prod (k-z) and prod k (k-2z) are carried
-    as Gaussian integers with exponents, both parts floored after each
-    factor to the grid that leaves the larger F + 1 bits (F = prec +
-    ``FIXED_GUARD``), a relative change below 2^(1-F); P_K, the square of
-    the one over the other, is one quotient (:func:`_divide`) rounded once:
-    within (3K + 1) 2^(1-F) + 2^-prec of the exact product.
+    With z = m 2^ez (:func:`numerics._dyadic`, ez <= 0), k - z and
+    k (k-2z) are exact Gaussian integers times 2^ez.  prod (k-z) and
+    prod k (k-2z) are carried as (re + i im) 2^e, both parts floored after
+    each factor to the grid that leaves the larger F + 1 bits
+    (:func:`numerics._trim`, F = prec + ``FIXED_GUARD``), a relative change
+    below 2^(1-F); P_K, the square of the one over the other, is one
+    quotient (:func:`numerics._divide`) rounded once: within (3K + 1)
+    2^(1-F) + 2^-prec of the exact product.
     """
-    F = mp.prec + numerics.FIXED_GUARD
-    mr, mi, sh = _dyadic(z)
+    F = mp.prec + FIXED_GUARD
+    mr, mi, ez = _dyadic(z)
     k0, (nr, ni, ne), (dr, di, de) = partial or (0, (1, 0, 0), (1, 0, 0))
     for k in range(k0 + 1, K + 1):
-        x = k << sh
+        x = k << -ez
         ar, br, bi = x - mr, k * (x - 2 * mr), 2 * k * mi  # times ar - i mi, br - i bi
-        nr, ni = nr * ar + ni * mi, ni * ar - nr * mi
-        dr, di = dr * br + di * bi, di * br - dr * bi
-        t = max(nr.bit_length(), ni.bit_length()) - F - 1
-        if t > 0:
-            nr, ni, ne = nr >> t, ni >> t, ne + t
-        t = max(dr.bit_length(), di.bit_length()) - F - 1
-        if t > 0:
-            dr, di, de = dr >> t, di >> t, de + t
-    qr, qi, t = _divide(nr * nr - ni * ni, 2 * nr * ni, dr, di, F)
-    P = _to_mp(mp, qr, qi, 2 * ne - de - sh * K - t, bool(mi))
+        nr, ni, ne = _trim(nr * ar + ni * mi, ni * ar - nr * mi, ne, F)
+        dr, di, de = _trim(dr * br + di * bi, di * br - dr * bi, de, F)
+    qr, qi, e = _divide(nr * nr - ni * ni, 2 * nr * ni, dr, di, F)
+    P = _to_mp(mp, qr, qi, 2 * ne - de + ez * K + e, bool(mi))
     return P, (K, (nr, ni, ne), (dr, di, de))
 
 
@@ -294,34 +260,32 @@ def _tail_sum(mp, z, K: int, J: int):
     """sum_{j<=J} B_2j/(2j (2j-1)) (2a^(1-2j) - K^(1-2j) - c^(1-2j)), a =
     K - z, c = K - 2z, for an order J from :func:`_tail_order` at d = K - 2|z|.
 
-    Q_j = (2j-2)! x^(1-2j) is a Gaussian integer of F + 1 bits with an
-    exponent (F = prec + ``FIXED_GUARD``): Q_1 = 1/x, one quotient of the
-    exact x 2^sh, and Q_(j+1) = Q_j (2j-1) 2j Q_1^2, cut to F + 1 bits, so
-    within 4j 2^(1-F).  Each c_j Q_j, c_j = B_2j/(2j)! within 2^-(F+1)
+    Q_j = (2j-2)! x^(1-2j) is carried as (u + iv) 2^e, the larger part of
+    F + 1 bits (F = prec + ``FIXED_GUARD``): Q_1 = 1/x, one quotient
+    (:func:`numerics._divide`) of the exact x 2^-ez, and Q_(j+1) = Q_j
+    (2j-1) 2j Q_1^2, cut to F + 1 bits (:func:`numerics._trim`), so within
+    4j 2^(1-F).
+    Each c_j Q_j, c_j = B_2j/(2j)! within 2^-(F+1)
     (:func:`numerics._em_coefficients`), is floored onto the 2^-F grid of an
     exact sum, rounded once.  J has 2(J-1) < 2 pi d <= 2 pi |x| and d > 0.19
     (R_1 < 1 at J = 1), so the terms fall, each below 1/(12 d) < 1, and the
     sum is within J (3 + 8J/(3d)) 2^(1-F) < J 2^(6-F).
     """
-    F = mp.prec + numerics.FIXED_GUARD
-    mr, mi, sh = _dyadic(z)
-    coef = numerics._em_coefficients(mp.prec, J)
-    x = K << sh
+    F = mp.prec + FIXED_GUARD
+    mr, mi, ez = _dyadic(z)
+    coef = _em_coefficients(mp.prec, J)
+    x = K << -ez
     acc_r = acc_i = 0
     for w, xr, xi in ((2, x - mr, -mi), (-1, x, 0), (-1, x - 2 * mr, -2 * mi)):
         u, v, e = _divide(1, 0, xr, xi, F)
-        e -= sh
-        yr, yi = u * u - v * v, 2 * u * v
-        t = max(yr.bit_length(), yi.bit_length()) - F - 1
-        yr, yi, ye = yr >> t, yi >> t, 2 * e - t
+        e -= ez
+        yr, yi, ye = _trim(u * u - v * v, 2 * u * v, 2 * e, F)
         for j in range(1, J + 1):
             cm, ce = coef[j - 1]
-            acc_r += w * ((cm * u) >> (ce + e - F))
-            acc_i += w * ((cm * v) >> (ce + e - F))
+            acc_r += w * ((cm * u) >> (-F - ce - e))
+            acc_i += w * ((cm * v) >> (-F - ce - e))
             f = (2 * j - 1) * 2 * j
-            u, v = (u * yr - v * yi) * f, (u * yi + v * yr) * f
-            t = max(u.bit_length(), v.bit_length()) - F - 1
-            u, v, e = u >> t, v >> t, e + ye - t
+            u, v, e = _trim((u * yr - v * yi) * f, (u * yi + v * yr) * f, e + ye, F)
     return _to_mp(mp, acc_r, acc_i, -F, bool(mi))
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm
-from typing import Optional, Union
+from typing import Optional
 
 from mpmath.libmp import (
     from_man_exp,
@@ -51,7 +51,7 @@ from .core import (
     DomainError,
     EvalResult,
     HPComplex,
-    HPReal,
+    NoConvergence,
     PrecisionContext,
     certify,
     complex_result,
@@ -68,7 +68,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "DiscreteCircle",
     "RationalPolynomial",
     "POLY_CAP",
     "zeta_zn_direct",
@@ -83,21 +82,11 @@ __all__ = [
 POLY_CAP = 8
 
 
-@dataclass(frozen=True)
-class DiscreteCircle:
-    """A cycle graph on n >= 2 vertices."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError("a discrete circle needs at least 2 vertices")
-
-
-def _vertex_count(n: Union[int, DiscreteCircle]) -> int:
-    if isinstance(n, DiscreteCircle):
-        return n.n
-    return DiscreteCircle(n).n
+def _vertex_count(n: int) -> int:
+    """n, the vertex count of a discrete circle, checked: an int n >= 2."""
+    if not isinstance(n, int) or n < 2:
+        raise DomainError("a discrete circle needs at least 2 vertices")
+    return n
 
 
 @dataclass(frozen=True)
@@ -303,8 +292,7 @@ def _first_bits(c: PrecisionContext, n: int, x, dp) -> int:
     return c.precision_bits + max(0, int(mp.ceil(mp.log(bound / c.tol, 2))))
 
 
-def sine_power_sum(n: Union[int, DiscreteCircle], power,
-                   ctx: Optional[PrecisionContext] = None) -> HPReal:
+def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPComplex:
     """sum_{k=1}^{n-1} sin(pi k/n)^power for real power.
 
     The sines come from a fixed-point rotation with a proved drift bound
@@ -316,7 +304,7 @@ def sine_power_sum(n: Union[int, DiscreteCircle], power,
     """
     nn = _vertex_count(n)
 
-    def compute(c: PrecisionContext) -> HPReal:
+    def compute(c: PrecisionContext) -> HPComplex:
         x = c.mpf(power)
         rounded = _rounded(power, x)  # an input exact at c stays exact above
         bits = _first_bits(c, nn, x, abs(x) * c.eps if rounded else 0)
@@ -324,20 +312,21 @@ def sine_power_sum(n: Union[int, DiscreteCircle], power,
             c = c.with_bits(bits)
             x = c.mpf(power)
         dp = abs(x) * c.eps if rounded else 0
-        return HPReal(*_power_sum(c.mp, nn, x, True, False, dp))
+        return HPComplex(*_power_sum(c.mp, nn, x, True, False, dp))
 
     return certify(get_context(ctx), compute, "sine_power_sum")
 
 
-def zeta_zn_direct(n: Union[int, DiscreteCircle], s,
-                   ctx: Optional[PrecisionContext] = None, *,
+def zeta_zn_direct(n: int, s, ctx: Optional[PrecisionContext] = None, *,
                    fold: bool = True) -> EvalResult:
     """The defining finite sum (any complex s), as sum_k (2 sin(pi k/n))^(-2s);
     err covers the rounding of an s that is not exact at working precision.
 
     The sum runs at the context's precision and, should its err miss the
     tolerance there, again with more bits (:func:`core.certify`); a sum run
-    above the context's precision adds to err its rounding to it."""
+    above the context's precision adds to err its rounding to it, at least
+    (|v| - err) eps for the first sum's v and err; when that exceeds the
+    tolerance, NoConvergence naming the precision is raised at once."""
     nn = _vertex_count(n)
     ctx = get_context(ctx)
     z0 = ctx.mpc(s)
@@ -352,13 +341,17 @@ def zeta_zn_direct(n: Union[int, DiscreteCircle], s,
         v, err = _power_sum(c.mp, nn, -2 * z, fold, True, dp)
         if c is not ctx:
             err += abs(v) * ctx.eps
+        elif err > ctx.tol and (abs(v) - err) * ctx.eps > ctx.tol:
+            raise NoConvergence(
+                f"zeta_zn_direct: precision too low: rounding the sum to "
+                f"{ctx.precision_bits} bits alone exceeds the tolerance")
         return HPComplex(v, err)
 
     r = certify(ctx, compute, "zeta_zn_direct")
     return complex_result(ctx, r.value, r.err, False, "direct-sum")
 
 
-def zeta_zn_negative_int(n: Union[int, DiscreteCircle], m: int) -> Fraction:
+def zeta_zn_negative_int(n: int, m: int) -> Fraction:
     """Exact zeta_n(-m) = n sum_k (-1)^{kn} C(2m, m+kn) over |k| <= m/n.
 
     The k = 0 term carries weight one; for m < n it is the only term,
@@ -374,8 +367,7 @@ def zeta_zn_negative_int(n: Union[int, DiscreteCircle], m: int) -> Fraction:
     return Fraction(nn * acc)
 
 
-def sine_odd_power_sum(n: Union[int, DiscreteCircle], m: int,
-                       ctx: Optional[PrecisionContext] = None) -> EvalResult:
+def sine_odd_power_sum(n: int, m: int, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     """zeta_n(-1/2 - m) as the cotangent sum
     2 sum_{j=0}^{m} (-1)^{m-j} C(2m+1, j) cot((2m+1-2j) pi / 2n).
 

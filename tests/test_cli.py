@@ -190,6 +190,16 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     assert "IllConditioned" in err
 
 
+def test_direct_sum_refusal_names_the_precision(capsys):
+    # the sum (about 4e16) rounded back to 64 bits alone misses 1e-12:
+    # NoConvergence after one sum, naming the precision, and exit 4
+    code, out, err = run_cli(capsys, "--precision-bits", "64", "--tol", "1e-12",
+                             "eval", "zeta-zn", "--n=1000", "--s=3.7")
+    assert code == 4
+    assert out == ""
+    assert "NoConvergence" in err and "precision too low" in err and "64 bits" in err
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_spheres_passes(capsys):

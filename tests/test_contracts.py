@@ -1,13 +1,19 @@
 """Cross-cutting contracts: value invariants, concurrency, budgets."""
 
+import ast
+import importlib
+import pkgutil
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import zetakit
+
 from zetakit import (
     DomainError,
-    HPReal,
+    HPComplex,
     NeedsLimitInterpretation,
     NoConvergence,
     PoleError,
@@ -38,9 +44,25 @@ def test_precision_context_validation():
         PrecisionContext(max_terms=0)
 
 
-def test_hpreal_invariants():
+def test_carrier_invariants():
     with pytest.raises(DomainError):
-        HPReal(1.0, err=-1)
+        HPComplex(1.0, err=-1)
+
+
+def test_every_export_resolves():
+    # a stale __all__ entry breaks ``from zetakit.<module> import *``, and a
+    # name the package imports from a module with an __all__ belongs in it
+    alls = {}
+    for info in pkgutil.iter_modules(zetakit.__path__):
+        module = importlib.import_module(f"zetakit.{info.name}")
+        exec(f"from zetakit.{info.name} import *", {})
+        if hasattr(module, "__all__"):
+            alls[info.name] = module.__all__
+    for node in ast.parse(Path(zetakit.__file__).read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                assert hasattr(zetakit, alias.name)
+                assert node.module not in alls or alias.name in alls[node.module], alias.name
 
 
 def test_product_respects_term_budget():

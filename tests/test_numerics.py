@@ -179,7 +179,7 @@ def test_zeta_coefficient_table_is_exact_to_its_bits(monkeypatch):
     for j, (m, e) in enumerate(once[:200], start=1):
         c = bernoulli(2 * j) / factorial(2 * j)
         assert abs(m) >= 2 ** F
-        assert abs(Fraction(m, 2 ** e) - c) <= abs(c) / 2 ** (F + 1)
+        assert abs(m * Fraction(2) ** e - c) <= abs(c) / 2 ** (F + 1)
 
     # concurrent requests each get at least their count, and the table they
     # leave is the one-request table
@@ -326,6 +326,28 @@ def test_fixed_point_kernels(F):
         r = rng.randrange(1 << (F - 1), 1 << F)
         got = mp.ldexp(numerics._pow_fixed(r, q, F), -F)
         assert abs(got - mp.ldexp(r, -F) ** q) <= 3 * q * unit
+
+
+def test_fixed_point_format():
+    # triples (re, im, e) stand for (re + i im) 2^e: _dyadic reads exactly,
+    # or floored onto a grid; _trim floors to F + 1 bits and never widens;
+    # _divide is within 2^(1-F); _to_mp rounds back once
+    mp = MPContext()
+    mp.prec = 300
+    F = 120
+    z = mp.mpc(mp.mpf(1) / 3, -mp.ldexp(5, -90))
+    re, im, e = numerics._dyadic(z)
+    assert e <= 0 and numerics._to_mp(mp, re, im, e, True) == z
+    assert numerics._dyadic(mp.mpf(6)) == (6, 0, 0)
+    assert numerics._dyadic(z, -F) == (mp.floor(z.real * 2 ** F), -mp.ldexp(5, 30), -F)
+    x = (7 << 200) + 12345
+    assert numerics._trim(x, -x // 3, 5, F) == (x >> 82, (-x // 3) >> 82, 87)  # 203 bits
+    assert numerics._trim(12345, -7, 5, F) == (12345, -7, 5)
+    qr, qi, qe = numerics._divide(3 << 150, 1 << 150, 7, -2, F)
+    assert max(abs(qr), abs(qi)) >= 2 ** F
+    q = mp.mpc(3 << 150, 1 << 150) / mp.mpc(7, -2)
+    assert abs(mp.mpc(qr, qi) * mp.ldexp(1, qe) - q) <= abs(q) * mp.ldexp(1, 1 - F)
+    assert numerics._to_mp(mp, 3, 99, -1, False) == mp.mpf(1.5)
 
 
 def _em_orders(monkeypatch):

@@ -12,11 +12,13 @@ from mpmath.ctx_mp import MPContext
 
 from zetakit import (
     PrecisionContext,
+    big_z,
     digamma,
     gamma,
     riemann_zeta_numeric,
     sine_power_sum,
     zeta_z_closed,
+    zeta_z_deriv,
     zeta_z_mellin,
     zeta_z_product,
     zeta_zn_direct,
@@ -270,3 +272,73 @@ def test_digamma_is_honest(point):
     r = digamma(s, ctx)
     assert r.err <= ctx.tol
     assert abs(mp.mpf(r.value) - mp.digamma(_exact(mp, s))) <= r.err
+
+
+@st.composite
+def _deriv_points(draw):
+    """(bits, s), s a real Fraction left of the poles at the positive
+    half-integers: in [-8, 0], in (0, 1/2) with denominator 3, 7 or 64, or a
+    positive integer up to 8, where the derivative is an exact rational."""
+    kind = draw(st.sampled_from(["left", "strip", "integer"]))
+    if kind == "left":
+        s = draw(_reals(-8, 0))
+    elif kind == "strip":
+        den = draw(st.sampled_from([3, 7, 64]))
+        s = Fraction(draw(st.integers(1, (den - 1) // 2)), den)
+    else:
+        s = Fraction(draw(st.integers(1, 8)))
+    return draw(st.sampled_from(sorted(_CONTEXTS))), s
+
+
+@settings(_PROFILE, max_examples=24)
+@given(_deriv_points())
+def test_zeta_z_deriv_is_honest(point):
+    # truth: zeta_Z(s) (-psi(1/2 - s) - 2 log 2 + psi(1 - s)) in mpmath at
+    # 2 bits + 64, taken at the exact s; at a positive integer n, where
+    # zeta_Z has a zero and psi(1 - s) a pole, the Gamma quotient
+    # differentiated there: (1/Gamma)'(1 - n) = (-1)^(n-1) (n-1)!.  An exact
+    # result is checked by its rational.
+    bits, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    x = _exact(mp, s)
+    if s >= 1:
+        n = int(s)
+        truth = -mp.power(4, -x) * mp.gamma(mp.mpf(1) / 2 - x) / mp.sqrt(mp.pi) \
+            * (-1) ** (n - 1) * mp.factorial(n - 1)
+    else:
+        truth = _zeta_z_truth(mp, x) * (-mp.digamma(mp.mpf(1) / 2 - x) - 2 * mp.log(2)
+                                        + mp.digamma(1 - x))
+    r = zeta_z_deriv(s, ctx)
+    assert r.err <= ctx.tol
+    if r.exact is not None:
+        assert abs(mp.convert(r.exact) - truth) <= (1 + abs(truth)) * mp.mpf(2) ** (-bits - 32)
+    else:
+        assert abs(mp.mpc(r.value.value) - truth) <= r.err
+
+
+@st.composite
+def _big_z_points(draw):
+    """(bits, s) with |Re s| <= 16: a real Fraction at least 1/4 from the
+    poles at the positive odd integers, or a complex s with dyadic parts and
+    1/16 <= |Im s| <= 8."""
+    bits = draw(st.sampled_from(sorted(_CONTEXTS)))
+    if draw(st.booleans()):
+        s = draw(_reals(-16, 16))
+        assume(min(abs(s - k) for k in range(1, 17, 2)) >= Fraction(1, 4))
+        return bits, s
+    return bits, complex(draw(st.integers(-1024, 1024)) / 64,
+                         draw(st.integers(1, 128)) / 16 * draw(st.sampled_from([1, -1])))
+
+
+@settings(_PROFILE, max_examples=16)
+@given(_big_z_points())
+def test_big_z_is_honest(point):
+    # truth: pi 2^s zeta_Z(s/2) from the Gamma quotient at 2 bits + 64
+    bits, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    z = _exact(mp, s)
+    r = big_z(s, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - mp.pi * mp.power(2, z) * _zeta_z_truth(mp, z / 2)) <= r.err

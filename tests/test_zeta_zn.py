@@ -8,8 +8,8 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from zetakit import (
-    DiscreteCircle,
     DomainError,
+    NoConvergence,
     PrecisionContext,
     RationalPolynomial,
     ReconstructionError,
@@ -59,6 +59,25 @@ def test_direct_sum_runs_once_when_the_first_precision_serves(monkeypatch):
     assert calls == [ctx.working_bits]
 
 
+@pytest.mark.parametrize("n, s", [(1000, 3.7), (1000, 4), (10_000, complex(3, -2))])
+def test_direct_sum_refuses_at_once_when_no_boost_can_serve(monkeypatch, n, s):
+    # at 64 bits/1e-12 these sums are so large that their rounding back to
+    # 64 bits, which every boosted sum adds to err, alone misses the
+    # tolerance: one sum, then NoConvergence naming the precision
+    ctx = PrecisionContext(64, 1e-12)
+    calls = []
+    power_sum = zeta_zn._power_sum
+
+    def counted(mp, *args):
+        calls.append(mp.prec)
+        return power_sum(mp, *args)
+
+    monkeypatch.setattr(zeta_zn, "_power_sum", counted)
+    with pytest.raises(NoConvergence, match="precision too low.*64 bits"):
+        zeta_zn_direct(n, s, ctx)
+    assert calls == [ctx.working_bits]
+
+
 def test_direct_exact_algebra_oracle(ctx, mp):
     # n = 3, s = 2: sin^2(pi/3) = 3/4 exactly, so 4^(-2) * 2 * (4/3)^2 = 2/9
     oracle = Fraction(1, 16) * 2 * Fraction(4, 3) ** 2
@@ -76,13 +95,9 @@ def test_direct_rejects_small_circle(ctx):
     with pytest.raises(DomainError):
         zeta_zn_direct(1, 2, ctx)
     with pytest.raises(DomainError):
-        DiscreteCircle(0)
-
-
-def test_direct_accepts_circle_type(ctx):
-    a = zeta_zn_direct(DiscreteCircle(5), 1, ctx)
-    b = zeta_zn_direct(5, 1, ctx)
-    assert a.value.re == b.value.re
+        sine_power_sum(0, 2, ctx)
+    with pytest.raises(DomainError):
+        zeta_zn_direct(5.0, 1, ctx)  # the vertex count is an int
 
 
 def test_direct_fold_symmetry(ctx, mp):
