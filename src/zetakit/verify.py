@@ -15,6 +15,7 @@ from typing import List, Optional
 
 from .core import (
     DomainError,
+    NoConvergence,
     PrecisionContext,
     ReconstructionError,
     get_context,
@@ -314,6 +315,48 @@ def _check_fold_symmetry(ctx: PrecisionContext) -> CheckResult:
     return _result("fold-symmetry", errs, thresh, "matched-precision agreement")
 
 
+def _route_switch(ctx: PrecisionContext, s) -> int:
+    """The least n at which ``zeta_zn_direct`` takes the large-n route for
+    s, by bisection on n (the route's cost falls with n, the plain sum's
+    grows); NoConvergence when no n up to 2^40 takes it within
+    ``max_terms``."""
+    z = ctx.mpc(s)
+    p = -2 * (z if z.imag else z.real)
+
+    def routed(n):
+        return zeta_zn._route_plan(n, p, ctx.tol, n // 2, ctx.max_terms) is not None
+
+    lo, hi = 4, 64
+    while not routed(hi):
+        if hi > 2 ** 40:
+            raise NoConvergence("large-n-route: no n takes the route within max_terms")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if routed(mid) else (mid, hi)
+    return hi
+
+
+def _check_large_n_route(ctx: PrecisionContext) -> CheckResult:
+    """The large-n route against the unfolded plain sum, which sums every
+    term where the route sums only the first k0, at n just above the
+    switch, for one real and one complex s; each pair must agree within
+    the sum of the two errs."""
+    errs, bad, ns = [], [], []
+    for s in (0.37, complex(-0.6, 0.9)):
+        n = _route_switch(ctx, s)
+        a = zeta_zn.zeta_zn_direct(n, s, ctx)
+        b = zeta_zn.zeta_zn_direct(n, s, ctx, fold=False)
+        d = abs(a.value.value - b.value.value)
+        errs.append(float(d))
+        ns.append(n)
+        if d > a.err + b.err:
+            bad.append((n, s))
+    return CheckResult("large-n-route", not bad, max(errs),
+                       f"n = {ns} at the switch, threshold err + err"
+                       + (f"; failures {bad}" if bad else ""))
+
+
 def _check_positivity(ctx: PrecisionContext) -> CheckResult:
     mp = ctx.mp
     bad = []
@@ -461,6 +504,7 @@ _SUITES = {
         _check_prop_sine,
         _check_poly_exactness,
         _check_fold_symmetry,
+        _check_large_n_route,
         _check_positivity,
     ],
     "spheres": [

@@ -115,6 +115,36 @@ def test_zeta_zn_direct_is_honest(point):
 
 
 @st.composite
+def _route_points(draw):
+    """(bits, n, s) with n between the switch of the large-n route and four
+    times it, s real in [-3, 4] off the quarter-integers (a non-dyadic
+    Fraction, which the sums round) or complex with |Im s| <= 10 (dyadic
+    float parts)."""
+    from zetakit.verify import _route_switch
+    bits = draw(st.sampled_from([64, 256]))
+    if draw(st.booleans()):
+        s = Fraction(draw(st.integers(-300, 400)), 100)
+        assume((4 * s).denominator != 1)
+    else:
+        s = complex(draw(st.integers(-192, 256)) / 64, draw(st.integers(1, 160)) / 16
+                    * draw(st.sampled_from([1, -1])))
+    switch = _route_switch(PrecisionContext(bits, _CONTEXTS[bits]), s)
+    return bits, draw(st.integers(switch, 4 * switch)), s
+
+
+@settings(_PROFILE, max_examples=16)
+@given(_route_points())
+def test_large_n_route_is_honest(point):
+    # truth: the plain sum of mpmath sine powers at 2 bits + 64
+    bits, n, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    r = zeta_zn_direct(n, s, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - _sine_sum(mp, n, -2 * _exact(mp, s), True)) <= r.err
+
+
+@st.composite
 def _power_points(draw):
     """(bits, n, p) with n in 2..2000 and a real power p in [-6, 8]."""
     return (draw(st.sampled_from(sorted(_CONTEXTS))), draw(st.integers(2, 2000)),

@@ -59,11 +59,14 @@ def test_direct_sum_runs_once_when_the_first_precision_serves(monkeypatch):
     assert calls == [ctx.working_bits]
 
 
-@pytest.mark.parametrize("n, s", [(1000, 3.7), (1000, 4), (10_000, complex(3, -2))])
+@pytest.mark.parametrize("n, s", [(1000, 3.7), (1000, 4), (10_000, complex(3, -2)),
+                                  (1000, -40.3)])
 def test_direct_sum_refuses_at_once_when_no_boost_can_serve(monkeypatch, n, s):
     # at 64 bits/1e-12 these sums are so large that their rounding back to
     # 64 bits, which every boosted sum adds to err, alone misses the
-    # tolerance: one sum, then NoConvergence naming the precision
+    # tolerance: one sum, then NoConvergence naming the precision; at
+    # s = -40.3 the closed form cannot certify zeta_Z(s), so the plain sum
+    # is that one sum
     ctx = PrecisionContext(64, 1e-12)
     calls = []
     power_sum = zeta_zn._power_sum
@@ -236,6 +239,130 @@ def test_sine_power_sum_runs_once_at_the_precision_it_needs(monkeypatch):
     r = sine_power_sum(2000, -20, ctx)
     assert len(calls) == 1 and calls[0] > ctx.working_bits
     assert r.err <= ctx.tol
+
+
+# ---------------------------------------------------------------- large-n route
+
+def _count_rotations(monkeypatch):
+    """Count the sines that :func:`zeta_zn._rotated_sines` yields."""
+    steps = []
+    rotated = zeta_zn._rotated_sines
+
+    def counted(n, count, wp):
+        for s in rotated(n, count, wp):
+            steps.append(s)
+            yield s
+
+    monkeypatch.setattr(zeta_zn, "_rotated_sines", counted)
+    return steps
+
+
+def test_direct_sum_refuses_max_terms_before_rotating(monkeypatch):
+    # s = 3/4 is a half-integer exponent, which always takes the plain sum:
+    # 2500 terms against max_terms = 100, refused before the first sine
+    steps = _count_rotations(monkeypatch)
+    with pytest.raises(NoConvergence, match="max_terms"):
+        zeta_zn_direct(5000, 0.75, PrecisionContext(64, 1e-12, max_terms=100))
+    assert steps == []
+
+
+def test_route_serves_when_only_it_fits_max_terms(monkeypatch):
+    # at n = 120 and 64 bits the plain sum of 60 terms is the cheaper path,
+    # but max_terms = 50 admits only the route (k0 + 2M + J = 16 + 12 + 19)
+    steps = _count_rotations(monkeypatch)
+    ctx = PrecisionContext(64, 1e-12, max_terms=50)
+    r = zeta_zn_direct(120, 0.37, ctx)
+    assert 0 < len(steps) <= 16
+    truth, mp = _truth(120, -0.74, True, 300)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - truth) <= r.err
+
+
+@pytest.mark.parametrize("s", [0.37, complex(0.3, 2.5), -1.7])
+def test_route_serves_a_billion_vertices_within_max_terms(monkeypatch, s):
+    # the route's work does not grow with n.  No plain sum reaches n = 10^9;
+    # the truth is the large-n expansion, from (2 sin x)^(-2s) = (2x)^(-2s)
+    # (1 + (s/3) x^2 + (s/90 + s^2/18) x^4 + ...) summed at both ends,
+    #   n zeta_Z(s) + 2 m sum_i c_i (pi/n)^(2i) zeta(2s - 2i), m = (n/2 pi)^(2s),
+    # in mpmath at 576 bits; the first term left out is below 1e-40
+    steps = _count_rotations(monkeypatch)
+    ctx = PrecisionContext(256, 1e-30, max_terms=1000)
+    n = 10 ** 9
+    r = zeta_zn_direct(n, s, ctx)
+    assert r.err <= ctx.tol
+    assert 0 < len(steps) <= 1000
+    mp = MPContext()
+    mp.prec = 576
+    x = mp.mpc(s)
+    m = (mp.mpf(n) / (2 * mp.pi)) ** (2 * x)
+    lattice = (mp.power(4, -x) * mp.gamma(mp.mpf(1) / 2 - x)
+               / (mp.sqrt(mp.pi) * mp.gamma(1 - x)))
+    ends = sum(c * (mp.pi / n) ** (2 * i) * mp.zeta(2 * x - 2 * i)
+               for i, c in enumerate((1, x / 3, x / 90 + x * x / 18)))
+    assert abs(mp.mpc(r.value.value) - (n * lattice + 2 * m * ends)) <= r.err
+
+
+@pytest.mark.parametrize("s", [0.37, complex(-0.6, 0.9)])
+def test_route_switch_counts_rotated_sines(monkeypatch, s):
+    # above the switch the folded sum rotates at most k0 sines, below it
+    # n//2, and the unfolded sum always n - 1
+    from zetakit.verify import _route_switch
+    ctx = PrecisionContext(256, 1e-30)
+    switch = _route_switch(ctx, s)
+    steps = _count_rotations(monkeypatch)
+    z = ctx.mpc(s)
+    p = -2 * (z if z.imag else z.real)
+    for n in (switch, 4 * switch):
+        k0 = zeta_zn._route_plan(n, p, ctx.tol, n // 2, ctx.max_terms)[0]
+        steps.clear()
+        zeta_zn_direct(n, s, ctx)
+        assert 0 < len(steps) <= k0
+        steps.clear()
+        zeta_zn_direct(n, s, ctx, fold=False)
+        assert len(steps) == n - 1
+    steps.clear()
+    zeta_zn_direct(switch - 1, s, ctx)
+    assert len(steps) == (switch - 1) // 2
+
+
+def test_route_switch_search_refuses_when_the_budget_admits_no_route():
+    # at 1024 bits the route needs about 130 + 2M + J > 100 terms at any n,
+    # so the large-n-route check's search for its switch must stop
+    from zetakit.verify import _route_switch
+    with pytest.raises(NoConvergence, match="max_terms"):
+        _route_switch(PrecisionContext(1024, 1e-120, max_terms=100), 0.37)
+
+
+@pytest.mark.parametrize("bits, tol", [(64, 1e-12), (256, 1e-30), (1024, 1e-120)])
+@pytest.mark.parametrize("s", [
+    pytest.param(Fraction(1, 2) + Fraction(1, 2 ** 30), id="half-plus-2^-30"),
+    pytest.param(Fraction(3, 2) - Fraction(1, 2 ** 20), id="three-halves-minus-2^-20"),
+    pytest.param(complex(0.3, 8), id="0.3+8i"),
+    pytest.param(-2.7, id="-2.7"),
+])
+def test_route_is_honest_at_fixed_points(monkeypatch, bits, tol, s):
+    # near the poles of zeta_Z at s = 1/2 and 3/2 the series of the cut-off
+    # ends cancels n zeta_Z(s); Im s = 8 needs a larger cut-off; the truth
+    # is the folded plain sum of mpmath powers at 2 bits + 64
+    routed = []
+    route = zeta_zn._route
+
+    def spy(*args):
+        routed.append(args[4])
+        return route(*args)
+
+    monkeypatch.setattr(zeta_zn, "_route", spy)
+    n = 3000
+    ctx = PrecisionContext(bits, tol)
+    r = zeta_zn_direct(n, s, ctx)
+    mp = MPContext()
+    mp.prec = 2 * bits + 64
+    x = mp.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else mp.mpc(s)
+    half = mp.fsum((2 * mp.sinpi(mp.mpf(k) / n)) ** (-2 * x) for k in range(1, n // 2))
+    truth = 2 * half + mp.mpf(2) ** (-2 * x)
+    assert routed
+    assert r.err <= tol
+    assert abs(mp.mpc(r.value.value) - truth) <= r.err
 
 
 # ---------------------------------------------------------------- exact negatives
