@@ -311,61 +311,6 @@ def _pow_fixed(x: int, q: int, F: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# scaled Bessel e^{-2t} I0(2t): no route calls it; the benchmark's tracer
-# still wraps it by name (see quadrature)
-
-def _i0e_raw(mp, t, switch: int) -> Tuple:
-    """(value, error bound) of e^{-2t} I0(2t) at mpf t >= 0.
-
-    Power series for t <= switch (all terms positive, certified geometric
-    tail); descending asymptotic series above, with the remainder estimated
-    as twice the first omitted term.
-    """
-    if t == 0:
-        return mp.one, mp.zero
-    eps = mp.mpf(2) ** (4 - mp.prec)
-    if t <= switch:
-        # I0(2t) = sum t^{2k} / (k!)^2
-        t2 = t * t
-        term = mp.one
-        acc = mp.one
-        k = 0
-        while True:
-            k += 1
-            term = term * t2 / (k * k)
-            acc += term
-            ratio = t2 / ((k + 1) * (k + 1))
-            if term < acc * eps and ratio < mp.mpf(1) / 2:
-                tail = term * ratio / (1 - ratio)
-                break
-            if k > 100000:
-                raise NoConvergence("e^(-2t) I0(2t) power series stalled")
-        damp = mp.exp(-2 * t)
-        v = damp * acc
-        return v, damp * tail + abs(v) * eps * (k + 4)
-    # asymptotic: e^{-2t} I0(2t) ~ (4 pi t)^{-1/2} sum_k b_k t^{-k},
-    # b_0 = 1, b_k = b_{k-1} (2k-1)^2 / (16 k)
-    acc = mp.one
-    term = mp.one
-    k = 0
-    prev = None
-    while True:
-        k += 1
-        term = term * (2 * k - 1) ** 2 / (mp.mpf(16) * k) / t
-        if prev is not None and abs(term) > prev:
-            break  # divergent zone reached; stop at the smallest term
-        acc += term
-        prev = abs(term)
-        if abs(term) < acc * eps or k > 200:
-            k += 1
-            term = term * (2 * k - 1) ** 2 / (mp.mpf(16) * k) / t
-            break
-    front = 1 / mp.sqrt(4 * mp.pi * t)
-    v = front * acc
-    return v, front * 2 * abs(term) + abs(v) * eps * 8
-
-
-# --------------------------------------------------------------------------
 # Riemann zeta by Euler-Maclaurin
 
 def _power_sum(mp, s, N: int):

@@ -300,7 +300,8 @@ def zeta_z_mellin(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     raises DomainError.  The reported error is the tanh-sinh level
     difference plus a rounding bound, which also covers the rounding of an
     s that is not exact at working precision (:func:`_log_deriv_bound`, a
-    formula in psi bounds that evaluates no Gamma function).
+    formula in psi bounds that evaluates no Gamma function).  NoConvergence
+    names ``max_terms`` before a level whose nodes would exceed it is summed.
     """
     ctx = get_context(ctx)
     mp = ctx.mp

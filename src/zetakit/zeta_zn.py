@@ -2,7 +2,10 @@
 
     zeta_n(s) = 4^(-s) sum_{k=1}^{n-1} sin(pi k / n)^(-2s).
 
-The direct sum, as sum_k (2 sin(pi k/n))^(-2s), takes one of two paths.
+The direct sum, as sum_k (2 sin(pi k/n))^(-2s), takes one of two paths,
+chosen in one place, :func:`_circle_sum`.  Both public sums go through it:
+:func:`zeta_zn_direct`, and :func:`sine_power_sum`, the sum of sin(pi
+k/n)^x that extraction reads, which is 2^-x times the folded sum at -2s = x.
 
 * The plain sum, :func:`_power_sum`, adds every term (folded at k <= n/2 by
   default): work n/2, the only path for integer and half-integer exponents
@@ -33,13 +36,12 @@ path whose work (n/2 or n - 1 terms, or k0 + 2M + J) fits ``max_terms``
 is taken; when none does, NoConvergence names it before any sine is
 rotated.
 
-The plain sum and the sine-power sums that extraction reads share one
-streaming kernel, :func:`_power_sum`, which runs
-in Python-integer fixed point from the sines to the sum.  It makes
-sin(pi k/n) by rotating (cos, sin)(pi/n) at wp = prec + 2 bitlen(n) + 4
-bits; the rotation drifts by at most 3k units of 2^(-wp), and since
-sin(pi k/n) >= 2 min(k, n-k)/n every sine, past pi/2 too, stays within
-2^(-prec-3) of the truth, relatively.  Every term is then formed relative to
+The plain sum and the route's head are one streaming kernel,
+:func:`_power_sum`, which runs in Python-integer fixed point from the sines
+to the sum.  It makes sin(pi k/n) by rotating (cos, sin)(pi/n) at wp = prec
++ 2 bitlen(n) + 4 bits; the rotation drifts by at most 3k units of
+2^(-wp), and since sin(pi k/n) >= 2 min(k, n-k)/n every sine, past pi/2
+too, stays within 2^(-prec-3) of the truth, relatively.  Every term is then formed relative to
 one block scale, the largest term, which is known before the loop (k = 1
 for a negative power, n//2 otherwise), at prec + 20 fractional bits or
 more: integer and half-integer powers by a ratio of two sines, binary
@@ -219,12 +221,12 @@ def _quarter(p) -> bool:
     return not a[1] or a[2] >= -1
 
 
-def _power_sum(mp, n: int, p, fold: bool, double: bool, dp=0, count=None):
-    """(sum, err) of w_k x_k^p, x_k = 2 sin(pi k/n) if ``double`` else
-    sin(pi k/n), over k = 1..n-1 (w_k = 1), or folded over k = 1..n//2 with
-    w_k = 2 for k != n/2, since sin(pi k/n) = sin(pi (n-k)/n); a ``count``
-    stops either range at k = count.  ``p`` is an mpf or mpc; ``dp`` bounds
-    the rounding it carries from the caller's input.
+def _power_sum(mp, n: int, p, fold: bool, dp=0, count=None):
+    """(sum, err) of w_k x_k^p, x_k = 2 sin(pi k/n), over k = 1..n-1 (w_k =
+    1), or folded over k = 1..n//2 with w_k = 2 for k != n/2, since sin(pi
+    k/n) = sin(pi (n-k)/n); a ``count`` stops either range at k = count.
+    ``p`` is an mpf or mpc; ``dp`` bounds the rounding it carries from the
+    caller's input.
 
     The sines come from :func:`_rotated_sines` at wp = prec + 2 bitlen(n) +
     4 bits, each within e_s = 2^(-prec-3) of the truth, relatively, on the
@@ -279,7 +281,7 @@ def _power_sum(mp, n: int, p, fold: bool, double: bool, dp=0, count=None):
     m = 1 if neg else min(count, n // 2)
     top = to_fixed(mpf_sin_pi(from_rational(m, n, wp + 8), wp + 8), wp)
     log_top = log_sine(top)
-    ln2 = ln2_fixed(H) if double else 0
+    ln2 = ln2_fixed(H)
     scale = mpf_exp(mpf_mul(a, from_man_exp(log_top + ln2, -H)), prec, round_nearest)
     pa = to_fixed(a, H)
 
@@ -547,7 +549,7 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     F = prec + FIXED_GUARD
     W = F + 10
     cplx = isinstance(p, mp.mpc)
-    head, head_err = _power_sum(mp, n, p, True, True, dp, k0)
+    head, head_err = _power_sum(mp, n, p, True, dp, k0)
     x = from_rational(k0, n, W)
     cos0, sin0 = mpf_cos_sin_pi(x, W)
     th = mpf_mul(mpf_pi(W), x, W)
@@ -635,14 +637,51 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     return v, err
 
 
+def _circle_sum(c: PrecisionContext, n: int, z, dp, tol, fold: bool = True):
+    """(value, err) of the sum of (2 sin(pi k/n))^p over k = 1..n-1, p =
+    -2z, at c's precision; ``dp`` bounds the rounding of p, as in
+    :func:`_power_sum`, and ``tol`` is the tolerance the err should meet.
+
+    Folded, at an exponent that is neither an integer nor a half-integer,
+    with z off Z/2 (:func:`core.snap`), and above the switch of
+    :func:`_route_plan`, the sum takes the large-n route (:func:`_route`),
+    unless the closed form cannot certify zeta_Z(z) to c's tolerance;
+    otherwise every term is summed (:func:`_power_sum`).  Only a path whose
+    work fits ``max_terms`` is taken, and NoConvergence naming it is raised
+    before any sine is rotated when none does."""
+    p = -2 * z
+    cplx = isinstance(p, c.mp.mpc)
+    count = n // 2 if fold else n - 1
+    plan = None
+    if fold and (cplx or not _quarter(p)) and snap(c, z) is None:
+        plan = _route_plan(n, p, tol, count, c.max_terms)
+    if plan is not None:
+        try:
+            zz = zeta_z_closed(z, c)
+        except NoConvergence:  # the closed form misses tol here, so n zeta_Z does
+            plan = None
+    if plan is None:
+        if count > c.max_terms:
+            raise NoConvergence(f"discrete-circle sum: {count} terms exceed max_terms = "
+                                f"{c.max_terms}")
+        return _power_sum(c.mp, n, p, fold, dp)
+    return _route(c.mp, n, p, dp, plan, zz.value.value if cplx else zz.value.value.real,
+                  zz.err)
+
+
 def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPComplex:
     """sum_{k=1}^{n-1} sin(pi k/n)^power for real power.
 
-    The sines come from a fixed-point rotation with a proved drift bound
-    (:func:`_rotated_sines`), never from a rounded pi*k/n product, so accuracy
-    survives large n; err covers the rounding of a power that is not exact
-    at working precision.  The sum runs once, at the precision that the
-    largest term shows it needs (:func:`_first_bits`) if that is above the
+    It is 2^-power times the folded sum of (2 sin(pi k/n))^power, which
+    :func:`_circle_sum` evaluates at the tolerance scaled by 2^power: by
+    the large-n route for a power that is neither an integer nor a
+    half-integer above its switch, else term by term, and never with more
+    work than ``max_terms``.  The sines come from a fixed-point rotation
+    with a proved drift bound (:func:`_rotated_sines`), never from a
+    rounded pi*k/n product, so accuracy survives large n; err covers the
+    rounding of a power that is not exact at working precision and of the
+    factor 2^-power.  The sum runs once, at the precision that the largest
+    term shows it needs (:func:`_first_bits`) if that is above the
     context's, so that :func:`core.certify` never discards a full sum.
     """
     nn = _vertex_count(n)
@@ -654,8 +693,12 @@ def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPC
         if bits > c.precision_bits:
             c = c.with_bits(bits)
             x = c.mpf(power)
+        mp = c.mp
         dp = abs(x) * c.eps if rounded else 0
-        return HPComplex(*_power_sum(c.mp, nn, x, True, False, dp))
+        scale = mp.power(2, -x)  # it and the product below round once each
+        v, err = _circle_sum(c, nn, -x / 2, dp, c.tol / scale)
+        v *= scale
+        return HPComplex(v, err * scale + abs(v) * mp.mpf(2) ** (2 - mp.prec))
 
     return certify(get_context(ctx), compute, "sine_power_sum")
 
@@ -665,13 +708,9 @@ def zeta_zn_direct(n: int, s, ctx: Optional[PrecisionContext] = None, *,
     """The defining finite sum (any complex s), as sum_k (2 sin(pi k/n))^(-2s);
     err covers the rounding of an s that is not exact at working precision.
 
-    Folded, at an exponent -2s that is neither an integer nor a
-    half-integer, and above the switch of :func:`_route_plan`, the sum takes
-    the large-n route (:func:`_route`), unless the closed form cannot
-    certify zeta_Z(s) to the tolerance at this precision; otherwise every
-    term is summed.  Only a path whose work fits ``max_terms`` is taken,
-    and NoConvergence naming it is raised before any sine is rotated when
-    none does.
+    :func:`_circle_sum` chooses the path: the large-n route (folded, at an
+    exponent -2s that is neither an integer nor a half-integer, above its
+    switch) or the plain sum, within ``max_terms``.
 
     The sum runs at the context's precision and, should its err miss the
     tolerance there, again with more bits (:func:`core.certify`); a sum run
@@ -683,32 +722,13 @@ def zeta_zn_direct(n: int, s, ctx: Optional[PrecisionContext] = None, *,
     z0 = ctx.mpc(s)
     if z0 == 0:
         return exact_result(ctx, Fraction(nn - 1), "direct-sum")
-    # zeta_Z is singular or snaps to an exact value near Z/2
-    routable = fold and snap(ctx, z0) is None
-    count = nn // 2 if fold else nn - 1
 
     def compute(c: PrecisionContext) -> HPComplex:
         z = z0 if c is ctx else c.mpc(s)
         if z.imag == 0:
             z = z.real
         dp = 2 * abs(z) * c.eps if _rounded(s, z) else 0
-        p = -2 * z
-        cplx = isinstance(p, c.mp.mpc)
-        plan = _route_plan(nn, p, c.tol, count, c.max_terms) \
-            if routable and (cplx or not _quarter(p)) else None
-        if plan is not None:
-            try:
-                zz = zeta_z_closed(z, c)
-            except NoConvergence:  # the closed form misses tol here, so n zeta_Z does
-                plan = None
-        if plan is None and count > c.max_terms:
-            raise NoConvergence(f"zeta_zn_direct: {count} terms exceed max_terms = "
-                                f"{c.max_terms}")
-        if plan is None:
-            v, err = _power_sum(c.mp, nn, p, fold, True, dp)
-        else:
-            value = zz.value.value if cplx else zz.value.value.real
-            v, err = _route(c.mp, nn, p, dp, plan, value, zz.err)
+        v, err = _circle_sum(c, nn, z, dp, c.tol, fold)
         if c is not ctx:
             err += abs(v) * ctx.eps
         elif err > ctx.tol and (abs(v) - err) * ctx.eps > ctx.tol:

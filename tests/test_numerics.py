@@ -1,5 +1,5 @@
-"""Kernel tests: Gamma, digamma, Bernoulli, the scaled Bessel series, zeta,
-and the fixed-point kernels of the hot loops."""
+"""Kernel tests: Gamma, digamma, Bernoulli, zeta, and the fixed-point
+kernels of the hot loops."""
 
 import random
 import sys
@@ -22,7 +22,6 @@ from zetakit import (
     sine_power_sum,
 )
 from zetakit import numerics
-from zetakit.numerics import _i0e_raw
 
 
 # ---------------------------------------------------------------- gamma
@@ -200,50 +199,6 @@ def test_zeta_coefficient_table_is_exact_to_its_bits(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert all(len(got[n]) >= n and got[n][:n] == once[:n] for n in counts)
     assert numerics._EM_TABLE[wb][:200] == once[:200]
-
-
-# ---------------------------------------------------------------- bessel
-
-def _i0_series_oracle(mp, t, terms=400):
-    # independent truncated power series sum t^(2k)/(k!)^2 with tail bound
-    acc = mp.mpf(0)
-    term = mp.mpf(1)
-    for k in range(terms):
-        acc += term
-        term = term * t * t / ((k + 1) * (k + 1))
-    ratio = (t * t) / (terms * terms)
-    assert ratio < 0.5, "oracle truncation insufficient"
-    return acc, term / (1 - ratio)
-
-
-def test_bessel_at_zero(mp):
-    assert _i0e_raw(mp, mp.zero, switch=128) == (1, 0)
-
-
-def test_bessel_series_oracle(mp):
-    for t in (1, Fraction(7, 2), 20):
-        tt = mp.convert(Fraction(t))
-        series, tail = _i0_series_oracle(mp, tt)
-        expected = mp.exp(-2 * tt) * series
-        value, err = _i0e_raw(mp, tt, switch=128)
-        assert abs(value - expected) <= err + tail + mp.mpf(10) ** -70
-
-
-def test_bessel_asymptotic_regime(mp):
-    # leading behavior 1/sqrt(4 pi t) to 1% at t = 10^4
-    t = mp.mpf(10) ** 4
-    value, _ = _i0e_raw(mp, t, switch=128)
-    lead = 1 / mp.sqrt(4 * mp.pi * t)
-    assert abs(value - lead) / lead < 0.01
-
-
-def test_bessel_branch_consistency(mp):
-    # power series and asymptotic branch agree where both apply
-    for tv in (40, 75, 120):
-        t = mp.mpf(tv)
-        v_series, e_series = _i0e_raw(mp, t, switch=1000)
-        v_asym, e_asym = _i0e_raw(mp, t, switch=1)
-        assert abs(v_series - v_asym) <= e_series + e_asym
 
 
 # ---------------------------------------------------------------- zeta

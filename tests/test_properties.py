@@ -14,9 +14,13 @@ from zetakit import (
     PrecisionContext,
     big_z,
     digamma,
+    expansion_terms,
     gamma,
     riemann_zeta_numeric,
+    sine_odd_power_sum,
     sine_power_sum,
+    sphere_volume_gamma,
+    sphere_volume_zproduct,
     zeta_z_closed,
     zeta_z_deriv,
     zeta_z_mellin,
@@ -372,3 +376,93 @@ def test_big_z_is_honest(point):
     r = big_z(s, ctx)
     assert r.err <= ctx.tol
     assert abs(mp.mpc(r.value.value) - mp.pi * mp.power(2, z) * _zeta_z_truth(mp, z / 2)) <= r.err
+
+
+@st.composite
+def _sphere_points(draw):
+    """(bits, n) with n in 0..48; from n = 58 at 64 bits/1e-12 the Z
+    product refuses, since every factor Z(-j) is certified to the absolute
+    tolerance."""
+    return draw(st.sampled_from(sorted(_CONTEXTS))), draw(st.integers(0, 48))
+
+
+def _sphere_volume(mp, n):
+    """vol(S^n) = 2 pi^((n+1)/2) / Gamma((n+1)/2) in mpmath numbers."""
+    h = mp.mpf(n + 1) / 2
+    return 2 * mp.power(mp.pi, h) / mp.gamma(h)
+
+
+@settings(_PROFILE, max_examples=12)
+@given(_sphere_points())
+def test_sphere_volume_gamma_is_honest(point):
+    bits, n = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    r = sphere_volume_gamma(n, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - _sphere_volume(mp, n)) <= r.err
+
+
+@settings(_PROFILE, max_examples=12)
+@given(_sphere_points())
+def test_sphere_volume_zproduct_is_honest(point):
+    # truth: the Gamma form in mpmath, independent of the Z(-j) factors
+    bits, n = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    r = sphere_volume_zproduct(n, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - _sphere_volume(mp, n)) <= r.err
+
+
+@st.composite
+def _odd_power_points(draw):
+    """(bits, n, m) with n in 2..2000 and m in 0..8."""
+    return (draw(st.sampled_from(sorted(_CONTEXTS))), draw(st.integers(2, 2000)),
+            draw(st.integers(0, 8)))
+
+
+@settings(_PROFILE, max_examples=12)
+@given(_odd_power_points())
+def test_sine_odd_power_sum_is_honest(point):
+    # truth: 2^(2m+1) times the sum of mpmath sine powers, not cotangents
+    bits, n, m = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    r = sine_odd_power_sum(n, m, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - 2 ** (2 * m + 1) * _sine_sum(mp, n, 2 * m + 1, False)) \
+        <= r.err
+
+
+@st.composite
+def _expansion_points(draw):
+    """(bits, s) with |Re s| <= 8: a real Fraction off the poles at the
+    positive odd integers, or a complex s with dyadic parts and 1/16 <=
+    |Im s| <= 4."""
+    bits = draw(st.sampled_from(sorted(_CONTEXTS)))
+    if draw(st.booleans()):
+        s = draw(_reals(-8, 8))
+        assume(s <= 0 or s.denominator != 1 or s.numerator % 2 == 0)
+        return bits, s
+    return bits, complex(draw(st.integers(-512, 512)) / 64,
+                         draw(st.integers(1, 64)) / 16 * draw(st.sampled_from([1, -1])))
+
+
+@settings(_PROFILE, max_examples=8)
+@given(_expansion_points())
+def test_expansion_terms_are_honest(point):
+    # truth: the three coefficients pi^(-1/2) Gamma(1/2 - s/2) / Gamma(1 -
+    # s/2) = 2^s zeta_Z(s/2), 2 pi^-s zeta(s) and (s/3) pi^(2-s) zeta(s-2)
+    # from mpmath at 2 bits + 64, taken at the exact s
+    bits, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    mp = _truth_context(bits)
+    x = _exact(mp, s)
+    truths = (mp.gamma(mp.mpf(1) / 2 - x / 2) * mp.rgamma(1 - x / 2) / mp.sqrt(mp.pi),
+              2 * mp.power(mp.pi, -x) * mp.zeta(x),
+              x / 3 * mp.power(mp.pi, 2 - x) * mp.zeta(x - 2))
+    for term, truth in zip(expansion_terms(s, ctx), truths):
+        c = term.coefficient
+        assert c.err <= ctx.tol, term.label
+        assert abs(mp.mpc(c.value) - truth) <= c.err, term.label

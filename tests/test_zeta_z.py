@@ -371,6 +371,25 @@ def test_mellin_node_sum_is_bit_identical(bits, tol, s):
     assert zeta_z_mellin(s, ctx).value.value._mpc_ == ref._mpc_
 
 
+@pytest.mark.parametrize("max_terms, levels", [(10, 0), (200, 5)])
+def test_mellin_refuses_max_terms_before_summing(monkeypatch, max_terms, levels):
+    # at 256 bits levels 0..5 hold 9, 10, 20, 40, 78 and 156 nodes, and
+    # level 4 is the first that may stop: 157 nodes are the least work, so
+    # max_terms = 10 refuses before any node sum; max_terms = 200 sums
+    # levels 0..4 and refuses before level 5 (313 nodes), which 1e-30 needs
+    sums = []
+    node_sum = quadrature._node_sum
+
+    def counted(mp, m2s, nodes):
+        sums.append(len(nodes))
+        return node_sum(mp, m2s, nodes)
+
+    monkeypatch.setattr(quadrature, "_node_sum", counted)
+    with pytest.raises(NoConvergence, match="max_terms"):
+        zeta_z_mellin(0.25, PrecisionContext(256, 1e-30, max_terms=max_terms))
+    assert len(sums) == levels and sum(sums) <= max_terms
+
+
 # ---------------------------------------------------------------- Z(s)
 
 def test_big_z_values(ctx, mp):

@@ -291,6 +291,13 @@ def test_route_serves_a_billion_vertices_within_max_terms(monkeypatch, s):
     r = zeta_zn_direct(n, s, ctx)
     assert r.err <= ctx.tol
     assert 0 < len(steps) <= 1000
+    truth, mp = _large_n_expansion(n, s)
+    assert abs(mp.mpc(r.value.value) - truth) <= r.err
+
+
+def _large_n_expansion(n, s):
+    """(zeta_n(s), mp) from its large-n expansion in mpmath at 576 bits (see
+    test_route_serves_a_billion_vertices_within_max_terms)."""
     mp = MPContext()
     mp.prec = 576
     x = mp.mpc(s)
@@ -299,7 +306,45 @@ def test_route_serves_a_billion_vertices_within_max_terms(monkeypatch, s):
                / (mp.sqrt(mp.pi) * mp.gamma(1 - x)))
     ends = sum(c * (mp.pi / n) ** (2 * i) * mp.zeta(2 * x - 2 * i)
                for i, c in enumerate((1, x / 3, x / 90 + x * x / 18)))
-    assert abs(mp.mpc(r.value.value) - (n * lattice + 2 * m * ends)) <= r.err
+    return n * lattice + 2 * m * ends, mp
+
+
+def test_sine_sum_takes_the_route_within_max_terms(monkeypatch):
+    # sum_k sin(pi k/n)^0.74 = 2^-0.74 zeta_n(-0.37): the sine sum shares the
+    # direct sum's route, so n = 10^9 is served within max_terms = 1000
+    steps = _count_rotations(monkeypatch)
+    ctx = PrecisionContext(256, 1e-30, max_terms=1000)
+    n = 10 ** 9
+    r = sine_power_sum(n, 0.74, ctx)
+    assert r.err <= ctx.tol
+    assert 0 < len(steps) <= 1000
+    truth, mp = _large_n_expansion(n, -0.37)
+    assert abs(r.value - mp.power(2, -0.74) * truth.real) <= r.err
+
+
+def test_sine_sum_refuses_max_terms_before_rotating(monkeypatch):
+    # an integer power always takes the plain sum: 5 10^8 terms against
+    # max_terms = 1000, refused before the first sine
+    steps = _count_rotations(monkeypatch)
+    with pytest.raises(NoConvergence, match="max_terms"):
+        sine_power_sum(10 ** 9, 3, PrecisionContext(256, 1e-30, max_terms=1000))
+    assert steps == []
+
+
+def test_extraction_at_a_generic_exponent_takes_the_route(monkeypatch):
+    # extract_zeta reads its sine sums through the same path choice, so the
+    # grid points above the switch take the route
+    from zetakit.asymptotics import extract_zeta
+    routed = []
+    route = zeta_zn._route
+
+    def spy(*args):
+        routed.append(args[1])
+        return route(*args)
+
+    monkeypatch.setattr(zeta_zn, "_route", spy)
+    extract_zeta(-1.3, 16, 4096, PrecisionContext(256, 1e-30))
+    assert routed
 
 
 @pytest.mark.parametrize("s", [0.37, complex(-0.6, 0.9)])
