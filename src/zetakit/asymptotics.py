@@ -71,20 +71,14 @@ class ZetaExtraction:
 
 
 def _lead(z, ctx: PrecisionContext):
-    """(value, err) of the leading coefficient 2^z zeta_Z(z/2).
-
-    The closed form certifies zeta_Z(z/2) to the tolerance scaled by
-    2^(-ceil(Re z)) >= 1/|2^z|, as a Fraction, which does not underflow.
-    Raises PoleError at positive odd z; positive even z give an exact zero.
-    """
+    """(value, err) of the leading coefficient 2^z zeta_Z(z/2), the closed
+    form's value unchecked (:func:`zeta_z._closed`).  Raises PoleError at
+    positive odd z; positive even z give an exact zero."""
     mp = ctx.mp
-    k = int(mp.ceil(z.real))
-    c = PrecisionContext(ctx.precision_bits, Fraction(ctx.target_tol) / Fraction(2) ** k,
-                         ctx.max_terms)
-    r = zeta_z.zeta_z_closed(z / 2, c)
+    r, r_err = zeta_z._closed(ctx, z / 2)[:2]
     p = mp.power(2, z)
-    v = p * ctx.mpc(r.value.value)
-    return v, abs(p) * r.err + abs(v) * mp.mpf(2) ** (6 - mp.prec)
+    v = p * mp.mpc(r)
+    return v, abs(p) * r_err + abs(v) * mp.mpf(2) ** (6 - mp.prec)
 
 
 def expansion_terms(s, ctx: Optional[PrecisionContext] = None) -> List[ExpansionTerm]:

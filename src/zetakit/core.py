@@ -11,7 +11,9 @@ rational alongside the rounded rendering when the value is known exactly.
 The precision policy lives here: kernels that miss ``target_tol`` retry at
 up to 1024 extra bits (:func:`certify`), packaged results refuse
 (:func:`complex_result`), and arguments near the integer and half-integer
-lattice snap to it (:func:`snap`).
+lattice snap to it (:func:`snap`).  The tolerance is checked once per
+result, on the value returned: a composite of Gamma, digamma or zeta_Z
+factors takes them unchecked and holds only its own value to it.
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ B_2j/(2j)! rounded once per working precision; its power sum stays on
 
 Every kernel that returns a bounded value runs through :func:`core.certify`:
 when its ``err`` misses ``target_tol`` it is recomputed with up to 1024 extra
-bits, then refuses with NoConvergence.  Poles are found by :func:`core.snap`.
+bits, then refuses with NoConvergence; a composite takes Gamma and digamma
+as factors unchecked (:func:`_gamma_raw`).  Poles are found by :func:`core.snap`.
 
 All functions are pure.  The only shared mutable state is the Bernoulli memo
 and the Euler-Maclaurin coefficient table, each guarded by a lock.
@@ -97,45 +98,52 @@ def _trigamma_bound(mp, x):
     return 2 / _pole_distance(mp, x) ** 2 + 10
 
 
+#: Guard bits on a Gamma or digamma value, far below a composite's rounding.
+FACTOR_GUARD = 16
+
+
+def _gamma_raw(s, c: PrecisionContext) -> HPComplex:
+    """Gamma(s) at :data:`FACTOR_GUARD` bits above c's working precision,
+    its err not checked against the tolerance; PoleError at (or within
+    snapping distance of) the nonpositive integers.  When s is not exact at
+    working precision, err also covers its rounding, which |s psi(s)|
+    amplifies."""
+    z = c.mpc(s)
+    if _gamma_pole(c, z):
+        raise PoleError(f"gamma pole at {z}")
+    wp = c.mp.prec + FACTOR_GUARD
+    g = c.mp.gamma(z, prec=wp)
+    err = abs(g) * c.mp.mpf(2) ** (8 - wp)
+    if _rounded(s, z):
+        # the rounding |z - s| <= |z| eps grows by |psi(z)|
+        err += abs(g * z) * _psi_bound(c.mp, z) * c.eps
+    return HPComplex(g, err)
+
+
+def _digamma_raw(s, c: PrecisionContext) -> HPComplex:
+    """psi_0(s) for real s, as :func:`_gamma_raw` gives Gamma(s); the
+    rounding of s grows by |s psi'(s)|."""
+    x = c.mpf(s)
+    if _gamma_pole(c, x):
+        raise PoleError(f"digamma pole at {x}")
+    wp = c.mp.prec + FACTOR_GUARD
+    d = c.mp.digamma(x, prec=wp)
+    err = (abs(d) + 1) * c.mp.mpf(2) ** (8 - wp)
+    if _rounded(s, x):
+        # the rounding |x - s| <= |x| eps grows by psi'(x)
+        err += abs(x) * _trigamma_bound(c.mp, x) * c.eps
+    return HPComplex(d, err)
+
+
 def gamma(s, ctx: Optional[PrecisionContext] = None) -> HPComplex:
-    """Gamma(s) for complex s with an absolute error bound <= target_tol.
-
-    Raises PoleError at (or within snapping distance of) the nonpositive
-    integers, and NoConvergence if the tolerance cannot be met even after
-    boosting the working precision.  When s is not exact at working
-    precision, err also covers its rounding, which |s psi(s)| amplifies.
-    """
-    def compute(c: PrecisionContext) -> HPComplex:
-        z = c.mpc(s)
-        if _gamma_pole(c, z):
-            raise PoleError(f"gamma pole at {z}")
-        g = c.mp.gamma(z)
-        err = abs(g) * c.mp.mpf(2) ** (8 - c.mp.prec)
-        if _rounded(s, z):
-            # the rounding |z - s| <= |z| eps grows by |psi(z)|
-            err += abs(g * z) * _psi_bound(c.mp, z) * c.eps
-        return HPComplex(g, err)
-
-    return certify(get_context(ctx), compute, "gamma")
+    """Gamma(s) for complex s within target_tol: :func:`_gamma_raw` under
+    :func:`core.certify`, which raises NoConvergence past its last boost."""
+    return certify(get_context(ctx), lambda c: _gamma_raw(s, c), "gamma")
 
 
 def digamma(s, ctx: Optional[PrecisionContext] = None) -> HPComplex:
-    """psi_0(s) for real s, accurate to the context tolerance.
-
-    When s is not exact at working precision, err also covers its rounding,
-    which |s psi'(s)| amplifies."""
-    def compute(c: PrecisionContext) -> HPComplex:
-        x = c.mpf(s)
-        if _gamma_pole(c, x):
-            raise PoleError(f"digamma pole at {x}")
-        d = c.mp.digamma(x)
-        err = (abs(d) + 1) * c.mp.mpf(2) ** (8 - c.mp.prec)
-        if _rounded(s, x):
-            # the rounding |x - s| <= |x| eps grows by psi'(x)
-            err += abs(x) * _trigamma_bound(c.mp, x) * c.eps
-        return HPComplex(d, err)
-
-    return certify(get_context(ctx), compute, "digamma")
+    """psi_0(s) for real s within target_tol, as :func:`gamma`."""
+    return certify(get_context(ctx), lambda c: _digamma_raw(s, c), "digamma")
 
 
 # --------------------------------------------------------------------------
@@ -568,10 +576,11 @@ def riemann_zeta_numeric(s, ctx: Optional[PrecisionContext] = None) -> HPComplex
                 err += abs(z) * c.eps * (2 / abs(z - 1) ** 2 + (abs(z) + 2) ** 2)
             return HPComplex(cm.mpc(v), err)
         w, werr = _em_zeta_raw(cm, 1 - z, c.tol / 4, c.max_terms)
-        a = cm.power(2, z) * cm.power(cm.pi, z - 1) * cm.gamma(1 - z)
+        g = _gamma_raw(1 - z, c)
+        a = cm.power(2, z) * cm.power(cm.pi, z - 1) * g.value
         pref = a * cm.sinpi(z / 2)
         v = pref * w
-        err = abs(pref) * werr + abs(v) * cm.mpf(2) ** (12 - cm.prec)
+        err = abs(pref) * werr + abs(v) * (g.err / abs(g.value) + cm.mpf(2) ** (12 - cm.prec))
         if rounded:
             # zeta'(s) = a zeta(1-s) ((log 2 pi - psi(1-s) - zeta'/zeta(1-s))
             # sin(pi s/2) + pi/2 cos(pi s/2)), |zeta'/zeta(1-s)| <= 1.51 at

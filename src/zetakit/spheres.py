@@ -42,14 +42,15 @@ class SphereRatio:
 
 
 def sphere_volume_gamma(n: int, ctx: Optional[PrecisionContext] = None) -> EvalResult:
-    """vol(S^n) = 2 pi^((n+1)/2) / Gamma((n+1)/2) for n >= 0."""
+    """vol(S^n) = 2 pi^((n+1)/2) / Gamma((n+1)/2) for n >= 0, its Gamma
+    factor unchecked; err covers the rounding of pi, (n+1)/2-fold in the power."""
     if n < 0:
         raise DomainError("dimension must be nonnegative")
     ctx = get_context(ctx)
     mp = ctx.mp
-    g = numerics.gamma(mp.mpf(n + 1) / 2, ctx)
+    g = numerics._gamma_raw(mp.mpf(n + 1) / 2, ctx)
     v = 2 * mp.power(mp.pi, mp.mpf(n + 1) / 2) / g.value
-    rel = g.err / abs(g.value) + mp.mpf(2) ** (6 - mp.prec)
+    rel = g.err / abs(g.value) + (n + 1 + 2 ** 6) * mp.ldexp(1, -mp.prec)
     return complex_result(ctx, v, abs(v) * rel, False, "gamma-closed-form")
 
 
@@ -72,19 +73,17 @@ def sphere_volume_zproduct(n: int, ctx: Optional[PrecisionContext] = None) -> Ev
 
 
 def sphere_ratio(n: int, ctx: Optional[PrecisionContext] = None) -> SphereRatio:
-    """vol(S^n)/vol(S^(n-1)) computed both ways; the contract is that the
-    Gamma-quotient route and Z(-n+1) agree within summed error bounds."""
+    """vol(S^n)/vol(S^(n-1)) computed both ways, as the Gamma quotient
+    sqrt(pi) Gamma(n/2) / Gamma((n+1)/2), its factors unchecked, and as
+    Z(-n+1); the contract is that they agree within summed error bounds."""
     if n < 1:
         raise DomainError("ratio needs n >= 1")
     ctx = get_context(ctx)
     mp = ctx.mp
-    va = sphere_volume_gamma(n, ctx)
-    vb = sphere_volume_gamma(n - 1, ctx)
-    ratio = va.value.value.real / vb.value.value.real
-    rel = (va.err / abs(va.value.value) + vb.err / abs(vb.value.value)
-           + mp.mpf(2) ** (4 - mp.prec))
-    gamma_route = complex_result(ctx, ratio, abs(ratio) * rel, False,
-                                 "gamma-closed-form")
+    g1, g2 = (numerics._gamma_raw(mp.mpf(k) / 2, ctx) for k in (n, n + 1))
+    ratio = mp.sqrt(mp.pi) * g1.value / g2.value
+    rel = g1.err / abs(g1.value) + g2.err / abs(g2.value) + mp.mpf(2) ** (4 - mp.prec)
+    gamma_route = complex_result(ctx, ratio, abs(ratio) * rel, False, "gamma-closed-form")
     return SphereRatio(n, gamma_route, big_z(-(n - 1), ctx))
 
 

@@ -64,11 +64,19 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
     C(-2s, -s); positive integers return an exact zero flagged as a simple
     zero; positive half-integers raise PoleError.  A negative half-integer
     s = -m - 1/2, given exactly, returns the rational 8 16^m / ((m+1)
-    C(2m+2, m+1)) over pi, rounded once (:func:`_at_negative_half_integer`).
+    C(2m+2, m+1)) over pi, rounded once.
     ``use_exact_paths=False`` forces the generic Gamma route (useful for
     cross-checking the exact values against the analytic continuation).
     """
     ctx = get_context(ctx)
+    v, err, certified, exact, note = _closed(ctx, s, use_exact_paths)
+    return complex_result(ctx, v, err, certified, "closed-form", exact, note)
+
+
+def _closed(ctx: PrecisionContext, s, use_exact_paths: bool = True):
+    """(value, err, certified, exact, note) of :func:`zeta_z_closed` before
+    its tolerance check, its Gamma factors unchecked too, for the
+    composites that take zeta_Z(s) as a factor."""
     mp = ctx.mp
     z = ctx.mpc(s)
     q = snap(ctx, z)
@@ -78,32 +86,26 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
         if q.denominator == 1 and use_exact_paths:
             if q <= 0:
                 n = -int(q)
-                return exact_result(ctx, Fraction(comb(2 * n, n)), "closed-form")
-            return exact_result(ctx, Fraction(0), "closed-form", note="simple-zero")
+                exact = Fraction(comb(2 * n, n))
+                return mp.convert(exact), mp.zero, True, exact, None
+            return mp.zero, mp.zero, True, Fraction(0), "simple-zero"
         if use_exact_paths and z == q and not numerics._rounded(s, z):
-            return _at_negative_half_integer(ctx, -int(q + Fraction(1, 2)))
-    g1 = numerics.gamma(mp.mpf(1) / 2 - z, ctx)
-    g2 = numerics.gamma(1 - z, ctx)
+            # zeta_Z(-m-1/2) = 8 16^m m! (m+1)! / ((2m+2)! pi), the rational
+            # and pi at prec + 10 bits, their quotient rounded once to prec:
+            # 2^(1-prec) covers that and the two roundings at prec + 10
+            m = -int(q + Fraction(1, 2))
+            r = Fraction(8 * 16 ** m, (m + 1) * comb(2 * m + 2, m + 1))
+            wp = mp.prec + 10
+            v = mp.make_mpf(mpf_div(from_rational(r.numerator, r.denominator, wp, round_nearest),
+                                    mpf_pi(wp, round_nearest), mp.prec, round_nearest))
+            return v, v * mp.ldexp(1, 1 - mp.prec), True, None, None
+    g1 = numerics._gamma_raw(mp.mpf(1) / 2 - z, ctx)
+    g2 = numerics._gamma_raw(1 - z, ctx)
     v = mp.power(4, -z) / mp.sqrt(mp.pi) * g1.value / g2.value
     rel = g1.err / abs(g1.value) + g2.err / abs(g2.value) + mp.mpf(2) ** (6 - mp.prec)
     if numerics._rounded(s, z):
         rel += abs(z) * _log_deriv_bound(mp, z) * ctx.eps
-    return complex_result(ctx, v, abs(v) * rel, False, "closed-form")
-
-
-def _at_negative_half_integer(ctx: PrecisionContext, m: int) -> EvalResult:
-    """zeta_Z(-m-1/2) = 8 16^m m! (m+1)! / ((2m+2)! pi) = 8 16^m / ((m+1)
-    C(2m+2, m+1) pi), the Gamma closed form at 1/2 - s = m + 1 and 1 - s =
-    m + 3/2.  The rational and pi are taken at prec + 10 bits and their
-    quotient is rounded once to prec: half a unit in the last place, at most
-    2^-prec relatively, and the 2^(1-prec) of err covers that and the two
-    roundings at prec + 10."""
-    mp = ctx.mp
-    q = Fraction(8 * 16 ** m, (m + 1) * comb(2 * m + 2, m + 1))
-    wp = mp.prec + 10
-    v = mp.make_mpf(mpf_div(from_rational(q.numerator, q.denominator, wp, round_nearest),
-                            mpf_pi(wp, round_nearest), mp.prec, round_nearest))
-    return complex_result(ctx, v, v * mp.ldexp(1, 1 - mp.prec), True, "closed-form")
+    return v, abs(v) * rel, False, None, None
 
 
 def _log_deriv_bound(mp, z):
@@ -317,19 +319,19 @@ def zeta_z_mellin(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
 
 
 def big_z(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
-    """Z(s) = pi 2^s zeta_Z(s/2); pole errors propagate from zeta_Z."""
+    """Z(s) = pi 2^s zeta_Z(s/2), checked against the tolerance on Z(s)
+    alone; pole errors propagate from zeta_Z."""
     ctx = get_context(ctx)
     mp = ctx.mp
     z = ctx.mpc(s)
-    inner = zeta_z_closed(z / 2, ctx)
+    inner, inner_err, certified, _, note = _closed(ctx, z / 2)
     pref = mp.pi * mp.power(2, z)
-    v = pref * inner.value.value
-    err = abs(pref) * inner.err + abs(v) * mp.mpf(2) ** (6 - mp.prec)
+    v = pref * inner
+    err = abs(pref) * inner_err + abs(v) * mp.mpf(2) ** (6 - mp.prec)
     if numerics._rounded(s, z):
         # (log Z)'(s) = log 2 + (log zeta_Z)'(s/2) / 2
         err += abs(v * z) * (_log_deriv_bound(mp, z / 2) / 2 + 1) * ctx.eps
-    return complex_result(ctx, v, err, inner.certified, "closed-form",
-                          note=inner.note)
+    return complex_result(ctx, v, err, certified, "closed-form", note=note)
 
 
 def _deriv_bracket_exact_negative(n: int) -> Fraction:
@@ -347,7 +349,8 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     at s = -n the bracket telescopes into the exact rational
     C(2n,n) sum_{k<=n} (1/k - 2/(2k-1)), at s = 0 the derivative vanishes
     exactly, and positive integers route to the exact reciprocal formula.
-    Positive half-integers (and other s >= 1/2) raise DomainError.
+    Positive half-integers (and other s >= 1/2) raise DomainError.  Only
+    zeta_Z'(s) is checked against the tolerance, not its factors.
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -367,22 +370,18 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
                                 "digamma-formula")
     if x >= mp.mpf(1) / 2:
         raise DomainError("derivative formula applies left of s = 1/2")
-    zc = zeta_z_closed(x, ctx)
-    d1 = numerics.digamma(mp.mpf(1) / 2 - x, ctx)
-    d2 = numerics.digamma(1 - x, ctx)
+    zc, zc_err = _closed(ctx, x)[:2]
+    d1 = numerics._digamma_raw(mp.mpf(1) / 2 - x, ctx)
+    d2 = numerics._digamma_raw(1 - x, ctx)
     bracket = -d1.value - 2 * mp.log(2) + d2.value
-    v = zc.value.value * bracket
-    err = (
-        abs(bracket) * zc.err
-        + abs(zc.value.value) * (d1.err + d2.err)
-        + abs(v) * mp.mpf(2) ** (6 - mp.prec)
-    )
+    v = zc * bracket
+    err = abs(bracket) * zc_err + abs(zc) * (d1.err + d2.err) + abs(v) * mp.mpf(2) ** (6 - mp.prec)
     if numerics._rounded(s, x):
         # the rounding |x - s| <= |x| eps grows by |zeta_Z''| = |zeta_Z|
         # |bracket^2 + psi'(1/2-x) - psi'(1-x)|; 2 bracket^2 for the second order
         curv = (2 * bracket ** 2 + numerics._trigamma_bound(mp, mp.mpf(1) / 2 - x)
                 + numerics._trigamma_bound(mp, 1 - x))
-        err += abs(zc.value.value * x) * curv * ctx.eps
+        err += abs(zc * x) * curv * ctx.eps
     return complex_result(ctx, v, err, False, "digamma-formula")
 
 

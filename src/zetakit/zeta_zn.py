@@ -19,12 +19,12 @@ k/n)^x that extraction reads, which is 2^-x times the folded sum at -2s = x.
                   - (2n/pi) integral_0^(pi k0/n) (2 sin t)^(-2s) dt
                   - 2 sum_{j<=M} B_2j/(2j)! g^(2j-1)(k0) + R_M,
 
-  g(x) = (2 sin(pi x/n))^(-2s): zeta_Z(s) from the closed form, the cut-off
-  integral as a series in sin(pi k0/n), the derivatives by Miller's
-  recurrence on the Taylor series of a cotangent, and a proved bound on
-  R_M.  The singular end x = 0 is cut off rather than treated (Navot 1961
-  gives the Euler-Maclaurin expansion with it), so the work is independent
-  of n.
+  g(x) = (2 sin(pi x/n))^(-2s): zeta_Z(s) from the closed form, held to the
+  tolerance only as part of the sum, the cut-off integral as a series in
+  sin(pi k0/n), the derivatives by Miller's recurrence on the Taylor series
+  of a cotangent, and a proved bound on R_M.  The singular end x = 0 is cut
+  off rather than treated (Navot 1961 gives the Euler-Maclaurin expansion
+  with it), so the work is independent of n.
 
 The switch is a cost formula (:func:`_route_plan`): for each cut-off k0 it
 finds the order M whose remainder bound meets tol/4 and the series length
@@ -107,7 +107,7 @@ from .numerics import (
     _rounded,
     _to_mp,
 )
-from .zeta_z import zeta_z_closed
+from .zeta_z import _closed
 
 __all__ = [
     "RationalPolynomial",
@@ -645,28 +645,24 @@ def _circle_sum(c: PrecisionContext, n: int, z, dp, tol, fold: bool = True):
     Folded, at an exponent that is neither an integer nor a half-integer,
     with z off Z/2 (:func:`core.snap`), and above the switch of
     :func:`_route_plan`, the sum takes the large-n route (:func:`_route`),
-    unless the closed form cannot certify zeta_Z(z) to c's tolerance;
-    otherwise every term is summed (:func:`_power_sum`).  Only a path whose
-    work fits ``max_terms`` is taken, and NoConvergence naming it is raised
-    before any sine is rotated when none does."""
+    on zeta_Z(z) from the closed form before any tolerance check
+    (:func:`zeta_z._closed`), whose err enters the sum's; otherwise every
+    term is summed (:func:`_power_sum`).  Only a path whose work fits
+    ``max_terms`` is taken, and NoConvergence naming it is raised before
+    any sine is rotated when none does."""
     p = -2 * z
     cplx = isinstance(p, c.mp.mpc)
     count = n // 2 if fold else n - 1
     plan = None
     if fold and (cplx or not _quarter(p)) and snap(c, z) is None:
         plan = _route_plan(n, p, tol, count, c.max_terms)
-    if plan is not None:
-        try:
-            zz = zeta_z_closed(z, c)
-        except NoConvergence:  # the closed form misses tol here, so n zeta_Z does
-            plan = None
     if plan is None:
         if count > c.max_terms:
             raise NoConvergence(f"discrete-circle sum: {count} terms exceed max_terms = "
                                 f"{c.max_terms}")
         return _power_sum(c.mp, n, p, fold, dp)
-    return _route(c.mp, n, p, dp, plan, zz.value.value if cplx else zz.value.value.real,
-                  zz.err)
+    zz, zz_err = _closed(c, z)[:2]
+    return _route(c.mp, n, p, dp, plan, zz if cplx else zz.real, zz_err)
 
 
 def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPComplex:

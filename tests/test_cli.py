@@ -304,6 +304,15 @@ def test_volumes_table(capsys):
     assert lines[1].startswith("0,2")
 
 
+def test_volumes_at_the_lowest_precision(capsys):
+    # both routes up to n = 79 at 64 bits: the Z(-j) factors and the Gamma
+    # volume meet 1e-12 on their own values
+    code, out, _ = run_cli(capsys, "--precision-bits", "64", "--tol", "1e-12",
+                           "--format=csv", "volumes", "--n-max=79")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 81
+
+
 def test_poly_command(capsys):
     code, out, _ = run_cli(capsys, "poly", "--m=2")
     assert code == 0

@@ -69,6 +69,24 @@ def test_gamma_reflection_sample(ctx, mp):
         assert abs(lhs - rhs) <= 8 * ctx.tol * (1 + abs(rhs))
 
 
+@pytest.mark.parametrize("kernel, raw, s", [
+    (gamma, numerics._gamma_raw, Fraction(1, 2)),
+    (digamma, numerics._digamma_raw, Fraction(3, 10)),
+], ids=["gamma", "digamma"])
+def test_public_kernels_still_escalate(kernel, raw, s):
+    # the unchecked body misses 1e-31 at 64 bits despite its guard bits; the
+    # public kernel retries with more bits and stays honest
+    ctx = PrecisionContext(64, 1e-31)
+    mp = MPContext()
+    mp.prec = 2 * 64 + 64
+    assert raw(s, ctx).err > ctx.tol
+    r = kernel(s, ctx)
+    assert r.err <= ctx.tol
+    x = mp.mpf(s.numerator) / s.denominator
+    truth = mp.gamma(x) if kernel is gamma else mp.digamma(x)
+    assert abs(mp.mpc(r.value) - truth) <= r.err
+
+
 # ---------------------------------------------------------------- digamma
 
 def test_digamma_values(ctx, mp):

@@ -4,9 +4,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from zetakit import (
     DomainError,
+    PrecisionContext,
     big_z,
     catalan,
     sphere_ratio,
@@ -134,3 +136,35 @@ def test_big_z_feeds_products(ctx, mp):
         prod *= big_z(-j, ctx).value.value.real
     direct = sphere_volume_gamma(4, ctx).value.value.real
     assert abs(prod - direct) < ctx.tol
+
+
+# ---------------------------------------------------------------- large dimensions
+
+@pytest.mark.parametrize("route, bits, tol, n", [
+    pytest.param(sphere_volume_zproduct, 64, 1e-12, 58, id="zproduct-64-58"),
+    pytest.param(sphere_volume_zproduct, 256, 1e-30, 192, id="zproduct-256-192"),
+    pytest.param(sphere_volume_gamma, 64, 1e-12, 360, id="gamma-64-360"),
+    pytest.param(sphere_volume_gamma, 256, 1e-30, 390, id="gamma-256-390"),
+    pytest.param(sphere_volume_gamma, 1024, 1e-120, 510, id="gamma-1024-510"),
+    # the rounding of pi grows (n+1)/2-fold in pi^((n+1)/2)
+    pytest.param(sphere_volume_gamma, 256, 1e-30, 300, id="gamma-256-300"),
+    pytest.param(sphere_volume_gamma, 256, 1e-30, 380, id="gamma-256-380"),
+    pytest.param(sphere_volume_gamma, 1024, 1e-120, 500, id="gamma-1024-500"),
+])
+def test_large_dimensions_are_served_and_honest(route, bits, tol, n):
+    # Z(-j) = pi 2^-j zeta_Z(-j/2) is small while zeta_Z(-j/2) is not, and
+    # Gamma((n+1)/2) is far above the volume: only the value meets tol
+    ctx = PrecisionContext(bits, tol)
+    r = route(n, ctx)
+    mp = MPContext()
+    mp.prec = 2 * bits + 64
+    h = mp.mpf(n + 1) / 2
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - 2 * mp.power(mp.pi, h) / mp.gamma(h)) <= r.err
+
+
+@pytest.mark.parametrize("bits, tol", [(64, 1e-12), (256, 1e-30)], ids=str)
+def test_ratio_at_four_hundred(bits, tol):
+    r = sphere_ratio(400, PrecisionContext(bits, tol))
+    diff = abs(r.gamma_route.value.value - r.z_value.value.value)
+    assert diff <= r.gamma_route.err + r.z_value.err

@@ -67,12 +67,12 @@ def test_closed_half_integer_path_needs_the_exact_argument():
     # an s that merely snaps to -1/2, or rounds onto it, keeps the Gamma route
     ctx = PrecisionContext(256, 1e-30)
     calls = []
-    gamma = zeta_z.numerics.gamma
+    gamma = zeta_z.numerics._gamma_raw
     near = Fraction(-1, 2) + Fraction(1, 10 ** 50)  # within the snapping radius 2^-128
     for s in (Fraction(-1, 2), -0.5, near):
         calls.clear()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(zeta_z.numerics, "gamma", lambda z, c: calls.append(z) or gamma(z, c))
+            patch.setattr(zeta_z.numerics, "_gamma_raw", lambda z, c: calls.append(z) or gamma(z, c))
             zeta_z_closed(s, ctx)
         assert bool(calls) == (s is near)
 
@@ -546,3 +546,64 @@ def test_route_agreement_random(ctx, mp):
         m = zeta_z_mellin(s, ctx)
         assert abs(c.value.value - p.value.value) <= c.err + p.err
         assert abs(c.value.value - m.value.value) <= c.err + m.err
+
+
+# ---------------------------------------------------------------- one tolerance check per value
+
+#: zeta_Z(-300.25) is about 1.9e179 and its Gamma factors about 1e614 and
+#: 1e612: a tolerance of 1e170 is met by the value's rounding, never by a
+#: factor's, so only a check on the value itself can serve these calls
+_LARGE = PrecisionContext(256, Fraction(10) ** 170)
+
+
+#: zeta_Z is about 1e14 at these points, where the closed form's err misses
+#: 1e-12 at 64 bits without guard bits on its Gamma factors
+_GUARDED = (-24.113, -24.513, -25.613)
+
+
+def _deriv_oracle(mp, z):
+    return _closed_oracle(mp, z) * (-mp.digamma(mp.mpf(1) / 2 - z) - 2 * mp.log(2)
+                                    + mp.digamma(1 - z))
+
+
+@pytest.mark.parametrize("call, oracle, s, ctx", [
+    pytest.param(zeta_z_closed, _closed_oracle, -300.25, _LARGE, id="closed"),
+    pytest.param(zeta_z_deriv, _deriv_oracle, -300.25, _LARGE, id="deriv"),
+    pytest.param(big_z, lambda mp, z: mp.pi * mp.power(2, z) * _closed_oracle(mp, z / 2),
+                 -600.5, _LARGE, id="big-z"),
+] + [pytest.param(zeta_z_closed, _closed_oracle, s, PrecisionContext(64, 1e-12),
+                  id=f"closed-64bits-{s}") for s in _GUARDED])
+def test_values_meet_the_tolerance_on_their_own(call, oracle, s, ctx):
+    # truth: mpmath at 2 bits + 64
+    mp = MPContext()
+    mp.prec = 2 * ctx.precision_bits + 64
+    r = call(s, ctx)
+    assert r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - oracle(mp, mp.mpf(s))) <= r.err
+
+
+def test_composites_take_their_factors_unchecked(monkeypatch):
+    # the closed form, its derivative, Z, the leading expansion coefficient,
+    # the Gamma volume and the large-n circle route never call the certified
+    # Gamma, digamma or closed form, so no factor is held to the tolerance
+    from zetakit import asymptotics, spheres, zeta_zn
+
+    closed = zeta_z.zeta_z_closed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor went through a tolerance check")
+
+    for module, name in ((zeta_z.numerics, "gamma"), (zeta_z.numerics, "digamma"),
+                         (zeta_z, "zeta_z_closed")):
+        monkeypatch.setattr(module, name, refuse)
+    ctx = PrecisionContext(256, 1e-30)
+    routes = []
+    route = zeta_zn._route
+    monkeypatch.setattr(zeta_zn, "_route", lambda *a: routes.append(a) or route(*a))
+    closed(-1.3, ctx)
+    zeta_z.zeta_z_deriv(-1.3, ctx)
+    zeta_z.big_z(-2.6, ctx)
+    asymptotics._lead(ctx.mpf(-2.6), ctx)
+    spheres.sphere_volume_gamma(7, ctx)
+    zeta_zn.zeta_zn_direct(10 ** 6, 0.37, ctx)
+    assert len(routes) == 1
