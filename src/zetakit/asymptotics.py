@@ -174,15 +174,21 @@ def extract_zeta(s, n_min: int, n_max: int,
     lead = _lead(x, ctx)[0].real
     ys = []
     xs = []
+    noise = mp.zero  # the largest certified error of a rescaled data point
     for n in grid:
-        total = sine_power_sum(n, -x, ctx).value
-        d = total - lead * n
-        ys.append(d * mp.power(n, -x))  # rescale by the leading model power
+        total = sine_power_sum(n, -x, ctx)
+        w = mp.power(n, -x)  # rescale by the leading model power
+        ys.append((total.value - lead * n) * w)
         xs.append(mp.mpf(n) ** -2)
+        noise = max(noise, total.err * w)
     c1, c2 = _fit_line(mp, xs, ys)
     residuals = [y - c1 - c2 * v for y, v in zip(ys, xs)]
     rms = mp.sqrt(mp.fsum(r * r for r in residuals) / len(grid))
-    scale = abs(c1) + abs(c2) * max(xs) + mp.mpf(2) ** (-ctx.precision_bits // 2)
+    # a least-squares residual is at most the data's own error, so a
+    # residual within it is noise in the sums, not a failure of the model
+    # (at s = -2 the data is exactly 0 and the residual is only that noise)
+    scale = (abs(c1) + abs(c2) * max(xs) + 100 * noise
+             + mp.mpf(2) ** (-ctx.precision_bits // 2))
     if rms > scale / 100:
         raise IllConditioned(f"fit residual {rms} too large for scale {scale}")
     estimate = c1 * mp.power(mp.pi, x) / 2

@@ -18,6 +18,7 @@ from .core import (
     NoConvergence,
     PrecisionContext,
     ReconstructionError,
+    exact_result,
     get_context,
     mpf_to_fraction,
 )
@@ -338,22 +339,30 @@ def _route_switch(ctx: PrecisionContext, s) -> int:
 
 
 def _check_large_n_route(ctx: PrecisionContext) -> CheckResult:
-    """The large-n route against the unfolded plain sum, which sums every
-    term where the route sums only the first k0, at n just above the
-    switch, for one real and one complex s; each pair must agree within
-    the sum of the two errs."""
+    """The large-n route at n just above the switch against an oracle
+    independent of it, within the sum of the two errs: the unfolded plain
+    sum, which sums every term where the route sums only the first k0, at
+    one real and one complex s; the exact alternating binomial sum (err 0)
+    at s = -2; the cotangent sum on mpmath's own sines at s = -3/2."""
+    def unfolded(n, s):
+        return zeta_zn.zeta_zn_direct(n, s, ctx, fold=False)
+
     errs, bad, ns = [], [], []
-    for s in (0.37, complex(-0.6, 0.9)):
+    for s, oracle in (
+            (0.37, unfolded), (complex(-0.6, 0.9), unfolded),
+            (-2, lambda n, s: exact_result(ctx, zeta_zn.zeta_zn_negative_int(n, 2), "binomial")),
+            (Fraction(-3, 2), lambda n, s: zeta_zn.sine_odd_power_sum(n, 1, ctx))):
         n = _route_switch(ctx, s)
         a = zeta_zn.zeta_zn_direct(n, s, ctx)
-        b = zeta_zn.zeta_zn_direct(n, s, ctx, fold=False)
+        b = oracle(n, s)
         d = abs(a.value.value - b.value.value)
         errs.append(float(d))
         ns.append(n)
         if d > a.err + b.err:
             bad.append((n, s))
     return CheckResult("large-n-route", not bad, max(errs),
-                       f"n = {ns} at the switch, threshold err + err"
+                       f"s = 0.37, -0.6+0.9i, -2, -3/2 at n = {ns}, the switch; "
+                       "threshold err + err"
                        + (f"; failures {bad}" if bad else ""))
 
 

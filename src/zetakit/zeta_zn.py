@@ -8,9 +8,10 @@ chosen in one place, :func:`_circle_sum`.  Both public sums go through it:
 k/n)^x that extraction reads, which is 2^-x times the folded sum at -2s = x.
 
 * The plain sum, :func:`_power_sum`, adds every term (folded at k <= n/2 by
-  default): work n/2, the only path for integer and half-integer exponents
-  -2s, for ``fold=False`` and for s within snapping distance of Z/2.
-* The large-n route, :func:`_route`, for other exponents above a switch:
+  default): work n/2, the only path at s = 0 (the sum is n - 1), at the
+  poles s in 1/2 + N of zeta_Z, for ``fold=False`` and for s within
+  snapping distance of Z/2 but off it.
+* The large-n route, :func:`_route`, for every other s above a switch:
   it adds the first k0 terms and takes the rest from the paper's link
   between the two zetas, integral_0^n (2 sin(pi x/n))^(-2s) dx = n
   zeta_Z(s).  Euler-Maclaurin from k0 to n - k0 gives
@@ -19,7 +20,8 @@ k/n)^x that extraction reads, which is 2^-x times the folded sum at -2s = x.
                   - (2n/pi) integral_0^(pi k0/n) (2 sin t)^(-2s) dt
                   - 2 sum_{j<=M} B_2j/(2j)! g^(2j-1)(k0) + R_M,
 
-  g(x) = (2 sin(pi x/n))^(-2s): zeta_Z(s) from the closed form, held to the
+  g(x) = (2 sin(pi x/n))^(-2s): zeta_Z(s) from the closed form (exact at
+  the integers and half-integers, where it needs no Gamma), held to the
   tolerance only as part of the sum, the cut-off integral as a series in
   sin(pi k0/n), the derivatives by Miller's recurrence on the Taylor series
   of a cotangent, and a proved bound on R_M.  The singular end x = 0 is cut
@@ -29,9 +31,11 @@ k/n)^x that extraction reads, which is 2^-x times the folded sum at -2s = x.
 The switch is a cost formula (:func:`_route_plan`): for each cut-off k0 it
 finds the order M whose remainder bound meets tol/4 and the series length
 J, prices k0 + m (2M-1)^2 + t J + c in units of one plain term
-(:data:`_ROUTE_COST`), and takes the route when the cheapest plan costs
-less than the plain sum's n/2 terms.  At 256 bits/1e-30 that is n of
-about 210-250 for |s| <= 6, at 1024 bits/1e-120 about 720-860.  Only a
+(:data:`_ROUTE_COST`, :data:`_QUARTER_TERM`), and takes the route when the
+cheapest plan costs less than the plain sum's n/2 terms.  At 256
+bits/1e-30 that is n of about 210-250 for |s| <= 6, 550-630 where -2s is
+an integer or a half-integer and each plain term is cheaper; at 1024
+bits/1e-120 about 720-860 and 1600-1820.  Only a
 path whose work (n/2 or n - 1 terms, or k0 + 2M + J) fits ``max_terms``
 is taken; when none does, NoConvergence names it before any sine is
 rotated.
@@ -350,8 +354,8 @@ _LN2 = math.log(2)
 
 #: Cut-off points k0 that :func:`_route_plan` weighs.
 _K0_CHOICES = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
-#: (m, t, c) of the route's cost, in units of one term of the plain sum of
-#: the same kind of exponent, real or complex: m per product of the
+#: (m, t, c) of the route's cost, in units of one log/exp term of the plain
+#: sum of the same kind of exponent, real or complex: m per product of the
 #: derivative block, t per term of the series, c for the rest (zeta_Z, the
 #: plan, the scalar work).  Measured with mpmath's pure-Python backend: one
 #: plain term takes 10/22 us (real/complex) at 64 bits, 27/33 us at 256 and
@@ -365,6 +369,20 @@ _K0_CHOICES = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 #: mpmath's one-time set-up of Gamma at a new precision, which the first
 #: zeta_Z of a process pays: about 0.2 s at 1024 bits, 4.4 s at 3072.
 _ROUTE_COST = (0.02, 0.03, 60.0)
+#: One plain term of an integer or half-integer exponent (a ratio, binary
+#: powering, ``math.isqrt``) in units of one log/exp term, the unit of
+#: :data:`_ROUTE_COST`.  Measured per folded term: 1.6-2.5 us (integer)
+#: and 2.5-3.6 us (half-integer) against 8 us at 64 bits, 2.8-3.8 and
+#: 4.4-7.3 against 17-19 us at 256, 16-27 and 23-31 against 130 us at
+#: 1024.  At the switch this places, the two paths timed (plain/route) at
+#: s = -1 and -3/2: n = 450, 0.66/0.64 and 0.68/0.62 ms at 64 bits/1e-12;
+#: n = 566, 1.48/1.35 and 1.62/1.43 ms at 256 bits/1e-30; n = 1624 and
+#: 1644, 18/25 and 18/25 ms at 1024 bits/1e-120.  Over nine integer and
+#: half-integer s from -6 to 4 the median plain/route ratio read 1.05-1.19,
+#: 1.10-1.18 and 0.74-0.86 at the three precisions (0.25 gave 1.1-1.2,
+#: 1.3 and 0.8-0.9).  Priced in log/exp terms the switch would fall at n =
+#: 160-180, 220-260 and 740-880, where the plain sum is 2-4 times faster.
+_QUARTER_TERM = 0.3
 #: Largest Euler-Maclaurin order the route takes; its rounding lemma
 #: (:func:`_route`) asks for R = 2M - 1 < 1000.
 _ROUTE_MAX_ORDER = 400
@@ -437,9 +455,11 @@ def _route_plan(n: int, p, tol, count: int, max_terms: int):
     R_M is held to tol/4 (:func:`_least_order`), and J, the length of the
     series in u0 = sin(pi k0/n), is the first with its tail below tol/16
     (for Re p + 2J + 1 >= 1).  The cost, in units of one term of the plain
-    sum of the same kind of exponent, is k0 + m R^2 + t J + c, R = 2M - 1,
-    with (m, t, c) from :data:`_ROUTE_COST`."""
-    per_mul, per_term, fixed = _ROUTE_COST
+    sum at p, is k0 + (m R^2 + t J + c) / w, R = 2M - 1, with (m, t, c)
+    from :data:`_ROUTE_COST` and w the price of that term in log/exp terms:
+    :data:`_QUARTER_TERM` for an integer or half-integer p, else 1."""
+    unit = _QUARTER_TERM if not p.imag and _quarter(p.real) else 1
+    per_mul, per_term, fixed = (x / unit for x in _ROUTE_COST)
     best, plan = (count if count <= max_terms else math.inf), None
     if _K0_CHOICES[0] + fixed >= best:  # the plain sum is cheaper, whatever M
         return None
@@ -536,7 +556,12 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
       1, floored per part and with p on the grid, is within (10 j / delta +
       3 / delta^2 + 2) u, delta = min |q_j|.  The tail past J is below (2n
       u0/pi) |g(k0)| u0^(2J) / ((1 - u0^2) (Re p + 2J + 1)), and the plan
-      holds it to tol/16.
+      holds it to tol/16.  delta > 0: q_j = 0 is s = j + 1/2, a pole of
+      zeta_Z, which :func:`_circle_sum` leaves to the plain sum, as it
+      does every s within the snapping distance r of Z/2 but off it, so
+      delta > 2r for s off Z/2.  For an integer or half-integer p, delta
+      >= 1/2: q_j is odd for an integer s, at least p + 1 >= 2 for a
+      negative half-integer s, and a half-integer for a quarter-integer s.
 
     g(k0) = exp(p log(2 u0)) in mpmath, within (|p| (2L + 1) + 2) 2^(1-prec)
     relatively, L = bitlen(n) + 1 >= |log(2 u0)|; the last combination is
@@ -642,19 +667,20 @@ def _circle_sum(c: PrecisionContext, n: int, z, dp, tol, fold: bool = True):
     -2z, at c's precision; ``dp`` bounds the rounding of p, as in
     :func:`_power_sum`, and ``tol`` is the tolerance the err should meet.
 
-    Folded, at an exponent that is neither an integer nor a half-integer,
-    with z off Z/2 (:func:`core.snap`), and above the switch of
-    :func:`_route_plan`, the sum takes the large-n route (:func:`_route`),
-    on zeta_Z(z) from the closed form before any tolerance check
-    (:func:`zeta_z._closed`), whose err enters the sum's; otherwise every
-    term is summed (:func:`_power_sum`).  Only a path whose work fits
+    Folded and above the switch of :func:`_route_plan`, the sum takes the
+    large-n route (:func:`_route`) on zeta_Z(z) from the closed form before
+    any tolerance check (:func:`zeta_z._closed`, exact on Z/2), whose err
+    enters the sum's, for z off Z/2 (:func:`core.snap`) or exactly on it,
+    but not at z = 0, where the sum is exactly n - 1, nor at the poles z in
+    1/2 + N of zeta_Z, nor near Z/2 off it; otherwise every term is summed
+    (:func:`_power_sum`).  Only a path whose work fits
     ``max_terms`` is taken, and NoConvergence naming it is raised before
     any sine is rotated when none does."""
     p = -2 * z
     cplx = isinstance(p, c.mp.mpc)
     count = n // 2 if fold else n - 1
-    plan = None
-    if fold and (cplx or not _quarter(p)) and snap(c, z) is None:
+    q, plan = snap(c, z), None
+    if fold and (q is None or z == q and (q < 0 or q > 0 and q.denominator == 1)):
         plan = _route_plan(n, p, tol, count, c.max_terms)
     if plan is None:
         if count > c.max_terms:
@@ -670,11 +696,11 @@ def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPC
 
     It is 2^-power times the folded sum of (2 sin(pi k/n))^power, which
     :func:`_circle_sum` evaluates at the tolerance scaled by 2^power: by
-    the large-n route for a power that is neither an integer nor a
-    half-integer above its switch, else term by term, and never with more
-    work than ``max_terms``.  The sines come from a fixed-point rotation
-    with a proved drift bound (:func:`_rotated_sines`), never from a
-    rounded pi*k/n product, so accuracy survives large n; err covers the
+    the large-n route above its switch, else term by term (always at power
+    0, at the negative odd powers, and near an integer power but off it),
+    and never with more work than ``max_terms``.  The sines come from a
+    fixed-point rotation with a proved drift bound (:func:`_rotated_sines`),
+    never from a rounded pi*k/n product, so accuracy survives large n; err covers the
     rounding of a power that is not exact at working precision and of the
     factor 2^-power.  The sum runs once, at the precision that the largest
     term shows it needs (:func:`_first_bits`) if that is above the
@@ -704,9 +730,9 @@ def zeta_zn_direct(n: int, s, ctx: Optional[PrecisionContext] = None, *,
     """The defining finite sum (any complex s), as sum_k (2 sin(pi k/n))^(-2s);
     err covers the rounding of an s that is not exact at working precision.
 
-    :func:`_circle_sum` chooses the path: the large-n route (folded, at an
-    exponent -2s that is neither an integer nor a half-integer, above its
-    switch) or the plain sum, within ``max_terms``.
+    :func:`_circle_sum` chooses the path: the large-n route (folded, above
+    its switch, s neither a pole 1/2, 3/2, ... of zeta_Z nor near Z/2 but
+    off it) or the plain sum, within ``max_terms``.
 
     The sum runs at the context's precision and, should its err miss the
     tolerance there, again with more bits (:func:`core.certify`); a sum run

@@ -200,11 +200,11 @@ def test_direct_sum_refusal_names_the_precision(capsys):
     assert "NoConvergence" in err and "precision too low" in err and "64 bits" in err
 
 
-@pytest.mark.parametrize("s, code", [("3/4", 4), ("37/100", 0)])
+@pytest.mark.parametrize("s, code", [("3/2", 4), ("3/4", 0), ("37/100", 0)])
 def test_direct_sum_honours_max_terms(capsys, s, code):
-    # n = 10^9: a half-integer exponent takes the plain sum of 5 * 10^8
-    # terms and is refused at once; a generic one takes the large-n route,
-    # whose work does not grow with n
+    # n = 10^9: at s = 3/2, a pole of zeta_Z, only the plain sum of 5 * 10^8
+    # terms serves and is refused at once; a half-integer or generic
+    # exponent takes the large-n route, whose work does not grow with n
     got, out, err = run_cli(capsys, "--max-terms", "1000", "eval", "zeta-zn",
                             "--n=1000000000", f"--s={s}")
     assert got == code

@@ -428,7 +428,10 @@ def _sine_power_oracle(mp, n, power):
 # (context, kernel call, the same value from mpmath at high precision); the
 # kernels miss the tolerance at the context's own precision and must retry
 # with more bits (the sine-power sum starts at them) rather than return an
-# err above tol, except at the two near-pole points, whose argument rounds
+# err above tol, except at the two near-pole points, whose argument rounds,
+# and at Gamma(1/2) and psi(3/10), which meet 1e-27 at 64 bits at once and
+# only check honesty here (their retry is tested at 1e-31 by
+# test_public_kernels_still_escalate)
 _LOW = PrecisionContext(64, 1e-27)
 _MID = PrecisionContext(256, 1e-30)
 _ESCALATIONS = {

@@ -121,14 +121,23 @@ def test_zeta_zn_direct_is_honest(point):
 @st.composite
 def _route_points(draw):
     """(bits, n, s) with n between the switch of the large-n route and four
-    times it, s real in [-3, 4] off the quarter-integers (a non-dyadic
-    Fraction, which the sums round) or complex with |Im s| <= 10 (dyadic
-    float parts)."""
+    times it, s one of: a Fraction k/100 in [-3, 4] (non-dyadic ones rounded
+    by the sums); a nonzero integer in [-3, 3] or a negative half-integer,
+    where zeta_Z is exact; a quarter-integer in [-3, 3]; complex with |Im s|
+    <= 10 (dyadic float parts).  Never 0 or a pole 1/2, 3/2, ... of zeta_Z,
+    which only the plain sum serves."""
     from zetakit.verify import _route_switch
     bits = draw(st.sampled_from([64, 256]))
-    if draw(st.booleans()):
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
         s = Fraction(draw(st.integers(-300, 400)), 100)
-        assume((4 * s).denominator != 1)
+        assume(s < 0 or s > 0 and s.denominator != 2)
+    elif kind == 1:
+        s = Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    elif kind == 2:
+        s = Fraction(draw(st.sampled_from([-1, -3, -5])), 2)
+    elif kind == 3:
+        s = Fraction(2 * draw(st.integers(-6, 5)) + 1, 4)
     else:
         s = complex(draw(st.integers(-192, 256)) / 64, draw(st.integers(1, 160)) / 16
                     * draw(st.sampled_from([1, -1])))

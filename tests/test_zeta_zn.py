@@ -257,12 +257,20 @@ def _count_rotations(monkeypatch):
     return steps
 
 
+def _record_plans(monkeypatch):
+    """Record the plan (k0, M, J, log2 R_M) of each :func:`zeta_zn._route`."""
+    plans = []
+    route = zeta_zn._route
+    monkeypatch.setattr(zeta_zn, "_route", lambda *a: plans.append(a[4]) or route(*a))
+    return plans
+
+
 def test_direct_sum_refuses_max_terms_before_rotating(monkeypatch):
-    # s = 3/4 is a half-integer exponent, which always takes the plain sum:
-    # 2500 terms against max_terms = 100, refused before the first sine
+    # s = 3/2 is a pole of zeta_Z, so it always takes the plain sum: 2500
+    # terms against max_terms = 100, refused before the first sine
     steps = _count_rotations(monkeypatch)
     with pytest.raises(NoConvergence, match="max_terms"):
-        zeta_zn_direct(5000, 0.75, PrecisionContext(64, 1e-12, max_terms=100))
+        zeta_zn_direct(5000, 1.5, PrecisionContext(64, 1e-12, max_terms=100))
     assert steps == []
 
 
@@ -278,19 +286,22 @@ def test_route_serves_when_only_it_fits_max_terms(monkeypatch):
     assert abs(mp.mpc(r.value.value) - truth) <= r.err
 
 
-@pytest.mark.parametrize("s", [0.37, complex(0.3, 2.5), -1.7])
+@pytest.mark.parametrize("s", [0.37, complex(0.3, 2.5), -1.7, 0.75])
 def test_route_serves_a_billion_vertices_within_max_terms(monkeypatch, s):
-    # the route's work does not grow with n.  No plain sum reaches n = 10^9;
-    # the truth is the large-n expansion, from (2 sin x)^(-2s) = (2x)^(-2s)
-    # (1 + (s/3) x^2 + (s/90 + s^2/18) x^4 + ...) summed at both ends,
+    # the route's work does not grow with n, at a half-integer exponent
+    # (s = 3/4) too: it rotates only its k0 head sines.  No plain sum
+    # reaches n = 10^9; the truth is the large-n expansion, from
+    # (2 sin x)^(-2s) = (2x)^(-2s) (1 + (s/3) x^2 + (s/90 + s^2/18) x^4 +
+    # ...) summed at both ends,
     #   n zeta_Z(s) + 2 m sum_i c_i (pi/n)^(2i) zeta(2s - 2i), m = (n/2 pi)^(2s),
     # in mpmath at 576 bits; the first term left out is below 1e-40
     steps = _count_rotations(monkeypatch)
+    plans = _record_plans(monkeypatch)
     ctx = PrecisionContext(256, 1e-30, max_terms=1000)
     n = 10 ** 9
     r = zeta_zn_direct(n, s, ctx)
     assert r.err <= ctx.tol
-    assert 0 < len(steps) <= 1000
+    assert 0 < len(steps) <= plans[-1][0]
     truth, mp = _large_n_expansion(n, s)
     assert abs(mp.mpc(r.value.value) - truth) <= r.err
 
@@ -322,12 +333,28 @@ def test_sine_sum_takes_the_route_within_max_terms(monkeypatch):
     assert abs(r.value - mp.power(2, -0.74) * truth.real) <= r.err
 
 
+def test_sine_sum_takes_the_route_at_an_odd_power(monkeypatch):
+    # power 3 is s = -3/2, where zeta_Z is exact: n = 10^9 is served within
+    # max_terms = 1000 by rotating only the k0 head sines.  The truth is the
+    # cotangent sum, 2^-3 zeta_n(-3/2), on mpmath's own sines at 576 bits
+    steps = _count_rotations(monkeypatch)
+    plans = _record_plans(monkeypatch)
+    ctx = PrecisionContext(256, 1e-30, max_terms=1000)
+    n = 10 ** 9
+    r = sine_power_sum(n, 3, ctx)
+    assert r.err <= ctx.tol
+    assert 0 < len(steps) <= plans[-1][0]
+    truth = sine_odd_power_sum(n, 1, PrecisionContext(576, 1e-150)).value.value / 8
+    assert abs(r.value - truth) <= r.err
+
+
 def test_sine_sum_refuses_max_terms_before_rotating(monkeypatch):
-    # an integer power always takes the plain sum: 5 10^8 terms against
-    # max_terms = 1000, refused before the first sine
+    # power -3 is s = 3/2, a pole of zeta_Z, so it always takes the plain
+    # sum: 5 10^8 terms against max_terms = 1000, refused before the first
+    # sine
     steps = _count_rotations(monkeypatch)
     with pytest.raises(NoConvergence, match="max_terms"):
-        sine_power_sum(10 ** 9, 3, PrecisionContext(256, 1e-30, max_terms=1000))
+        sine_power_sum(10 ** 9, -3, PrecisionContext(256, 1e-30, max_terms=1000))
     assert steps == []
 
 
@@ -347,7 +374,7 @@ def test_extraction_at_a_generic_exponent_takes_the_route(monkeypatch):
     assert routed
 
 
-@pytest.mark.parametrize("s", [0.37, complex(-0.6, 0.9)])
+@pytest.mark.parametrize("s", [0.37, complex(-0.6, 0.9), -2, 2, Fraction(-3, 2)])
 def test_route_switch_counts_rotated_sines(monkeypatch, s):
     # above the switch the folded sum rotates at most k0 sines, below it
     # n//2, and the unfolded sum always n - 1
@@ -368,6 +395,36 @@ def test_route_switch_counts_rotated_sines(monkeypatch, s):
     steps.clear()
     zeta_zn_direct(switch - 1, s, ctx)
     assert len(steps) == (switch - 1) // 2
+
+
+@pytest.mark.parametrize("s", [Fraction(3, 2), -2 + Fraction(1, 2 ** 140)],
+                         ids=["pole", "near-lattice"])
+def test_plain_sum_where_the_route_does_not_apply(monkeypatch, s):
+    # at a pole of zeta_Z (s = 3/2, where a denominator p + 2j + 1 of the
+    # route's series vanishes) and within snapping distance of Z/2 but off
+    # it, the folded sum adds every term, even far above the switch of s = -2
+    from zetakit.verify import _route_switch
+    ctx = PrecisionContext(256, 1e-30)
+    n = 4 * _route_switch(ctx, -2)
+    plans = _record_plans(monkeypatch)
+    steps = _count_rotations(monkeypatch)
+    r = zeta_zn_direct(n, s, ctx)
+    assert plans == [] and len(steps) == n // 2
+    assert r.err <= ctx.tol
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_sine_sum_at_power_zero_stays_plain(monkeypatch, bits):
+    # sum_k sin(pi k/n)^0 is exactly n - 1, which the plain sum meets within
+    # the s0-exact-expansion threshold of verify; the route would miss it
+    from zetakit.verify import _route_switch
+    ctx = PrecisionContext(bits, 1e-30)
+    n = 1001
+    assert n > _route_switch(ctx, 0)
+    plans = _record_plans(monkeypatch)
+    r = sine_power_sum(n, 0, ctx)
+    assert plans == []
+    assert abs(r.value - (n - 1)) <= 64 * ctx.eps * 1001
 
 
 def test_route_switch_search_refuses_when_the_budget_admits_no_route():
