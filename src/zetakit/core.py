@@ -13,7 +13,8 @@ up to 1024 extra bits (:func:`certify`), packaged results refuse
 (:func:`complex_result`), and arguments near the integer and half-integer
 lattice snap to it (:func:`snap`).  The tolerance is checked once per
 result, on the value returned: a composite of Gamma, digamma or zeta_Z
-factors takes them unchecked and holds only its own value to it.
+factors takes them unchecked and holds only its own value to it, and the
+rendering of every packaged value enters its err (:func:`rendering`).
 """
 
 from __future__ import annotations
@@ -151,9 +152,8 @@ def certify(ctx: PrecisionContext, compute: Callable[[PrecisionContext], Any], w
     NoConvergence naming ``what``.
 
     ``compute`` converts its inputs into ``c`` (mpmath runs mixed arithmetic
-    at the left operand's precision) and returns an unrounded HPComplex: a
-    result rounded by :func:`complex_result` carries a rounding that its
-    ``err`` does not cover, so routes refuse instead of escalating.
+    at the left operand's precision) and returns an HPComplex at c's
+    precision; :func:`complex_result` charges its rounding back to ``ctx``.
     """
     tol = ctx.tol
     for extra in (0,) + _BOOST_BITS:
@@ -209,7 +209,7 @@ class EvalResult:
     ``certified`` is True only when ``err`` comes from a proved remainder
     bound (product tail, series remainder), never from a heuristic estimate.
     ``exact`` carries the exact rational when one is known, in which case the
-    mpc ``value`` is merely its rendering at context precision.
+    mpc ``value`` is its rendering at context precision, bounded by ``err``.
     """
 
     value: HPComplex
@@ -231,25 +231,32 @@ class EvalResult:
         return float(self.value.re)
 
 
+def rendering(ctx: PrecisionContext, value, exact: Optional[Fraction] = None):
+    """(v, e): ``value`` as an mpc at working precision, and e = 0 when v
+    equals ``exact`` (if given, else ``value``) exactly, |v| eps otherwise."""
+    v = ctx.mp.mpc(ctx.mp.convert(value))
+    same = v == value if exact is None else not v.imag and mpf_to_fraction(v.real) == exact
+    return v, (ctx.mp.zero if same else abs(v) * ctx.eps)
+
+
 def complex_result(ctx: PrecisionContext, value, err, certified: bool, method: str,
                    exact: Optional[Fraction] = None, note: Optional[str] = None) -> EvalResult:
-    """Package a real or complex value as an EvalResult, rounded to context
-    precision; raise NoConvergence when ``err`` exceeds ``target_tol``."""
+    """Package a real or complex value, or an exact rational, as an
+    EvalResult, adding its :func:`rendering` to ``err``; raise
+    NoConvergence when the sum exceeds ``target_tol``."""
     mp = ctx.mp
-    e = mp.convert(err)
+    v, r = rendering(ctx, value, exact)
+    e = mp.convert(err) + r
     if e > ctx.tol:
         raise NoConvergence(f"{method}: error bound {mp.nstr(e, 3)} exceeds the "
                             f"tolerance {mp.nstr(ctx.tol, 3)}")
-    v = mp.mpc(value)
     return EvalResult(HPComplex(v, e), e, certified, method, exact, note)
 
 
 def exact_result(ctx: PrecisionContext, q: Fraction, method: str,
                  note: Optional[str] = None) -> EvalResult:
-    """Package an exact rational as an EvalResult (zero error, certified)."""
-    mp = ctx.mp
-    v = mp.mpc(mp.convert(q))
-    return EvalResult(HPComplex(v, mp.zero), mp.zero, True, method, Fraction(q), note)
+    """Package an exact rational, certified, its err that of its rendering."""
+    return complex_result(ctx, q, 0, True, method, Fraction(q), note)
 
 
 def mpf_to_fraction(x) -> Fraction:

@@ -318,19 +318,18 @@ def _check_fold_symmetry(ctx: PrecisionContext) -> CheckResult:
 
 def _route_switch(ctx: PrecisionContext, s) -> int:
     """The least n at which ``zeta_zn_direct`` takes the large-n route for
-    s, by bisection on n (the route's cost falls with n, the plain sum's
-    grows); NoConvergence when no n up to 2^40 takes it within
-    ``max_terms``."""
+    s (:func:`zeta_zn._route_choice`), by bisection on n (the route's cost
+    falls with n, the plain sum's grows); NoConvergence naming s when n =
+    2^40 does not take it, as at s = 0 and the poles 1/2, 3/2, ..."""
     z = ctx.mpc(s)
-    p = -2 * (z if z.imag else z.real)
 
     def routed(n):
-        return zeta_zn._route_plan(n, p, ctx.tol, n // 2, ctx.max_terms) is not None
+        return zeta_zn._route_choice(ctx, n, z, ctx.tol) is not None
 
+    if not routed(2 ** 40):
+        raise NoConvergence(f"large-n-route: no n takes the route at s = {s} within max_terms")
     lo, hi = 4, 64
     while not routed(hi):
-        if hi > 2 ** 40:
-            raise NoConvergence("large-n-route: no n takes the route within max_terms")
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -40,6 +40,7 @@ from .core import (
     complex_result,
     exact_result,
     get_context,
+    rendering,
     snap,
 )
 from . import numerics
@@ -64,19 +65,23 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
     C(-2s, -s); positive integers return an exact zero flagged as a simple
     zero; positive half-integers raise PoleError.  A negative half-integer
     s = -m - 1/2, given exactly, returns the rational 8 16^m / ((m+1)
-    C(2m+2, m+1)) over pi, rounded once.
+    C(2m+2, m+1)) over pi, rounded once.  An exact value's err is that of its
+    rendering, so C(-2s, -s) refuses from s = -51/-148/-532 at 64/256/1024 bits.
     ``use_exact_paths=False`` forces the generic Gamma route (useful for
     cross-checking the exact values against the analytic continuation).
     """
     ctx = get_context(ctx)
     v, err, certified, exact, note = _closed(ctx, s, use_exact_paths)
-    return complex_result(ctx, v, err, certified, "closed-form", exact, note)
+    if exact is not None:
+        return exact_result(ctx, exact, "closed-form", note)
+    return complex_result(ctx, v, err, certified, "closed-form", note=note)
 
 
 def _closed(ctx: PrecisionContext, s, use_exact_paths: bool = True):
     """(value, err, certified, exact, note) of :func:`zeta_z_closed` before
     its tolerance check, its Gamma factors unchecked too, for the
-    composites that take zeta_Z(s) as a factor."""
+    composites that take zeta_Z(s) as a factor; an exact value's err is that
+    of its rendering (:func:`core.rendering`)."""
     mp = ctx.mp
     z = ctx.mpc(s)
     q = snap(ctx, z)
@@ -84,11 +89,8 @@ def _closed(ctx: PrecisionContext, s, use_exact_paths: bool = True):
         if q.denominator == 2 and q > 0:
             raise PoleError(f"zeta_Z has a pole at s = {q}")
         if q.denominator == 1 and use_exact_paths:
-            if q <= 0:
-                n = -int(q)
-                exact = Fraction(comb(2 * n, n))
-                return mp.convert(exact), mp.zero, True, exact, None
-            return mp.zero, mp.zero, True, Fraction(0), "simple-zero"
+            exact = Fraction(comb(-2 * int(q), -int(q)) if q <= 0 else 0)
+            return (*rendering(ctx, exact, exact), True, exact, None if q <= 0 else "simple-zero")
         if use_exact_paths and z == q and not numerics._rounded(s, z):
             # zeta_Z(-m-1/2) = 8 16^m m! (m+1)! / ((2m+2)! pi), the rational
             # and pi at prec + 10 bits, their quotient rounded once to prec:
@@ -346,11 +348,12 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     """zeta_Z'(s) for real s < 1/2, plus the exact values at positive integers.
 
     Uses zeta_Z(s) (-psi0(1/2-s) - 2 log 2 + psi0(1-s)) off the integers;
-    at s = -n the bracket telescopes into the exact rational
-    C(2n,n) sum_{k<=n} (1/k - 2/(2k-1)), at s = 0 the derivative vanishes
-    exactly, and positive integers route to the exact reciprocal formula.
-    Positive half-integers (and other s >= 1/2) raise DomainError.  Only
-    zeta_Z'(s) is checked against the tolerance, not its factors.
+    at s = -n the bracket telescopes into the exact rational C(2n,n)
+    sum_{k<=n} (1/k - 2/(2k-1)), whose err is that of its rendering, so it
+    refuses from n = 28/95/330 at 64/256/1024 bits; at s = 0 the derivative
+    vanishes exactly, and positive integers route to the exact reciprocal
+    formula.  Positive half-integers (and other s >= 1/2) raise DomainError.
+    Only zeta_Z'(s), not its factors, is checked against the tolerance.
     """
     ctx = get_context(ctx)
     mp = ctx.mp

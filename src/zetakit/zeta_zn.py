@@ -662,26 +662,29 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     return v, err
 
 
+def _route_choice(c: PrecisionContext, n: int, z, tol):
+    """The :func:`_route_plan` of the folded sum at z, or None (every term
+    summed) at z = 0, at the poles 1/2 + N of zeta_Z and near Z/2 off it."""
+    q = snap(c, z)
+    routable = q is None or z == q and (q < 0 or q > 0 and q.denominator == 1)
+    return _route_plan(n, -2 * z, tol, n // 2, c.max_terms) if routable else None
+
+
 def _circle_sum(c: PrecisionContext, n: int, z, dp, tol, fold: bool = True):
     """(value, err) of the sum of (2 sin(pi k/n))^p over k = 1..n-1, p =
     -2z, at c's precision; ``dp`` bounds the rounding of p, as in
     :func:`_power_sum`, and ``tol`` is the tolerance the err should meet.
 
-    Folded and above the switch of :func:`_route_plan`, the sum takes the
+    Folded and where :func:`_route_choice` gives a plan, the sum takes the
     large-n route (:func:`_route`) on zeta_Z(z) from the closed form before
     any tolerance check (:func:`zeta_z._closed`, exact on Z/2), whose err
-    enters the sum's, for z off Z/2 (:func:`core.snap`) or exactly on it,
-    but not at z = 0, where the sum is exactly n - 1, nor at the poles z in
-    1/2 + N of zeta_Z, nor near Z/2 off it; otherwise every term is summed
-    (:func:`_power_sum`).  Only a path whose work fits
-    ``max_terms`` is taken, and NoConvergence naming it is raised before
-    any sine is rotated when none does."""
+    enters the sum's; otherwise every term is summed (:func:`_power_sum`).
+    Only a path whose work fits ``max_terms`` is taken, and NoConvergence
+    naming it is raised before any sine is rotated when none does."""
     p = -2 * z
     cplx = isinstance(p, c.mp.mpc)
     count = n // 2 if fold else n - 1
-    q, plan = snap(c, z), None
-    if fold and (q is None or z == q and (q < 0 or q > 0 and q.denominator == 1)):
-        plan = _route_plan(n, p, tol, count, c.max_terms)
+    plan = _route_choice(c, n, z, tol) if fold else None
     if plan is None:
         if count > c.max_terms:
             raise NoConvergence(f"discrete-circle sum: {count} terms exceed max_terms = "
@@ -735,10 +738,10 @@ def zeta_zn_direct(n: int, s, ctx: Optional[PrecisionContext] = None, *,
     off it) or the plain sum, within ``max_terms``.
 
     The sum runs at the context's precision and, should its err miss the
-    tolerance there, again with more bits (:func:`core.certify`); a sum run
-    above the context's precision adds to err its rounding to it, at least
-    (|v| - err) eps for the first sum's v and err; when that exceeds the
-    tolerance, NoConvergence naming the precision is raised at once."""
+    tolerance there, again with more bits (:func:`core.certify`); its
+    rendering back at the context's precision, at least (|v| - err) eps for
+    the first sum's v and err, enters err in :func:`core.complex_result`:
+    when it exceeds the tolerance, NoConvergence is raised at once."""
     nn = _vertex_count(n)
     ctx = get_context(ctx)
     z0 = ctx.mpc(s)
@@ -751,9 +754,7 @@ def zeta_zn_direct(n: int, s, ctx: Optional[PrecisionContext] = None, *,
             z = z.real
         dp = 2 * abs(z) * c.eps if _rounded(s, z) else 0
         v, err = _circle_sum(c, nn, z, dp, c.tol, fold)
-        if c is not ctx:
-            err += abs(v) * ctx.eps
-        elif err > ctx.tol and (abs(v) - err) * ctx.eps > ctx.tol:
+        if c is ctx and err > ctx.tol and (abs(v) - err) * ctx.eps > ctx.tol:
             raise NoConvergence(
                 f"zeta_zn_direct: precision too low: rounding the sum to "
                 f"{ctx.precision_bits} bits alone exceeds the tolerance")

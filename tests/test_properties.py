@@ -7,10 +7,12 @@ a few seconds every time.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 from zetakit import (
+    NoConvergence,
     PrecisionContext,
     big_z,
     digamma,
@@ -27,6 +29,7 @@ from zetakit import (
     zeta_z_product,
     zeta_zn_direct,
 )
+from zetakit.core import mpf_to_fraction
 
 _PROFILE = settings(derandomize=True, database=None, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -119,15 +122,14 @@ def test_zeta_zn_direct_is_honest(point):
 
 
 @st.composite
-def _route_points(draw):
-    """(bits, n, s) with n between the switch of the large-n route and four
-    times it, s one of: a Fraction k/100 in [-3, 4] (non-dyadic ones rounded
-    by the sums); a nonzero integer in [-3, 3] or a negative half-integer,
-    where zeta_Z is exact; a quarter-integer in [-3, 3]; complex with |Im s|
-    <= 10 (dyadic float parts).  Never 0 or a pole 1/2, 3/2, ... of zeta_Z,
-    which only the plain sum serves."""
+def _route_points(draw, bits):
+    """(n, s) with n between the switch of the large-n route at ``bits`` and
+    four times it, s one of: a Fraction k/100 in [-3, 4] (non-dyadic ones
+    rounded by the sums); a nonzero integer in [-3, 3] or a negative
+    half-integer, where zeta_Z is exact; a quarter-integer in [-3, 3];
+    complex with |Im s| <= 10 (dyadic float parts).  Never 0 or a pole 1/2,
+    3/2, ... of zeta_Z, which only the plain sum serves."""
     from zetakit.verify import _route_switch
-    bits = draw(st.sampled_from([64, 256]))
     kind = draw(st.integers(0, 4))
     if kind == 0:
         s = Fraction(draw(st.integers(-300, 400)), 100)
@@ -142,14 +144,15 @@ def _route_points(draw):
         s = complex(draw(st.integers(-192, 256)) / 64, draw(st.integers(1, 160)) / 16
                     * draw(st.sampled_from([1, -1])))
     switch = _route_switch(PrecisionContext(bits, _CONTEXTS[bits]), s)
-    return bits, draw(st.integers(switch, 4 * switch)), s
+    return draw(st.integers(switch, 4 * switch)), s
 
 
+@pytest.mark.parametrize("bits", [64, 256])
 @settings(_PROFILE, max_examples=16)
-@given(_route_points())
-def test_large_n_route_is_honest(point):
+@given(data=st.data())
+def test_large_n_route_is_honest(bits, data):
     # truth: the plain sum of mpmath sine powers at 2 bits + 64
-    bits, n, s = point
+    n, s = data.draw(_route_points(bits))
     ctx = PrecisionContext(bits, _CONTEXTS[bits])
     mp = _truth_context(bits)
     r = zeta_zn_direct(n, s, ctx)
@@ -358,6 +361,39 @@ def test_zeta_z_deriv_is_honest(point):
         assert abs(mp.convert(r.exact) - truth) <= (1 + abs(truth)) * mp.mpf(2) ** (-bits - 32)
     else:
         assert abs(mp.mpc(r.value.value) - truth) <= r.err
+
+
+#: the least n at which zeta_z_closed(-n) and zeta_z_deriv(-n) refuse at
+#: each precision of _CONTEXTS: from there on their exact values need more
+#: working bits, rendered, than the tolerance allows
+_EXACT_REFUSAL = {64: (51, 28), 256: (148, 95), 1024: (532, 330)}
+
+
+@st.composite
+def _exact_points(draw):
+    """(bits, call, s): zeta_z_closed at -n, or zeta_z_deriv at an integer
+    s, with n and |s| up to twice the point where the refusals start at
+    bits."""
+    bits = draw(st.sampled_from(sorted(_CONTEXTS)))
+    closed_from, deriv_from = _EXACT_REFUSAL[bits]
+    if draw(st.booleans()):
+        return bits, zeta_z_closed, -draw(st.integers(0, 2 * closed_from))
+    return bits, zeta_z_deriv, draw(st.integers(-2 * deriv_from, 2 * deriv_from))
+
+
+@settings(_PROFILE, max_examples=24)
+@given(_exact_points())
+def test_exact_paths_are_honest(point):
+    # an exact value refuses, or its rendering lies within err of the
+    # rational and err within the tolerance; compared as exact rationals
+    bits, call, s = point
+    ctx = PrecisionContext(bits, _CONTEXTS[bits])
+    try:
+        r = call(s, ctx)
+    except NoConvergence:
+        return
+    assert abs(mpf_to_fraction(r.value.re) - r.exact) <= mpf_to_fraction(r.err)
+    assert r.err <= ctx.tol
 
 
 @st.composite

@@ -21,6 +21,7 @@ from zetakit import (
     zeta_z_product,
 )
 from zetakit import quadrature, zeta_z
+from zetakit.core import mpf_to_fraction
 
 
 # ---------------------------------------------------------------- closed form
@@ -435,6 +436,25 @@ def test_deriv_negative_half_integer_formula(ctx, mp):
                    + 2 * sum(mp.mpf(1) / (2 * k - 1) for k in range(1, n + 1)))
         r = zeta_z_deriv(s, ctx)
         assert abs(r.value.value - front * bracket) < mp.mpf(10) ** -60
+
+
+@pytest.mark.parametrize("call, s", [(zeta_z_closed, -100), (zeta_z_deriv, -40)],
+                         ids=["closed", "deriv"])
+def test_exact_value_refuses_a_rendering_beyond_the_tolerance(call, s):
+    # C(200, 100) needs 196 bits and zeta_Z'(-40) is not dyadic: rendered
+    # at 94 working bits they are 9.6e29 and 2.8e-6 from their rationals
+    with pytest.raises(NoConvergence):
+        call(s, PrecisionContext(64, 1e-12))
+
+
+def test_exact_value_err_covers_its_rendering(ctx):
+    # at 286 working bits C(200, 100) renders exactly, err 0; zeta_Z'(-40)
+    # does not, and err bounds the distance to its rational
+    closed = zeta_z_closed(-100, ctx)
+    assert closed.err == 0 and mpf_to_fraction(closed.value.re) == comb(200, 100)
+    deriv = zeta_z_deriv(-40, ctx)
+    assert 0 < deriv.err <= ctx.tol
+    assert abs(mpf_to_fraction(deriv.value.re) - deriv.exact) <= mpf_to_fraction(deriv.err)
 
 
 def test_deriv_positive_integers_exact():

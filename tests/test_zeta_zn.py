@@ -416,15 +416,29 @@ def test_plain_sum_where_the_route_does_not_apply(monkeypatch, s):
 @pytest.mark.parametrize("bits", [128, 256])
 def test_sine_sum_at_power_zero_stays_plain(monkeypatch, bits):
     # sum_k sin(pi k/n)^0 is exactly n - 1, which the plain sum meets within
-    # the s0-exact-expansion threshold of verify; the route would miss it
-    from zetakit.verify import _route_switch
+    # the s0-exact-expansion threshold of verify; the route would miss it,
+    # although its cost formula alone would take it at this n
     ctx = PrecisionContext(bits, 1e-30)
     n = 1001
-    assert n > _route_switch(ctx, 0)
+    assert zeta_zn._route_plan(n, ctx.mp.zero, ctx.tol, n // 2, ctx.max_terms) is not None
     plans = _record_plans(monkeypatch)
     r = sine_power_sum(n, 0, ctx)
     assert plans == []
     assert abs(r.value - (n - 1)) <= 64 * ctx.eps * 1001
+
+
+@pytest.mark.parametrize("s", [0, Fraction(1, 2), Fraction(3, 2)], ids=str)
+def test_route_switch_refuses_where_the_sum_never_routes(monkeypatch, s):
+    # at s = 0 and the poles of zeta_Z the folded sum adds every term at any
+    # n, so there is no switch to find: the search refuses, naming s, before
+    # it prices a single plan
+    from zetakit.verify import _route_switch
+    priced = []
+    plan = zeta_zn._route_plan
+    monkeypatch.setattr(zeta_zn, "_route_plan", lambda *a: priced.append(a) or plan(*a))
+    with pytest.raises(NoConvergence, match=f"s = {s} "):
+        _route_switch(PrecisionContext(256, 1e-30), s)
+    assert priced == []
 
 
 def test_route_switch_search_refuses_when_the_budget_admits_no_route():
