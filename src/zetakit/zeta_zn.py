@@ -8,9 +8,9 @@ chosen in one place, :func:`_circle_sum`.  Both public sums go through it:
 k/n)^x that extraction reads, which is 2^-x times the folded sum at -2s = x.
 
 * The plain sum, :func:`_power_sum`, adds every term (folded at k <= n/2 by
-  default): work n/2, the only path at s = 0 (the sum is n - 1), at the
-  poles s in 1/2 + N of zeta_Z, for ``fold=False`` and for s within
-  snapping distance of Z/2 but off it.
+  default): work n/2, the only path at the poles s in 1/2 + N of zeta_Z,
+  for ``fold=False`` and for s within snapping distance of Z/2 but off it.
+  At s = 0 neither path runs: both public sums return n - 1.
 * The large-n route, :func:`_route`, for every other s above a switch:
   it adds the first k0 terms and takes the rest from the paper's link
   between the two zetas, integral_0^n (2 sin(pi x/n))^(-2s) dx = n
@@ -28,17 +28,18 @@ k/n)^x that extraction reads, which is 2^-x times the folded sum at -2s = x.
   off rather than treated (Navot 1961 gives the Euler-Maclaurin expansion
   with it), so the work is independent of n.
 
-The switch is a cost formula (:func:`_route_plan`): for each cut-off k0 it
-finds the order M whose remainder bound meets tol/4 and the series length
-J, prices k0 + m (2M-1)^2 + t J + c in units of one plain term
-(:data:`_ROUTE_COST`, :data:`_QUARTER_TERM`), and takes the route when the
-cheapest plan costs less than the plain sum's n/2 terms.  At 256
-bits/1e-30 that is n of about 210-250 for |s| <= 6, 550-630 where -2s is
-an integer or a half-integer and each plain term is cheaper; at 1024
-bits/1e-120 about 720-860 and 1600-1820.  Only a
-path whose work (n/2 or n - 1 terms, or k0 + 2M + J) fits ``max_terms``
-is taken; when none does, NoConvergence names it before any sine is
-rotated.
+The switch is a cost formula (:func:`_route_plan`): for a cut-off k0 it
+takes the series length J, the least order M whose remainder bound meets
+tol/4, prices k0 + m (2M-1)^2 + t J + c in units of one plain term
+(:data:`_ROUTE_COST`, and :data:`_QUARTER_TERM` by precision), and takes
+the route when the cheapest plan costs less than the plain sum's n/2
+terms; a k0 at which no order cheap enough to beat the best plan so far
+meets tol/4 costs one evaluation of the bound.  At 256 bits/1e-30 that is
+n of about 210-250 for |s| <= 6, 550-630 where -2s is an integer or a
+half-integer and each plain term is cheaper; at 1024 bits/1e-120 about
+720-860 and 2110-2400.  Only a path whose work (n/2 or n - 1 terms, or
+k0 + 2M + J) fits ``max_terms`` is taken; when none does, NoConvergence
+names it before any sine is rotated.
 
 The plain sum and the route's head are one streaming kernel,
 :func:`_power_sum`, which runs in Python-integer fixed point from the sines
@@ -98,6 +99,7 @@ from .core import (
     complex_result,
     exact_result,
     get_context,
+    rendering,
     snap,
 )
 from .numerics import (
@@ -369,20 +371,23 @@ _K0_CHOICES = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 #: mpmath's one-time set-up of Gamma at a new precision, which the first
 #: zeta_Z of a process pays: about 0.2 s at 1024 bits, 4.4 s at 3072.
 _ROUTE_COST = (0.02, 0.03, 60.0)
-#: One plain term of an integer or half-integer exponent (a ratio, binary
-#: powering, ``math.isqrt``) in units of one log/exp term, the unit of
-#: :data:`_ROUTE_COST`.  Measured per folded term: 1.6-2.5 us (integer)
-#: and 2.5-3.6 us (half-integer) against 8 us at 64 bits, 2.8-3.8 and
-#: 4.4-7.3 against 17-19 us at 256, 16-27 and 23-31 against 130 us at
-#: 1024.  At the switch this places, the two paths timed (plain/route) at
-#: s = -1 and -3/2: n = 450, 0.66/0.64 and 0.68/0.62 ms at 64 bits/1e-12;
-#: n = 566, 1.48/1.35 and 1.62/1.43 ms at 256 bits/1e-30; n = 1624 and
-#: 1644, 18/25 and 18/25 ms at 1024 bits/1e-120.  Over nine integer and
-#: half-integer s from -6 to 4 the median plain/route ratio read 1.05-1.19,
-#: 1.10-1.18 and 0.74-0.86 at the three precisions (0.25 gave 1.1-1.2,
-#: 1.3 and 0.8-0.9).  Priced in log/exp terms the switch would fall at n =
-#: 160-180, 220-260 and 740-880, where the plain sum is 2-4 times faster.
-_QUARTER_TERM = 0.3
+#: (bits, w): one plain term of an integer or half-integer exponent (a
+#: ratio, binary powering, ``math.isqrt``) in units of one log/exp term,
+#: the unit of :data:`_ROUTE_COST`, from ``bits`` of precision up to the
+#: next entry (:func:`_quarter_price`).  Measured per folded term: 1.6-2.5
+#: us (integer) and 2.5-3.6 us (half-integer) against 8 us at 64 bits,
+#: 2.8-3.8 and 4.4-7.3 against 17-19 us at 256, 16-27 and 23-31 against
+#: 130 us at 1024, where the log/exp term grows fastest.  Each w places
+#: the switch where the two paths cost the same: over s = -6, -3, -1, 1,
+#: 2, 4, -9/2, -5/2 and -1/2, the plain sum at the switch against the
+#: route's zeta_Z and :func:`_route` (its plan, which the plain sum pays
+#: too, left out), warm, medians of 5-9 runs, the median plain/route ratio
+#: read 1.12 (0.83-1.49) at n = 450-498 for 64 bits/1e-12, 1.05
+#: (0.78-1.22) at n = 552-630 for 256 bits/1e-30, and 1.06 (0.93-1.21) at
+#: n = 2108-2400 for 1024 bits/1e-120, 22-36 ms a path.  At 1024 bits w =
+#: 0.3 read 0.75 (0.62-0.82) at n = 1604-1820, w = 0.25 0.91 and w = 0.22
+#: 1.00.
+_QUARTER_TERM = ((64, 0.3), (256, 0.3), (1024, 0.2))
 #: Largest Euler-Maclaurin order the route takes; its rounding lemma
 #: (:func:`_route`) asks for R = 2M - 1 < 1000.
 _ROUTE_MAX_ORDER = 400
@@ -394,9 +399,11 @@ def _sinc_log(t: float) -> float:
     return -math.log(math.sin(t) / t)
 
 
-def _remainder_log2(n: int, k0: int, M: int, pabs: float, rep: float) -> float:
-    """log2 of the bound on the Euler-Maclaurin remainder R_M of
-    :func:`_route`, in floats; inf when 2M <= max(Re p, 0) + 1.
+def _remainder_bound(n: int, k0: int, pabs: float, rep: float):
+    """M -> log2 of the bound on the Euler-Maclaurin remainder R_M of
+    :func:`_route` at the cut-off k0, in floats; inf when 2M <= max(Re p,
+    0) + 1.  What does not depend on M (th0, the three B(t), log2 k0 and
+    Re p log2(2 sin th0)) is worked out once, before the function returns.
 
     With a = max(Re p, 0), lam = 2M / (2M + |p| + 1), d = a + 1 - 2M and
     H(t) = -log(1 - lam) + B((1 + lam) t) - B(t), B = :func:`_sinc_log`,
@@ -409,56 +416,79 @@ def _remainder_log2(n: int, k0: int, M: int, pabs: float, rep: float) -> float:
     each H at an angle of at most pi/2 (see :func:`_route` for the proof).
     """
     a = max(rep, 0.0)
-    if 2 * M <= a + 1:
-        return math.inf
-    lam = 2 * M / (2 * M + pabs + 1)
     th0 = math.pi * k0 / n
+    angles = [(t, _sinc_log(t)) for t in (min(2 * th0, math.pi / 2),
+                                          min(4 * th0, math.pi / 2), math.pi / 2)]
+    g0 = rep * math.log2(2 * math.sin(th0))
+    lk = math.log2(k0)
 
-    def h(t):  # |p| H(t) in bits
-        t = min(t, math.pi / 2)
-        return pabs * (-math.log1p(-lam) + _sinc_log((1 + lam) * t) - _sinc_log(t)) / _LN2
+    def log2_bound(M: int) -> float:
+        if 2 * M <= a + 1:
+            return math.inf
+        lam = 2 * M / (2 * M + pabs + 1)
+        disc = -math.log1p(-lam)
+        h2, h4, hp = (pabs * (disc + _sinc_log((1 + lam) * t) - b) / _LN2 for t, b in angles)
+        d = a + 1 - 2 * M
+        logs = (h2, d + h4, 2 * d + hp - math.log2(1 - 2.0 ** d))
+        top = max(logs)
+        pieces = top + math.log2(sum(2.0 ** (x - top) for x in logs))
+        return (2 + math.log2(1 + 2.0 ** (2 - 2 * M)) + math.lgamma(2 * M + 1) / _LN2
+                - 2 * M * math.log2(2 * math.pi * lam) + g0
+                + (1 - 2 * M) * lk - math.log2(2 * M - a - 1) + pieces)
 
-    d = a + 1 - 2 * M
-    logs = (h(2 * th0), d + h(4 * th0), 2 * d + h(math.pi / 2) - math.log2(1 - 2.0 ** d))
-    top = max(logs)
-    pieces = top + math.log2(sum(2.0 ** (x - top) for x in logs))
-    return (2 + math.log2(1 + 2.0 ** (2 - 2 * M)) + math.lgamma(2 * M + 1) / _LN2
-            - 2 * M * math.log2(2 * math.pi * lam) + rep * math.log2(2 * math.sin(th0))
-            + (1 - 2 * M) * math.log2(k0) - math.log2(2 * M - a - 1) + pieces)
+    return log2_bound
 
 
-def _least_order(n: int, k0: int, pabs: float, rep: float, tlog: float):
-    """(M, log2 bound) for an order M whose remainder bound
-    (:func:`_remainder_log2`) is at most 2^tlog, by bisection between the
-    first order the bound admits and 0.8 pi k0, below where it turns
-    upward: the least such M while the bound falls.  None when the bound
-    misses 2^tlog at 0.8 pi k0."""
-    lo = int(max(rep, 0.0) + 1) // 2 + 1
-    hi = min(int(0.8 * math.pi * k0), _ROUTE_MAX_ORDER)
-    if lo > hi or _remainder_log2(n, k0, hi, pabs, rep) > tlog:
+def _least_order(bound, lo: int, hi: int, tlog: float):
+    """(M, bound(M)) for the least M in [lo, hi] whose remainder bound
+    (:func:`_remainder_bound`) is at most 2^tlog, by bisection, since the
+    bound falls with M below 0.8 pi k0; None when it misses 2^tlog at hi,
+    which rules out every M in range."""
+    if lo > hi:
+        return None
+    top = bound(hi)
+    if top > tlog:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
-        if _remainder_log2(n, k0, mid, pabs, rep) <= tlog:
-            hi = mid
+        r = bound(mid)
+        if r <= tlog:
+            hi, top = mid, r
         else:
             lo = mid + 1
-    return hi, _remainder_log2(n, k0, hi, pabs, rep)
+    return hi, top
 
 
-def _route_plan(n: int, p, tol, count: int, max_terms: int):
+def _quarter_price(bits: int) -> float:
+    """:data:`_QUARTER_TERM` at ``bits`` of precision: the entry of the
+    largest listed precision at most ``bits``."""
+    return next(w for b, w in reversed(_QUARTER_TERM) if bits >= b)
+
+
+def _route_plan(n: int, p, tol, count: int, max_terms: int, bits: int):
     """(k0, M, J, log2 R_M) for the cheapest route (:func:`_route`) that
     meets tol with work k0 + 2M + J <= max_terms, or None when the plain sum
     of ``count`` terms costs no more (and fits max_terms) or no cut-off
-    serves.  Every k0 of :data:`_K0_CHOICES` with n >= 4 k0 is weighed.
+    serves.  ``bits`` is the precision of the sum, which prices its plain
+    term.
 
     R_M is held to tol/4 (:func:`_least_order`), and J, the length of the
     series in u0 = sin(pi k0/n), is the first with its tail below tol/16
     (for Re p + 2J + 1 >= 1).  The cost, in units of one term of the plain
     sum at p, is k0 + (m R^2 + t J + c) / w, R = 2M - 1, with (m, t, c)
     from :data:`_ROUTE_COST` and w the price of that term in log/exp terms:
-    :data:`_QUARTER_TERM` for an integer or half-integer p, else 1."""
-    unit = _QUARTER_TERM if not p.imag and _quarter(p.real) else 1
+    :data:`_QUARTER_TERM` at ``bits`` for an integer or half-integer p,
+    else 1.
+
+    The cut-offs of :data:`_K0_CHOICES` with n >= 4 k0 are weighed in
+    increasing order, each against the cheapest plan so far, and the search
+    stops at the first k0 whose k0 + c / w alone costs as much.  J does not
+    depend on M, so J, the best cost and max_terms cap the largest order
+    that could still win at k0; one bound at that cap rules k0 out, and
+    otherwise the least order below it is found.  The plan is the one
+    that weighing every k0 and every order would pick: the least-cost
+    plan, the first k0 among equals."""
+    unit = _quarter_price(bits) if not p.imag and _quarter(p.real) else 1
     per_mul, per_term, fixed = (x / unit for x in _ROUTE_COST)
     best, plan = (count if count <= max_terms else math.inf), None
     if _K0_CHOICES[0] + fixed >= best:  # the plain sum is cheaper, whatever M
@@ -467,13 +497,10 @@ def _route_plan(n: int, p, tol, count: int, max_terms: int):
     if pabs >= 2 ** 20:  # outside the rounding lemma of _route
         return None
     tlog = math.log2(tol.man) + tol.exp
+    lo = int(max(rep, 0.0) + 1) // 2 + 1
     for k0 in _K0_CHOICES:
         if 4 * k0 > n or k0 + fixed >= best:
             break
-        found = _least_order(n, k0, pabs, rep, tlog - 2)
-        if found is None:
-            continue
-        M, rlog = found
         th0 = math.pi * k0 / n
         lu = math.log2(math.sin(th0))
         # log2 of (2n/pi) |g(k0)| u0 / (1 - u0^2): the tail is this times
@@ -481,9 +508,22 @@ def _route_plan(n: int, p, tol, count: int, max_terms: int):
         scale = (math.log2(2 * n / math.pi) + rep * (1 + lu) + lu
                  - math.log2(1 - math.sin(th0) ** 2))
         J = max(1, math.ceil((tlog - 4 - scale) / (2 * lu)), math.ceil(-rep / 2) + 1)
-        cost = k0 + per_mul * (2 * M - 1) ** 2 + per_term * J + fixed
-        if cost < best and k0 + 2 * M + J <= max_terms:
-            best, plan = cost, (k0, M, J, rlog)
+
+        def cost(M):
+            return k0 + per_mul * (2 * M - 1) ** 2 + per_term * J + fixed
+
+        # the largest order that could win: within 0.8 pi k0 (the bound turns
+        # upward past it), within max_terms, and costing less than best
+        cap = min(int(0.8 * math.pi * k0), _ROUTE_MAX_ORDER, (max_terms - k0 - J) // 2)
+        if best < math.inf and cap >= lo:
+            room = (best - k0 - per_term * J - fixed) / per_mul
+            cap = min(cap, int((math.sqrt(max(room, 0.0)) + 1) / 2) + 1)
+            while cap >= lo and cost(cap) >= best:
+                cap -= 1
+        found = _least_order(_remainder_bound(n, k0, pabs, rep), lo, cap, tlog - 2)
+        if found is not None:
+            M, rlog = found
+            best, plan = cost(M), (k0, M, J, rlog)
     return plan
 
 
@@ -529,7 +569,7 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     with t.  |g(x)| <= |g(k0)| (x/k0)^a, a = max(Re p, 0), since sin is
     concave and increasing up to pi/2.  Integrating x^(a-2M) over [k0,
     2k0], [2k0, 4k0] and the rest, with H at each piece's largest angle
-    (at most pi/2), gives :func:`_remainder_log2`, whose float value is
+    (at most pi/2), gives :func:`_remainder_bound`, whose float value is
     taken up by 2^-20 relatively, far above its rounding.
 
     Fixed point, at F = prec + FIXED_GUARD fractional bits, u = 2^-F.
@@ -663,11 +703,14 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
 
 
 def _route_choice(c: PrecisionContext, n: int, z, tol):
-    """The :func:`_route_plan` of the folded sum at z, or None (every term
-    summed) at z = 0, at the poles 1/2 + N of zeta_Z and near Z/2 off it."""
+    """The :func:`_route_plan` of the folded sum at z, at c's precision, or
+    None (every term summed) at the poles 1/2 + N of zeta_Z and near Z/2
+    off it, and at z = 0, where both public sums return n - 1 without
+    asking."""
     q = snap(c, z)
     routable = q is None or z == q and (q < 0 or q > 0 and q.denominator == 1)
-    return _route_plan(n, -2 * z, tol, n // 2, c.max_terms) if routable else None
+    return (_route_plan(n, -2 * z, tol, n // 2, c.max_terms, c.precision_bits)
+            if routable else None)
 
 
 def _circle_sum(c: PrecisionContext, n: int, z, dp, tol, fold: bool = True):
@@ -697,11 +740,13 @@ def _circle_sum(c: PrecisionContext, n: int, z, dp, tol, fold: bool = True):
 def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPComplex:
     """sum_{k=1}^{n-1} sin(pi k/n)^power for real power.
 
-    It is 2^-power times the folded sum of (2 sin(pi k/n))^power, which
-    :func:`_circle_sum` evaluates at the tolerance scaled by 2^power: by
-    the large-n route above its switch, else term by term (always at power
-    0, at the negative odd powers, and near an integer power but off it),
-    and never with more work than ``max_terms``.  The sines come from a
+    At power 0 it is n - 1, returned with no sine rotated, its err the
+    rounding of n - 1 at working precision (0 below 2^working_bits).
+    Otherwise it is 2^-power times the folded sum of (2 sin(pi k/n))^power,
+    which :func:`_circle_sum` evaluates at the tolerance scaled by 2^power:
+    by the large-n route above its switch, else term by term (always at the
+    negative odd powers, and near an integer power but off it), and never
+    with more work than ``max_terms``.  The sines come from a
     fixed-point rotation with a proved drift bound (:func:`_rotated_sines`),
     never from a rounded pi*k/n product, so accuracy survives large n; err covers the
     rounding of a power that is not exact at working precision and of the
@@ -713,6 +758,9 @@ def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPC
 
     def compute(c: PrecisionContext) -> HPComplex:
         x = c.mpf(power)
+        if x == 0:  # every term is 1
+            v, err = rendering(c, nn - 1)
+            return HPComplex(v.real, err)
         rounded = _rounded(power, x)  # an input exact at c stays exact above
         bits = _first_bits(c, nn, x, abs(x) * c.eps if rounded else 0)
         if bits > c.precision_bits:

@@ -1,5 +1,6 @@
 """Discrete-circle zeta: direct sums, exact values, cot sums, polynomials."""
 
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -20,6 +21,7 @@ from zetakit import (
     sine_power_sum,
 )
 from zetakit import zeta_zn
+from zetakit.core import mpf_to_fraction
 from zetakit.zeta_zn import POLY_CAP
 
 
@@ -374,6 +376,71 @@ def test_extraction_at_a_generic_exponent_takes_the_route(monkeypatch):
     assert routed
 
 
+def _least_cost_plan(n, p, tol, count, max_terms, bits):
+    """The plan of :func:`zeta_zn._route_plan` by exhaustive search: every
+    k0 of ``_K0_CHOICES`` with n >= 4 k0, each at the least order M, found
+    by scanning every M up to the bound's turning point, whose remainder
+    bound meets tol/4; the least-cost plan that fits max_terms and costs
+    less than the plain sum of ``count`` terms, the first k0 among equals."""
+    quarter = not p.imag and zeta_zn._quarter(p.real)
+    unit = zeta_zn._quarter_price(bits) if quarter else 1
+    per_mul, per_term, fixed = (x / unit for x in zeta_zn._ROUTE_COST)
+    best, plan = (count if count <= max_terms else math.inf), None
+    pabs, rep = float(abs(p)), float(p.real)
+    tlog = math.log2(tol.man) + tol.exp
+    for k0 in zeta_zn._K0_CHOICES:
+        if 4 * k0 > n:
+            break
+        bound = zeta_zn._remainder_bound(n, k0, pabs, rep)
+        turn = min(int(0.8 * math.pi * k0), zeta_zn._ROUTE_MAX_ORDER)
+        M = next((m for m in range(1, turn + 1) if bound(m) <= tlog - 2), None)
+        if M is None:
+            continue
+        th0 = math.pi * k0 / n
+        lu = math.log2(math.sin(th0))
+        scale = (math.log2(2 * n / math.pi) + rep * (1 + lu) + lu
+                 - math.log2(1 - math.sin(th0) ** 2))
+        J = max(1, math.ceil((tlog - 4 - scale) / (2 * lu)), math.ceil(-rep / 2) + 1)
+        cost = k0 + per_mul * (2 * M - 1) ** 2 + per_term * J + fixed
+        if cost < best and k0 + 2 * M + J <= max_terms:
+            best, plan = cost, (k0, M, J, bound(M))
+    return plan, best
+
+
+def test_route_plan_is_the_least_cost_plan():
+    # the pruned search (a cap on the order from J, the best cost and
+    # max_terms, one bound at the cap) picks the plan of the exhaustive one;
+    # each case runs again with the plain sum priced just above that plan's
+    # cost and with max_terms just fitting it, so that each part of the cap
+    # is met with equality at the winning cut-off
+    rng = random.Random(2209)
+    ctxs = [PrecisionContext(64, 1e-12), PrecisionContext(256, 1e-30),
+            PrecisionContext(1024, 1e-120)]
+    routed = 0
+    for i in range(240):
+        ctx = ctxs[i % 3]
+        mp = ctx.mp
+        kind = i // 3 % 4
+        if kind == 0:
+            p = mp.mpf(rng.uniform(-12, 8))
+        elif kind == 1:
+            p = mp.mpc(rng.uniform(-6, 6), rng.uniform(-4, 4))
+        else:
+            p = mp.mpf(rng.randint(-12, 8)) + (mp.mpf(0.5) if kind == 3 else 0)
+        n = int(math.exp(rng.uniform(math.log(4), math.log(1e9))))
+        tol = ctx.tol * mp.mpf(2) ** rng.randint(-8, 8)
+        cases = [(n // 2, rng.choice([200, 1000, 10 ** 6]))]
+        plan, cost = _least_cost_plan(n, p, tol, *cases[0], ctx.precision_bits)
+        if plan is not None:
+            routed += 1
+            k0, M, J, _ = plan
+            cases += [(math.floor(cost) + 1, cases[0][1]), (cases[0][0], k0 + 2 * M + J)]
+        for count, max_terms in cases:
+            args = (n, p, tol, count, max_terms, ctx.precision_bits)
+            assert zeta_zn._route_plan(*args) == _least_cost_plan(*args)[0], args
+    assert routed > 100
+
+
 @pytest.mark.parametrize("s", [0.37, complex(-0.6, 0.9), -2, 2, Fraction(-3, 2)])
 def test_route_switch_counts_rotated_sines(monkeypatch, s):
     # above the switch the folded sum rotates at most k0 sines, below it
@@ -385,7 +452,7 @@ def test_route_switch_counts_rotated_sines(monkeypatch, s):
     z = ctx.mpc(s)
     p = -2 * (z if z.imag else z.real)
     for n in (switch, 4 * switch):
-        k0 = zeta_zn._route_plan(n, p, ctx.tol, n // 2, ctx.max_terms)[0]
+        k0 = zeta_zn._route_plan(n, p, ctx.tol, n // 2, ctx.max_terms, ctx.precision_bits)[0]
         steps.clear()
         zeta_zn_direct(n, s, ctx)
         assert 0 < len(steps) <= k0
@@ -415,16 +482,23 @@ def test_plain_sum_where_the_route_does_not_apply(monkeypatch, s):
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_sine_sum_at_power_zero_stays_plain(monkeypatch, bits):
-    # sum_k sin(pi k/n)^0 is exactly n - 1, which the plain sum meets within
-    # the s0-exact-expansion threshold of verify; the route would miss it,
-    # although its cost formula alone would take it at this n
-    ctx = PrecisionContext(bits, 1e-30)
-    n = 1001
-    assert zeta_zn._route_plan(n, ctx.mp.zero, ctx.tol, n // 2, ctx.max_terms) is not None
+    # sum_k sin(pi k/n)^0 is n - 1, returned as that integer with no sine
+    # rotated and no route taken, so n = 10^9 fits max_terms = 1000; the
+    # route would miss it, although its cost formula alone would take it
+    # at n = 1001.  Past 2^(working bits) the rounding of n - 1 is its err.
+    ctx = PrecisionContext(bits, 1e-30, max_terms=1000)
+    assert zeta_zn._route_plan(1001, ctx.mp.zero, ctx.tol, 500, 1000, bits) is not None
     plans = _record_plans(monkeypatch)
-    r = sine_power_sum(n, 0, ctx)
-    assert plans == []
-    assert abs(r.value - (n - 1)) <= 64 * ctx.eps * 1001
+    steps = _count_rotations(monkeypatch)
+    for n in (1001, 10 ** 9):
+        r = sine_power_sum(n, 0, ctx)
+        assert r.value == n - 1 and r.err == 0
+    loose = PrecisionContext(bits, 2 ** 100)
+    n = 2 ** 300 + 2
+    r = sine_power_sum(n, 0, loose)
+    assert 0 < r.err <= loose.tol
+    assert abs(int(r.value) - (n - 1)) <= mpf_to_fraction(r.err)
+    assert plans == [] and steps == []
 
 
 @pytest.mark.parametrize("s", [0, Fraction(1, 2), Fraction(3, 2)], ids=str)
