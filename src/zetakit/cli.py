@@ -229,6 +229,11 @@ def _cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 # sweep
 
+#: Most points a linear sweep range may hold; the points are counted
+#: before any is built, and a longer range is a usage error.
+_SWEEP_MAX_POINTS = 10 ** 6
+
+
 def _parse_range(text: str, integer: bool) -> List:
     parts = text.split(":")
     if len(parts) == 2:
@@ -237,26 +242,26 @@ def _parse_range(text: str, integer: bool) -> List:
         start, stop, step = parts
     else:
         raise _Usage(f"malformed range {text!r} (use start:stop[:step|:geometric])")
-    out = []
-    a, b = float(_parse_number(start)), float(_parse_number(stop))
+    try:
+        a, b = float(_parse_number(start)), float(_parse_number(stop))
+        h = None if step == "geometric" else float(_parse_number(step))
+    except OverflowError:
+        raise _Usage(f"range {text!r} is outside the float range") from None
     if step == "geometric":
         if a <= 0 or b < a:
             raise _Usage("geometric range needs 0 < start <= stop")
-        x = a
-        while x <= b * (1 + 1e-12):
+        out = []
+        x, top = a, min(b * (1 + 1e-12), sys.float_info.max)  # doubling ends
+        while x <= top:
             out.append(x)
             x *= 2
     else:
-        h = float(_parse_number(step))
         if h <= 0 or b < a:
             raise _Usage("range needs start <= stop and positive step")
-        k = 0
-        while True:
-            x = a + k * h
-            if x > b + 1e-12:
-                break
-            out.append(x)
-            k += 1
+        span = (b + 1e-12 - a) / h  # the points a + k h, k <= span
+        if not span < _SWEEP_MAX_POINTS:
+            raise _Usage(f"range {text!r} has more than {_SWEEP_MAX_POINTS} points")
+        out = [x for x in (a + k * h for k in range(int(span) + 2)) if x <= b + 1e-12]
     if not out:
         raise _Usage("empty range")
     if integer:

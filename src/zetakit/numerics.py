@@ -6,27 +6,31 @@ recurrence-shift plus Stirling-series scheme appropriate at high precision).
 Everything else is implemented here because downstream identities consume
 exact rationals or certified bounds: the Bernoulli numbers are exact
 Fractions from the integer tangent numbers (Brent & Harvey 2011), and the
-Euler-Maclaurin zeta sums k^-s multiplicatively, one power per prime.  Its
-length N and order M are sized from the remainder target 2^-b = min(tol,
-2^-prec): N = b/7, the ratio at which measured cost is near its least, and
-M the least order whose proved remainder bound meets the target.  The error
-bounds of gamma, digamma and zeta also cover the rounding of an argument
-that is not exact at working precision.
+Euler-Maclaurin zeta sums k^-s multiplicatively, one power per prime, its
+length and order sized from the bits the value must carry
+(:func:`_em_zeta_raw`).  The error bounds of gamma, digamma and zeta also
+cover the rounding of an argument that is not exact at working precision.
 
 The hot loops run in Python-integer fixed point at F = prec + FIXED_GUARD
 fractional bits, so that no mpf is normalised per term.  The Mellin
 quadrature and the discrete-circle sums use the kernels here: exp, cos/sin
 and log of Python ints, each an argument reduction around the basecase
 series that mpmath's own ``mpf_exp``, ``mpf_cos_sin`` and ``mpf_log`` call,
-and integer powers by binary powering.  The Euler-Maclaurin zeta runs its
-order walk and correction sum as one integer recurrence, on coefficients
-B_2j/(2j)! rounded once per working precision; its power sum stays on
-``mp.power``, one per prime.
+and integer powers by binary powering.
 
 Every kernel that returns a bounded value runs through :func:`core.certify`:
 when its ``err`` misses ``target_tol`` it is recomputed with up to 1024 extra
 bits, then refuses with NoConvergence; a composite takes Gamma and digamma
 as factors unchecked (:func:`_gamma_raw`).  Poles are found by :func:`core.snap`.
+
+One rule serves every proved Euler-Maclaurin remainder: the zeta kernel's
+(:func:`_em_tail`), the product tail's (``zeta_z._tail_order``) and the
+large-n route's (``zeta_zn._route_plan``).  A search reads log2 of the bound
+in floats and takes the first order that meets its target, by a walk or by
+:func:`_least_order`; :func:`_bound_from_log2` alone turns that float into
+the certified mpf bound, raised by 2^-20 relatively.  The zeta kernel and
+the product aim twice that raise below their target, so the certified
+bound meets it.  No search evaluates a bound in mpmath numbers.
 
 All functions are pure.  The only shared mutable state is the Bernoulli memo
 and the Euler-Maclaurin coefficient table, each guarded by a lock.
@@ -399,17 +403,49 @@ def _log2_abs(re: int, im: int) -> float:
     return math.log2(h) + k if h else -math.inf
 
 
-#: Bits by which the screen of :func:`_em_tail` may pass an order whose
-#: float estimate lies above the target: far above the estimate's own
-#: error (at most 2^-40 bits, measured against the bound in mpmath numbers
-#: over 18,582 orders at 64 to 3000 bits, real and complex s), and far
-#: below the fall of the bound per order.
-_EM_SCREEN_SLACK = 2.0 ** -20
+#: log2(1 + 2^-20): the raise of :func:`_bound_from_log2`, in bits.
+_RAISE_BITS = math.log2(1 + 2.0 ** -20)
+
+
+def _bound_from_log2(mp, lb: float):
+    """2^lb raised by 2^-20 relatively, as an mpf (0 at lb = -inf): the
+    certified bound whose log2 lb a search read in floats.  lb sums at most a
+    dozen float terms, each within two ulps and below 2^24, as at every order
+    accepted under 2^14 bits with 2|s| log2 n < 2^24 (:func:`_em_tail` gives
+    its N^-sigma term, which grows with sigma alone, a margin of its own); so
+    lb is within 2^-23 bits of the bound formed exactly from the same inputs,
+    and the raise, over 2^-20 bits, covers that and fixed-point inputs within
+    2^-40 relatively.  The seeded sweeps of tests/test_remainders.py read the
+    floats within 2^-39 bits."""
+    if lb == -math.inf:
+        return mp.zero
+    e = math.floor(lb)
+    return mp.ldexp(mp.mpf(2.0 ** (lb - e)) * (1 + mp.ldexp(1, -20)), e)
+
+
+def _least_order(bound, lo: int, hi: int, tlog: float):
+    """(M, bound(M)) for the least M in [lo, hi] whose float log2 bound is
+    at most tlog, by bisection, for a bound that falls with M on [lo, hi];
+    None when it misses tlog at hi, which rules out every M in range."""
+    if lo > hi:
+        return None
+    top = bound(hi)
+    if top > tlog:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        r = bound(mid)
+        if r <= tlog:
+            hi, top = mid, r
+        else:
+            lo = mid + 1
+    return hi, top
 
 
 def _em_tail(mp, s, N: int, target):
-    """(tail, bound, M) for the least order M whose remainder bound at N is
-    at most target (see :func:`_em_zeta_raw`), with
+    """(tail, bound, M) for the first order M whose remainder bound at N
+    meets target (see :func:`_em_zeta_raw`) by the rule of the module
+    docstring, bound its certified value, with
 
         tail = sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} N^(1-2j),
 
@@ -424,13 +460,9 @@ def _em_tail(mp, s, N: int, target):
     c_j P_j, c_j = B_2j/(2j)! from :func:`_em_coefficients`, is one integer
     product shifted onto the 2^-F grid of an exact integer sum.
 
-    The order is screened, then proved.  The bound at order m is |c_{m+1}
-    P_{m+1}| N^-sigma |s+2m+1|/(sigma+2m+1); its log2 is read in floats from
-    the top bits of the integers, within about 2^-40 bits, and where that
-    reads at most log2 target + :data:`_EM_SCREEN_SLACK` the bound itself
-    is formed in mpmath numbers and compared with target.  The first m that
-    passes is M; every m below it read above log2 target + 2^-20, so its
-    bound misses the target, and M is the least order, exactly.
+    The bound at order m is |c_{m+1} P_{m+1}| N^-sigma |s+2m+1|/(sigma+2m+1);
+    its log2 is read in floats from the top bits of the integers, with log2
+    N^-sigma taken up by 2^-50 of itself for the rounding of sigma.
 
     Error budget.  Re(s + k) >= 1/2 for k >= 1 (sigma >= -1/2), so the
     truncations of s and s^2 (one unit of 2^-F per part, none for a part of
@@ -459,9 +491,9 @@ def _em_tail(mp, s, N: int, target):
     u, v, e = _trim(u << F, v << F, e - F, F)
     n2 = N * N
     nb = n2.bit_length()
-    npow = mp.power(N, -sigma)
     nlog = -float(sigma) * math.log2(N)
-    tlog = math.log2(target.man) + target.exp + _EM_SCREEN_SLACK
+    nlog += abs(nlog) * 2.0 ** -50
+    tlog = math.log2(target.man) + target.exp - 2 * _RAISE_BITS
     # 4/3 of the default length N covers the least order of a real s there
     coef = _em_coefficients(prec, int(-tlog * _EM_N_PER_BIT * 4 / 3) + 4)
     acc_r = acc_i = 0
@@ -475,10 +507,7 @@ def _em_tail(mp, s, N: int, target):
         if cplx:
             est += _log2_abs(sr + (k << F), si) - math.log2(sr + (k << F))
         if est <= tlog:
-            bound = (mp.ldexp(abs(cm), ce) * mp.ldexp(mp.hypot(u, v), e)
-                     * npow * abs(s + k) / (sigma + k))
-            if bound <= target:
-                return _to_mp(mp, acc_r, acc_i, -F, cplx), bound, m
+            return _to_mp(mp, acc_r, acc_i, -F, cplx), _bound_from_log2(mp, est), m
         if last is not None and est >= last:
             return None
         last = est
@@ -508,13 +537,12 @@ def _em_zeta_raw(mp, s, tol, max_terms: int) -> Tuple:
     functional-equation check compare values at working precision, but no
     further, since the rounding term below is larger than 2^-prec anyway.
     N = b/7 (:data:`_EM_N_PER_BIT`), at least 12 and |Im s| + 8, and M is
-    the least order whose bound at that N meets the target
-    (:func:`_em_tail`); should the bound turn upward first, N grows by half.
+    the first order whose bound at that N meets the target, by the one rule
+    for remainder bounds of the module docstring (:func:`_em_tail`); should
+    the bound turn upward first, N grows by half.
     At 1024 bits and real s that is N = 151 and M of about 190.
 
-    The order walk and the correction sum are one integer recurrence in
-    fixed point (:func:`_em_tail`), on coefficients B_2j/(2j)! rounded once
-    per working precision (:func:`_em_coefficients`); the correction is then
+    The correction sum runs with the order walk (:func:`_em_tail`) and is
     scaled by the one power N^-s that the two middle terms share.  The power
     sum is multiplicative (:func:`_power_sum`): a term k^-s is a product of
     at most log2 N prime powers, so it carries the roundings of at most

@@ -66,28 +66,63 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
     zero; positive half-integers raise PoleError.  A negative half-integer
     s = -m - 1/2, given exactly, returns the rational 8 16^m / ((m+1)
     C(2m+2, m+1)) over pi, rounded once.  An exact value's err is that of its
-    rendering, so C(-2s, -s) refuses from s = -51/-148/-532 at 64/256/1024 bits.
+    rendering, so C(-2s, -s) refuses from s = -51/-148/-532 at 64/256/1024 bits,
+    before it is built where a lower bound shows that (:func:`_refuse_wide`).
     ``use_exact_paths=False`` forces the generic Gamma route (useful for
     cross-checking the exact values against the analytic continuation).
     """
     ctx = get_context(ctx)
+    q = snap(ctx, ctx.mpc(s)) if use_exact_paths else None
+    if q is not None and q <= 0:
+        _refuse_wide(ctx, q, "closed-form")
     v, err, certified, exact, note = _closed(ctx, s, use_exact_paths)
     if exact is not None:
         return exact_result(ctx, exact, "closed-form", note)
     return complex_result(ctx, v, err, certified, "closed-form", note=note)
 
 
+#: Bits of the widest exact value :func:`_closed` builds: the values at s =
+#: -n and -n - 1/2 have about 2n bits (C(2^15, 2^14) takes 0.03 s); past it
+#: the Gamma route serves.  Tests, workloads and CI reach 2n of about 2000.
+_EXACT_BITS = 2 ** 15
+
+
+def _refuse_wide(ctx: PrecisionContext, q: Fraction, method: str) -> None:
+    """NoConvergence, decided in integers before the exact value at s = q <= 0
+    is built, when its rendering alone misses the tolerance: a value of at
+    least 2^lb that renders inexactly has an err of at least 2^lb (1 -
+    2^-wb) eps >= 2^(lb - wb).  At q = -n - 1/2 the rational over pi, at
+    least 2 4^n / sqrt(pi (n+1)), never renders exactly (the Gamma route
+    near it has an err above 2^(6-wb) |value|).  At q = -n, lb
+    bounds C(2n, n) >= 4^n / (2 sqrt n), and zeta_Z'(-n) = -2 C(2n, n)
+    sum_{n<k<=2n} 1/k is larger; over a power of two, 2^popcount(n) for
+    C(2n, n) and at most that for zeta_Z'(-n) (its sum has 2^-a, from the one
+    k = 2^a), the odd part of either is at least 2^(lb - popcount(n)), so
+    either renders inexactly once lb - popcount(n) >= wb."""
+    n, wb = -int(q), ctx.working_bits
+    lb = 2 * n - 1 - (n.bit_length() + 1) // 2
+    if q.denominator == 2:
+        lb = 2 * n - ((n + 1).bit_length() + 1) // 2
+    elif lb - n.bit_count() < wb:
+        return
+    if lb - wb > ctx.mp.mag(ctx.tol):
+        raise NoConvergence(f"{method}: rendering the exact value at {ctx.precision_bits} "
+                            "bits alone exceeds the tolerance")
+
+
 def _closed(ctx: PrecisionContext, s, use_exact_paths: bool = True):
     """(value, err, certified, exact, note) of :func:`zeta_z_closed` before
     its tolerance check, its Gamma factors unchecked too, for the
     composites that take zeta_Z(s) as a factor; an exact value's err is that
-    of its rendering (:func:`core.rendering`)."""
+    of its rendering (:func:`core.rendering`).  Past :data:`_EXACT_BITS`
+    the Gamma route, with no pole at the negative integers, serves."""
     mp = ctx.mp
     z = ctx.mpc(s)
     q = snap(ctx, z)
     if q is not None:
         if q.denominator == 2 and q > 0:
             raise PoleError(f"zeta_Z has a pole at s = {q}")
+        use_exact_paths = use_exact_paths and -2 * q <= _EXACT_BITS
         if q.denominator == 1 and use_exact_paths:
             exact = Fraction(comb(-2 * int(q), -int(q)) if q <= 0 else 0)
             return (*rendering(ctx, exact, exact), True, exact, None if q <= 0 else "simple-zero")
@@ -101,8 +136,9 @@ def _closed(ctx: PrecisionContext, s, use_exact_paths: bool = True):
             v = mp.make_mpf(mpf_div(from_rational(r.numerator, r.denominator, wp, round_nearest),
                                     mpf_pi(wp, round_nearest), mp.prec, round_nearest))
             return v, v * mp.ldexp(1, 1 - mp.prec), True, None, None
-    g1 = numerics._gamma_raw(mp.mpf(1) / 2 - z, ctx)
-    g2 = numerics._gamma_raw(1 - z, ctx)
+    # the Gamma arguments exactly: past 2^wb a rounding of them enters err
+    g1 = numerics._gamma_raw(mp.fsub(0.5, z, exact=True), ctx)
+    g2 = numerics._gamma_raw(mp.fsub(1, z, exact=True), ctx)
     v = mp.power(4, -z) / mp.sqrt(mp.pi) * g1.value / g2.value
     rel = g1.err / abs(g1.value) + g2.err / abs(g2.value) + mp.mpf(2) ** (6 - mp.prec)
     if numerics._rounded(s, z):
@@ -142,7 +178,8 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     is below 31 e^(-2 pi d) < 2^(5-9d) (Stirling), under 2^(-b-2) for any
     d/b of at least 1/9: the first K serves unless |value| exceeds its
     estimate.  J is the first order with R_J <= x/(1+x), x = tol / (4 |v0|)
-    with v0 = P_K e^(-G(K) - g(K)/2), so |v0| (e^R_J - 1) <= tol/4
+    with v0 = P_K e^(-G(K) - g(K)/2), so |v0| (e^R_J - 1) <= tol/4, by the
+    one rule for remainder bounds of :mod:`zetakit.numerics`
     (:func:`_tail_order`).  When the bound stops falling first, K grows
     fourfold and the partial product is extended, or an explicit ``terms``
     raises NoConvergence.
@@ -236,28 +273,23 @@ _EIGHT_ZETA3 = 9.6168
 
 def _tail_order(mp, d, rmax):
     """(J, R_J) for the first order J whose remainder bound R_J =
-    8 zeta(3) (2J-1)! / ((2 pi)^(2J+1) d^(2J)) is at most rmax, or None when
-    the bound stops falling first (2J >= 2 pi d).  log2 R_J is screened in
-    floats; at the first J that reads at most log2 rmax +
-    ``numerics._EM_SCREEN_SLACK``, far above the floats' error, R_J is
-    formed in mpmath numbers and compared with rmax.
+    8 zeta(3) (2J-1)! / ((2 pi)^(2J+1) d^(2J)) meets rmax, by the one rule
+    for remainder bounds of :mod:`zetakit.numerics`, or None when the bound
+    reaches its least value above rmax.  log2 R_J = log2(8 zeta(3) / 2 pi)
+    + log2 (2J-1)! - 2J log2(2 pi d) in floats, and R_(J+1)/R_J = 2J (2J+1)
+    / (2 pi d)^2, so the bound falls up to the least J with 2J (2J+1) >=
+    (2 pi d)^2, the range of :func:`numerics._least_order`.
     """
     if d <= 0:
         return None
-    two_pi_d = 2 * math.pi * float(d)
-    step = -2 * math.log2(two_pi_d)
-    lr = math.log2(_EIGHT_ZETA3 / (2 * math.pi)) + step
-    tlog = math.log2(rmax.man) + rmax.exp + numerics._EM_SCREEN_SLACK
-    J = 1
-    while True:
-        if lr <= tlog:
-            R = _EIGHT_ZETA3 * mp.factorial(2 * J - 1) / (2 * mp.pi * (2 * mp.pi * d) ** (2 * J))
-            if R <= rmax:
-                return J, R
-        if 2 * J >= two_pi_d:
-            return None
-        lr += math.log2(2 * J * (2 * J + 1)) + step
-        J += 1
+    x = 2 * math.pi * float(d)
+    base, step = math.log2(_EIGHT_ZETA3 / (2 * math.pi)), 2 * math.log2(x)
+    hi = max(1, math.ceil((math.sqrt(1 + 4 * x * x) - 1) / 4))
+    found = numerics._least_order(lambda J: base + math.lgamma(2 * J) / math.log(2) - J * step,
+                                  1, hi, math.log2(rmax.man) + rmax.exp - 2 * numerics._RAISE_BITS)
+    if found is None:
+        return None
+    return found[0], numerics._bound_from_log2(mp, found[1])
 
 
 def _tail_sum(mp, z, K: int, J: int):
@@ -336,22 +368,15 @@ def big_z(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     return complex_result(ctx, v, err, certified, "closed-form", note=note)
 
 
-def _deriv_bracket_exact_negative(n: int) -> Fraction:
-    """sum_{k=1}^{n} (1/k - 2/(2k-1)) as an exact rational."""
-    acc = Fraction(0)
-    for k in range(1, n + 1):
-        acc += Fraction(1, k) - Fraction(2, 2 * k - 1)
-    return acc
-
-
 def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     """zeta_Z'(s) for real s < 1/2, plus the exact values at positive integers.
 
     Uses zeta_Z(s) (-psi0(1/2-s) - 2 log 2 + psi0(1-s)) off the integers;
     at s = -n the bracket telescopes into the exact rational C(2n,n)
-    sum_{k<=n} (1/k - 2/(2k-1)), whose err is that of its rendering, so it
-    refuses from n = 28/95/330 at 64/256/1024 bits; at s = 0 the derivative
-    vanishes exactly, and positive integers route to the exact reciprocal
+    sum_{k<=n} (1/k - 2/(2k-1)) = -2 C(2n, n) sum_{n<k<=2n} 1/k, 0 at s = 0,
+    whose err is that of its rendering, so it refuses from n = 28/95/330 at
+    64/256/1024 bits, before it is built where a lower bound shows that
+    (:func:`_refuse_wide`); positive integers route to the exact reciprocal
     formula.  Positive half-integers (and other s >= 1/2) raise DomainError.
     Only zeta_Z'(s), not its factors, is checked against the tolerance.
     """
@@ -365,12 +390,11 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
         if q.denominator == 1 and q >= 1:
             return exact_result(ctx, zeta_z_deriv_at_positive_integer(int(q)),
                                 "exact-at-positive-integer")
-        if q == 0:
-            return exact_result(ctx, Fraction(0), "digamma-formula")
-        if q.denominator == 1:
+        if q.denominator == 1:  # s = -n <= 0, the sum empty at n = 0
             n = -int(q)
-            return exact_result(ctx, comb(2 * n, n) * _deriv_bracket_exact_negative(n),
-                                "digamma-formula")
+            _refuse_wide(ctx, q, "digamma-formula")
+            return exact_result(ctx, -2 * comb(2 * n, n) * sum(
+                Fraction(1, k) for k in range(n + 1, 2 * n + 1)), "digamma-formula")
     if x >= mp.mpf(1) / 2:
         raise DomainError("derivative formula applies left of s = 1/2")
     zc, zc_err = _closed(ctx, x)[:2]

@@ -28,32 +28,18 @@ k/n)^x that extraction reads, which is 2^-x times the folded sum at -2s = x.
   off rather than treated (Navot 1961 gives the Euler-Maclaurin expansion
   with it), so the work is independent of n.
 
-The switch is a cost formula (:func:`_route_plan`): for a cut-off k0 it
-takes the series length J, the least order M whose remainder bound meets
-tol/4, prices k0 + m (2M-1)^2 + t J + c in units of one plain term
-(:data:`_ROUTE_COST`, and :data:`_QUARTER_TERM` by precision), and takes
-the route when the cheapest plan costs less than the plain sum's n/2
-terms; a k0 at which no order cheap enough to beat the best plan so far
-meets tol/4 costs one evaluation of the bound.  At 256 bits/1e-30 that is
-n of about 210-250 for |s| <= 6, 550-630 where -2s is an integer or a
-half-integer and each plain term is cheaper; at 1024 bits/1e-120 about
-720-860 and 2110-2400.  Only a path whose work (n/2 or n - 1 terms, or
-k0 + 2M + J) fits ``max_terms`` is taken; when none does, NoConvergence
-names it before any sine is rotated.
+The switch is a cost formula (:func:`_route_plan`): the route is taken
+when its cheapest plan (k0, M, J), its remainder held to tol/4 by the one
+rule for remainder bounds of :mod:`zetakit.numerics`, costs less than the
+plain sum's n/2 terms; at 256 bits/1e-30 that is n of about 210-250 for |s|
+<= 6, 550-630 where -2s is an integer or a half-integer.  Only a path whose
+work fits ``max_terms`` is taken; when none does, NoConvergence names it
+before any sine is rotated.
 
-The plain sum and the route's head are one streaming kernel,
-:func:`_power_sum`, which runs in Python-integer fixed point from the sines
-to the sum.  It makes sin(pi k/n) by rotating (cos, sin)(pi/n) at wp = prec
-+ 2 bitlen(n) + 4 bits; the rotation drifts by at most 3k units of
-2^(-wp), and since sin(pi k/n) >= 2 min(k, n-k)/n every sine, past pi/2
-too, stays within 2^(-prec-3) of the truth, relatively.  Every term is then formed relative to
-one block scale, the largest term, which is known before the loop (k = 1
-for a negative power, n//2 otherwise), at prec + 20 fractional bits or
-more: integer and half-integer powers by a ratio of two sines, binary
-powering and ``math.isqrt``, other powers by the fixed-point logarithm and
-exponential of :mod:`zetakit.numerics`.  The terms are summed exactly as
-integers and scaled once, and each carries at most 2^13 units of
-2^(-prec-20) relative to the scale, inside the rounding budget of the err.
+The plain sum and the route's head are one streaming kernel in
+Python-integer fixed point, :func:`_power_sum`: sines by a rotation with a
+proved drift (:func:`_rotated_sines`), each term relative to one block
+scale known before the loop, summed exactly as integers and scaled once.
 
 Negative integer values are exact alternating binomial sums, odd half-integer
 values collapse to short cotangent sums (evaluated with mpmath's own sines,
@@ -104,10 +90,12 @@ from .core import (
 )
 from .numerics import (
     FIXED_GUARD,
+    _bound_from_log2,
     _cos_sin_fixed,
     _dyadic,
     _em_coefficients,
     _exp_fixed,
+    _least_order,
     _log_fixed,
     _pow_fixed,
     _rounded,
@@ -439,26 +427,6 @@ def _remainder_bound(n: int, k0: int, pabs: float, rep: float):
     return log2_bound
 
 
-def _least_order(bound, lo: int, hi: int, tlog: float):
-    """(M, bound(M)) for the least M in [lo, hi] whose remainder bound
-    (:func:`_remainder_bound`) is at most 2^tlog, by bisection, since the
-    bound falls with M below 0.8 pi k0; None when it misses 2^tlog at hi,
-    which rules out every M in range."""
-    if lo > hi:
-        return None
-    top = bound(hi)
-    if top > tlog:
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        r = bound(mid)
-        if r <= tlog:
-            hi, top = mid, r
-        else:
-            lo = mid + 1
-    return hi, top
-
-
 def _quarter_price(bits: int) -> float:
     """:data:`_QUARTER_TERM` at ``bits`` of precision: the entry of the
     largest listed precision at most ``bits``."""
@@ -466,15 +434,16 @@ def _quarter_price(bits: int) -> float:
 
 
 def _route_plan(n: int, p, tol, count: int, max_terms: int, bits: int):
-    """(k0, M, J, log2 R_M) for the cheapest route (:func:`_route`) that
-    meets tol with work k0 + 2M + J <= max_terms, or None when the plain sum
-    of ``count`` terms costs no more (and fits max_terms) or no cut-off
-    serves.  ``bits`` is the precision of the sum, which prices its plain
-    term.
+    """(k0, M, J, log2 R_M, log2 of the tail of S) for the cheapest route
+    (:func:`_route`) that meets tol with work k0 + 2M + J <= max_terms, or
+    None when the plain sum of ``count`` terms costs no more (and fits
+    max_terms) or no cut-off serves.  ``bits`` is the precision of the sum,
+    which prices its plain term.
 
-    R_M is held to tol/4 (:func:`_least_order`), and J, the length of the
-    series in u0 = sin(pi k0/n), is the first with its tail below tol/16
-    (for Re p + 2J + 1 >= 1).  The cost, in units of one term of the plain
+    R_M is held to tol/4 and J, the length of the series in u0 = sin(pi
+    k0/n), is the first with its tail below tol/16 (for Re p + 2J + 1 >= 1),
+    both bounds in floats by the one rule for remainder bounds of
+    :mod:`zetakit.numerics`.  The cost, in units of one term of the plain
     sum at p, is k0 + (m R^2 + t J + c) / w, R = 2M - 1, with (m, t, c)
     from :data:`_ROUTE_COST` and w the price of that term in log/exp terms:
     :data:`_QUARTER_TERM` at ``bits`` for an integer or half-integer p,
@@ -523,15 +492,17 @@ def _route_plan(n: int, p, tol, count: int, max_terms: int, bits: int):
         found = _least_order(_remainder_bound(n, k0, pabs, rep), lo, cap, tlog - 2)
         if found is not None:
             M, rlog = found
-            best, plan = cost(M), (k0, M, J, rlog)
+            slog = scale + 2 * J * lu - math.log2(rep + 2 * J + 1)
+            best, plan = cost(M), (k0, M, J, rlog, slog)
     return plan
 
 
 def _route(mp, n: int, p, dp, plan, zz, zz_err):
     """(value, err) of the folded sum zeta_n(s) = sum_k g(k), g(x) =
     (2 sin(pi x/n))^p with p = -2s, in work independent of n, from a plan
-    (k0, M, J, log2 R_M) of :func:`_route_plan` and zeta_Z(s) = zz within
-    zz_err.  ``dp`` bounds the rounding of p, as in :func:`_power_sum`.
+    (k0, M, J, log2 R_M, log2 of the tail of S) of :func:`_route_plan`, both
+    bounds certified by :func:`numerics._bound_from_log2`, and zeta_Z(s) =
+    zz within zz_err.  ``dp`` bounds the rounding of p, as in :func:`_power_sum`.
 
     The identity.  With th0 = pi k0/n, u0 = sin th0 and n >= 4 k0,
 
@@ -569,8 +540,7 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     with t.  |g(x)| <= |g(k0)| (x/k0)^a, a = max(Re p, 0), since sin is
     concave and increasing up to pi/2.  Integrating x^(a-2M) over [k0,
     2k0], [2k0, 4k0] and the rest, with H at each piece's largest angle
-    (at most pi/2), gives :func:`_remainder_bound`, whose float value is
-    taken up by 2^-20 relatively, far above its rounding.
+    (at most pi/2), gives :func:`_remainder_bound`.
 
     Fixed point, at F = prec + FIXED_GUARD fractional bits, u = 2^-F.
     th0, cos th0 and sin th0 come from ``mpf_cos_sin_pi`` at F + 10 bits,
@@ -609,7 +579,7 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     of p moves every term by at most 2 dp L |g(k)| and |g(k)| <=
     max(|g(k0)|, 2^Re p) past k0: 2 dp L n max(|g(k0)|, 2^Re p).
     """
-    k0, M, J, rlog = plan
+    k0, M, J, rlog, slog = plan
     prec = mp.prec
     F = prec + FIXED_GUARD
     W = F + 10
@@ -690,15 +660,10 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     rel_g = (pabs * (2 * lbits + 1) + 2) * two ** (1 - prec)
     ag = abs(g0)
     err_v = c2 * (err_s + abs(S) * two ** (3 - prec)) + err_t
-    tail = (c2 * ag * (1 + rel_g) * u0 ** (2 * J)
-            / ((1 - u0 * u0) * (p.real + 2 * J + 1)))
     rounding = (abs(head) + n * abs(zz) + 2 * ag * (c2 * abs(S) + abs(T) + 1)) * two ** (4 - prec)
     moved = 2 * dp * lbits * n * max(ag, two ** p.real)
-    # the float log2 of the remainder bound, taken up by 2^-20 relatively
-    e = math.floor(rlog)
-    remainder = mp.ldexp(mp.mpf(2.0 ** (rlog - e)) * (1 + two ** -20), e)
-    err = (head_err + n * zz_err + ag * (err_v + abs(V) * rel_g) + remainder
-           + tail + rounding + moved)
+    err = (head_err + n * zz_err + ag * (err_v + abs(V) * rel_g) + _bound_from_log2(mp, rlog)
+           + _bound_from_log2(mp, slog) + rounding + moved)
     return v, err
 
 

@@ -1,12 +1,15 @@
 """Command-line behavior: formats, exit codes, determinism, round trips."""
 
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from zetakit import zeta_zn_closed_poly
-from zetakit.cli import _build_parser, main
+from zetakit import cli
+from zetakit.cli import _build_parser, _parse_range, main
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +284,68 @@ def test_sweep_geometric_grid(capsys):
 def test_sweep_empty_range_rejected(capsys):
     code, _, err = run_cli(capsys, "sweep", "zeta-z", "--s=5:1:1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "zeta-z", "--s=-1e300"), ("eval", "z", "--s=-1e300"),
+    ("eval", "zeta-z-deriv", "--s=-1e300"), ("extract", "--s=-1e300", "--n-max=20"),
+    ("eval", "zeta-z", "--s=-1000000"), ("eval", "zeta-z-deriv", "--s=-100000"),
+], ids=" ".join)
+def test_huge_negative_arguments_refuse_at_once(capsys, argv):
+    # a numerical refusal, exit 4 and named on stderr, within a second: no
+    # traceback (exit 1 is a failed verification) and no binomial built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 4 and out == ""
+    assert err.startswith(("NoConvergence", "IllConditioned"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "zeta-z", "--s=0:1:1e-300"), ("sweep", "volumes", "--n=4:1e300"),
+    ("sweep", "zeta-zn-direct", "--s=1/4", "--n=4:1e300"),
+    ("sweep", "volumes", f"--n=4:{10 ** 400}"), ("sweep", "zeta-z", f"--s=0:1:{10 ** 400}"),
+], ids=lambda argv: " ".join(argv)[:40])
+def test_sweep_refuses_ranges_it_cannot_finish(capsys, argv):
+    # the points are counted before any is built, and a range past the cap
+    # of 10^6 points is a usage error, as is a bound past the float range
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == "" and ("points" in err or "float range" in err)
+
+
+def test_sweep_cap_is_on_the_point_count(monkeypatch):
+    monkeypatch.setattr(cli, "_SWEEP_MAX_POINTS", 10)
+    assert _parse_range("0:9", True) == list(range(10))
+    with pytest.raises(cli._Usage, match="more than 10 points"):
+        _parse_range("0:10", True)
+
+
+def _range_by_steps(a, b, h):
+    """The points a + k h <= b + 1e-12, k = 0, 1, ..., stepped one by one."""
+    out, k = [], 0
+    while a + k * h <= b + 1e-12:
+        out.append(a + k * h)
+        k += 1
+    return out
+
+
+def test_sweep_range_counts_the_stepped_points():
+    # 2000 seeded ranges, steps that divide the span and steps that do not:
+    # the counted range holds exactly the points of one step at a time
+    rng = random.Random(7)
+    for _ in range(2000):
+        a = rng.choice([0.0, rng.uniform(-5, 5), float(rng.randint(-9, 9))])
+        h = rng.choice([0.1, 0.25, 1 / 3, rng.uniform(0.01, 2), 1.0])
+        b = a + rng.choice([h * rng.randint(0, 40), rng.uniform(0, 30)])
+        assert _parse_range(f"{a!r}:{b!r}:{h!r}", False) == _range_by_steps(a, b, h)
+
+
+def test_geometric_range_ends_at_the_float_range():
+    # doubling up to the largest float stops there instead of running on
+    # through inf
+    assert len(_parse_range("1:1.7976931348623157e308:geometric", False)) == 1024
 
 
 # ---------------------------------------------------------------- extract

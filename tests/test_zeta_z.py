@@ -1,6 +1,7 @@
 """Three evaluation routes for the lattice zeta function, plus derivatives."""
 
 import random
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -445,6 +446,64 @@ def test_exact_value_refuses_a_rendering_beyond_the_tolerance(call, s):
     # at 94 working bits they are 9.6e29 and 2.8e-6 from their rationals
     with pytest.raises(NoConvergence):
         call(s, PrecisionContext(64, 1e-12))
+
+
+#: the least n at which zeta_z_closed(-n) and zeta_z_deriv(-n) refuse, by
+#: precision, at the tolerances of the CI suites
+_REFUSAL_POINTS = {(64, 1e-12): (51, 28), (256, 1e-30): (148, 95), (1024, 1e-120): (532, 330)}
+
+
+@pytest.mark.parametrize("bits, tol", sorted(_REFUSAL_POINTS), ids=str)
+def test_exact_values_refuse_from_the_same_points(bits, tol):
+    # the early refusal only answers where the rendering would refuse: the
+    # least refused n is the same as when every value was built first
+    ctx = PrecisionContext(bits, tol)
+    for call, n in zip((zeta_z_closed, zeta_z_deriv), _REFUSAL_POINTS[bits, tol]):
+        assert call(1 - n, ctx).exact is not None
+        with pytest.raises(NoConvergence):
+            call(-n, ctx)
+
+
+@pytest.mark.parametrize("bits, tol", [(64, 1e-12), (256, 1e-30), (1024, 1e-120)])
+@pytest.mark.parametrize("call, s", [
+    (zeta_z_closed, -10 ** 5), (zeta_z_closed, -10 ** 6), (zeta_z_closed, -1e300),
+    (zeta_z_closed, Fraction(-10 ** 300 - 1, 1) - Fraction(1, 2)),
+    (zeta_z_deriv, -10 ** 5), (zeta_z_deriv, -1e300),
+], ids=["closed-1e5", "closed-1e6", "closed-1e300", "closed-half-1e300",
+        "deriv-1e5", "deriv-1e300"])
+def test_wide_exact_values_refuse_at_once(bits, tol, call, s):
+    # a lower bound on the exact value, in integers, shows its rendering
+    # missing the tolerance before any binomial is built: C(2 10^5, 10^5)
+    # alone took 0.7 s, and math.comb overflowed at 10^300
+    t0 = time.perf_counter()
+    with pytest.raises(NoConvergence):
+        call(s, PrecisionContext(bits, tol))
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("n", [2 ** 14, 2 ** 14 + 1, 10 ** 5, 10 ** 6])
+def test_composites_take_the_gamma_route_past_the_exact_width(n):
+    # past C(2^15, 2^14) the closed form reads Gamma(n + 1/2) / Gamma(n + 1)
+    # for the composites (no pole at the negative integers), so Z(-2n) =
+    # pi 4^-n C(2n, n) is served at once and within its err
+    ctx = PrecisionContext(256, 1e-30)
+    exact = zeta_z._closed(ctx, -n)[3]
+    assert (exact is None) == (2 * n > zeta_z._EXACT_BITS)
+    t0 = time.perf_counter()
+    r = big_z(-2 * n, ctx)
+    assert time.perf_counter() - t0 < 0.5
+    w = MPContext()
+    w.prec = 600
+    truth = w.sqrt(w.pi) * w.gamma(n + w.mpf(1) / 2) / w.gamma(n + 1)
+    assert abs(w.mpf(r.value.re) - truth) <= r.err <= ctx.tol
+
+
+def test_composites_refuse_where_the_gamma_arguments_round():
+    # at s = -1e300 the Gamma route's arguments 1/2 - s/2 and 1 - s/2 need
+    # 1000 bits: their rounding enters err, so Z refuses instead of
+    # returning sqrt(pi), the quotient of two equal rounded Gammas
+    with pytest.raises(NoConvergence):
+        big_z(-1e300, PrecisionContext(256, 1e-30))
 
 
 def test_exact_value_err_covers_its_rendering(ctx):

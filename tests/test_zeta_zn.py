@@ -260,7 +260,8 @@ def _count_rotations(monkeypatch):
 
 
 def _record_plans(monkeypatch):
-    """Record the plan (k0, M, J, log2 R_M) of each :func:`zeta_zn._route`."""
+    """Record the plan (k0, M, J, log2 R_M, log2 of the tail of S) of each
+    :func:`zeta_zn._route`."""
     plans = []
     route = zeta_zn._route
     monkeypatch.setattr(zeta_zn, "_route", lambda *a: plans.append(a[4]) or route(*a))
@@ -403,7 +404,8 @@ def _least_cost_plan(n, p, tol, count, max_terms, bits):
         J = max(1, math.ceil((tlog - 4 - scale) / (2 * lu)), math.ceil(-rep / 2) + 1)
         cost = k0 + per_mul * (2 * M - 1) ** 2 + per_term * J + fixed
         if cost < best and k0 + 2 * M + J <= max_terms:
-            best, plan = cost, (k0, M, J, bound(M))
+            slog = scale + 2 * J * lu - math.log2(rep + 2 * J + 1)  # the tail of S
+            best, plan = cost, (k0, M, J, bound(M), slog)
     return plan, best
 
 
@@ -433,7 +435,7 @@ def test_route_plan_is_the_least_cost_plan():
         plan, cost = _least_cost_plan(n, p, tol, *cases[0], ctx.precision_bits)
         if plan is not None:
             routed += 1
-            k0, M, J, _ = plan
+            k0, M, J, _, _ = plan
             cases += [(math.floor(cost) + 1, cases[0][1]), (cases[0][0], k0 + 2 * M + J)]
         for count, max_terms in cases:
             args = (n, p, tol, count, max_terms, ctx.precision_bits)
