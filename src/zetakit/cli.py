@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import ceil, isfinite
 from typing import List, Optional, Union
@@ -92,8 +93,11 @@ def _format_decimal(ctx, x, scientific: bool = False) -> str:
 
 
 def _format_rational(q) -> str:
+    """num/den, or the integer, in full: a Decimal prints an int of any
+    length, where ``str`` stops at the interpreter's digit limit."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
+    return f"{num}/{den}" if q.denominator != 1 else num
 
 
 def _format_number(ctx, v, scientific: bool) -> str:
@@ -271,8 +275,9 @@ def _parse_range(text: str, integer: bool) -> List:
             if abs(x - n) > 1e-9:
                 raise _Usage(f"range value {x} is not an integer")
             vals.append(n)
-        return vals
-    return out
+        out = vals
+    # a step below the spacing of floats at a rounds a + h back to a
+    return [x for i, x in enumerate(out) if i == 0 or x != out[i - 1]]
 
 
 _SWEEP_TARGETS = ("zeta-zn-direct", "zeta-z", "volumes")

@@ -30,7 +30,8 @@ in floats and takes the first order that meets its target, by a walk or by
 :func:`_least_order`; :func:`_bound_from_log2` alone turns that float into
 the certified mpf bound, raised by 2^-20 relatively.  The zeta kernel and
 the product aim twice that raise below their target, so the certified
-bound meets it.  No search evaluates a bound in mpmath numbers.
+bound meets it.  No search evaluates a bound in mpmath numbers.  The rule
+also certifies the large-n route's fixed-point and rounding factor.
 
 All functions are pure.  The only shared mutable state is the Bernoulli memo
 and the Euler-Maclaurin coefficient table, each guarded by a lock.
@@ -407,13 +408,21 @@ def _log2_abs(re: int, im: int) -> float:
 _RAISE_BITS = math.log2(1 + 2.0 ** -20)
 
 
+def _log2_sum(logs) -> float:
+    """log2 of the sum of 2^x over a sequence of float log2s, one finite."""
+    top = max(logs)
+    return top + math.log2(sum(2.0 ** (x - top) for x in logs))
+
+
 def _bound_from_log2(mp, lb: float):
     """2^lb raised by 2^-20 relatively, as an mpf (0 at lb = -inf): the
     certified bound whose log2 lb a search read in floats.  lb sums at most a
     dozen float terms, each within two ulps and below 2^24, as at every order
     accepted under 2^14 bits with 2|s| log2 n < 2^24 (:func:`_em_tail` gives
-    its N^-sigma term, which grows with sigma alone, a margin of its own); so
-    lb is within 2^-23 bits of the bound formed exactly from the same inputs,
+    its N^-sigma term, which grows with sigma alone, a margin of its own), or
+    is the :func:`_log2_sum` of at most 408 such sums, which adds below
+    2^-40 bits (``zeta_zn._route`` gives its lgamma terms a margin).  So lb
+    is within 2^-23 bits of the bound formed exactly from the same inputs,
     and the raise, over 2^-20 bits, covers that and fixed-point inputs within
     2^-40 relatively.  The seeded sweeps of tests/test_remainders.py read the
     floats within 2^-39 bits."""

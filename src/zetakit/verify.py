@@ -446,11 +446,20 @@ def _check_s0_exactness(ctx: PrecisionContext) -> CheckResult:
 
 
 def _check_convergence_order(ctx: PrecisionContext) -> CheckResult:
+    """The slope, target -3, of log |residual| against log n after a
+    two-term fit of sine_power_sum(n, 1) over n = 16..2048.  The residual
+    falls to about 1e-11 at n = 2048, so the sums are held to
+    2^-precision_bits, or to the context's tolerance where that is tighter:
+    the large-n route meets only the tolerance it is given, and at 1e-6
+    its error swamps the residual."""
     mp = ctx.mp
+    fine = PrecisionContext(ctx.precision_bits,
+                            min(ctx.target_tol, Fraction(1, 2 ** ctx.precision_bits)),
+                            ctx.max_terms)
     grid = [16 * 2 ** i for i in range(8)]
     lead = asymptotics._lead(mp.mpf(-1), ctx)[0].real
     # two-term fit, then examine how the unmodeled remainder decays
-    ds = [zeta_zn.sine_power_sum(n, 1, ctx).value - lead * n for n in grid]
+    ds = [zeta_zn.sine_power_sum(n, 1, fine).value - lead * n for n in grid]
     c1, _ = asymptotics._fit_line(mp, [mp.mpf(n) ** -2 for n in grid],
                                   [d * n for d, n in zip(ds, grid)])
     # least-squares slope of log|residual| vs log n

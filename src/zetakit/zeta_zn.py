@@ -96,12 +96,14 @@ from .numerics import (
     _em_coefficients,
     _exp_fixed,
     _least_order,
+    _log2_abs,
+    _log2_sum,
     _log_fixed,
     _pow_fixed,
     _rounded,
     _to_mp,
 )
-from .zeta_z import _closed
+from .zeta_z import _EXACT_BITS, _closed
 
 __all__ = [
     "RationalPolynomial",
@@ -257,14 +259,25 @@ def _power_sum(mp, n: int, p, fold: bool, dp=0, count=None):
     of S and the final product (within the 16 units), and the caller's
     rounding of p, which moves a term by |dp log x_k| (doubled for the
     second order).
+
+    The first holds while |p| < 2^(prec/2).  A sine's relative error |d| <=
+    e_s moves its term by |(1 + d)^p - 1| <= e^x - 1 <= x + x^2, x = |p| e_s
+    (1 + 2 e_s) >= |p log(1 + d)|, which is at most (|p| + 1) e_s when 2 |p|
+    e_s + |p|^2 e_s (1 + 2 e_s)^2 <= 1, as it is for |p|^2 e_s < 1/8.  Past
+    that the err is infinite, returned before any sine is rotated, so that
+    :func:`core.certify` adds bits or refuses.
     """
     prec = mp.prec
+    pbits = int(abs(p)).bit_length()
+    if 2 * pbits > prec:
+        return mp.zero, mp.inf
     wp = prec + 2 * n.bit_length() + _ROTATION_GUARD
     F = prec + FIXED_GUARD
-    H = max(F, wp) + int(abs(p)).bit_length() + 1
+    H = max(F, wp) + pbits + 1
     if count is None:
         count = n // 2 if fold else n - 1
-    lbits = n.bit_length() + 1
+    rel = (((abs(p) + 1) / 16 + (count + 16)) * mp.mpf(2) ** (1 - prec)
+           + 2 * dp * (n.bit_length() + 1))  # err / M, as above
     a, b = p._mpc_ if isinstance(p, mp.mpc) else (p._mpf_, None)
     neg = a[0]  # the sign bit of Re p
 
@@ -298,7 +311,7 @@ def _power_sum(mp, n: int, p, fold: bool, dp=0, count=None):
             im += w * ((r * si) >> F)
             mass += w * r
         total = mp.make_mpc((scaled(re, F), scaled(im, F)))
-        return total, mp.make_mpf(scaled(mass, F)) * _rel(mp, p, count, dp, lbits)
+        return total, mp.make_mpf(scaled(mass, F)) * rel
     if _quarter(p):
         q, half = divmod(abs(to_int(mpf_shift(a, 1))), 2)
 
@@ -314,27 +327,7 @@ def _power_sum(mp, n: int, p, fold: bool, dp=0, count=None):
             return modulus(log_sine(s))
         bits = F
     total = mp.make_mpf(scaled(sum(w * power(s) for w, s in terms), bits))
-    return total, total * _rel(mp, p, count, dp, lbits)  # every term is positive
-
-
-def _rel(mp, p, count: int, dp, lbits: int):
-    """The relative error bound of a power sum (:func:`_power_sum`)."""
-    two = mp.mpf(2)
-    return ((abs(p) + 1) * two ** (-mp.prec - 3) + (count + 16) * two ** (1 - mp.prec)
-            + 2 * dp * lbits)
-
-
-def _first_bits(c: PrecisionContext, n: int, x, dp) -> int:
-    """Precision bits at which the folded sum of sin(pi k/n)^x meets the
-    tolerance on its first run.  Its mass is M <= 2 count S (1 +
-    2^-prec)^|x| < 3 count S, S the block scale of :func:`_power_sum`, and
-    its err is M times :func:`_rel`, which halves with each added bit (dp,
-    the rounding of x, halves with it)."""
-    mp = c.mp
-    count = n // 2
-    top = mp.sinpi(mp.mpf(1 if x < 0 else count) / n)
-    bound = 3 * count * top ** x * _rel(mp, x, count, dp, n.bit_length() + 1)
-    return c.precision_bits + max(0, int(mp.ceil(mp.log(bound / c.tol, 2))))
+    return total, total * rel  # every term is positive
 
 
 # --------------------------------------------------------------------------
@@ -417,9 +410,7 @@ def _remainder_bound(n: int, k0: int, pabs: float, rep: float):
         disc = -math.log1p(-lam)
         h2, h4, hp = (pabs * (disc + _sinc_log((1 + lam) * t) - b) / _LN2 for t, b in angles)
         d = a + 1 - 2 * M
-        logs = (h2, d + h4, 2 * d + hp - math.log2(1 - 2.0 ** d))
-        top = max(logs)
-        pieces = top + math.log2(sum(2.0 ** (x - top) for x in logs))
+        pieces = _log2_sum((h2, d + h4, 2 * d + hp - math.log2(1 - 2.0 ** d)))
         return (2 + math.log2(1 + 2.0 ** (2 - 2 * M)) + math.lgamma(2 * M + 1) / _LN2
                 - 2 * M * math.log2(2 * math.pi * lam) + g0
                 + (1 - 2 * M) * lk - math.log2(2 * M - a - 1) + pieces)
@@ -578,6 +569,13 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     a dozen roundings, covered by 2^(4-prec) of its terms.  The rounding dp
     of p moves every term by at most 2 dp L |g(k)| and |g(k)| <=
     max(|g(k0)|, 2^Re p) past k0: 2 dp L n max(|g(k0)|, 2^Re p).
+
+    The terms that scale with |g(k0)|, the errors of S (times c = 2n
+    u0/pi) and T, |V| times the rounding of g(k0), V = 1 + c S + T, and
+    2^(5-prec) (c |S| + |T| + 1), are M + 8 float log2s, certified once by
+    :func:`numerics._bound_from_log2` (T's lgamma may pass 2^24, but 1.73 >
+    log2 3.3 + 0.007 leaves a margin).  The rest stays in mpf: its
+    magnitudes can leave the float range, their log2s reach |p| log2 n.
     """
     k0, M, J, rlog, slog = plan
     prec = mp.prec
@@ -641,29 +639,32 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     v = head + n * zz - g0 * V
 
     # the error budget, term by term as in the docstring
-    pabs = abs(p)
+    pabs = float(abs(p))
     lbits = n.bit_length() + 1
-    two = mp.mpf(2)
-    ulp = two ** -F
     jmin = min(max(int(-(p.real + 1) / 2), 0), J - 1)
-    delta = min(abs(p + 2 * j + 1) for j in {max(jmin - 1, 0), jmin, min(jmin + 1, J - 1)})
-    err_s = ulp * (5 * J * J / delta + 3 * J / delta ** 2 + 2 * J)
-    fa, fp = max(1.5 * float(pabs), 1.0), float(pabs)
-    # log2 of |B_2j|/(2j) k0^(1-2j) (L_D + 1) C(a' + 2j + 1, 2j - 1), with
-    # |B_2j|/(2j) <= 3.3 (2j-1)!/(2 pi)^(2j)
-    logs = [1.73 + (math.lgamma(fa + 2 * j + 2) - math.lgamma(fa + 3)) / _LN2
+    ld = min(_log2_abs(pr + ((2 * j + 1) << F), pi_)
+             for j in {max(jmin - 1, 0), jmin, min(jmin + 1, J - 1)}) - F  # log2 delta
+    lc, ls, lt = math.log2(c2), _log2_abs(sr, si) - F, _log2_abs(tr, ti) + 1 - F
+    vr, vi, ve = _dyadic(V)
+    # 2^-F times 2 |B_2j|/(2j) k0^(1-2j) (L_D + 1) C(a' + 2j + 1, 2j - 1),
+    # with |B_2j|/(2j) <= 3.3 (2j-1)!/(2 pi)^(2j): T's terms
+    fa = max(1.5 * pabs, 1.0)
+    logs = [2.73 - F + (math.lgamma(fa + 2 * j + 2) - math.lgamma(fa + 3)) / _LN2
             - 2 * j * math.log2(2 * math.pi) - (2 * j - 1) * math.log2(k0)
-            + math.log2((64 * fp + 9) / 3 + 1) for j in range(1, M + 1)]
-    top = max(logs)
-    em = mp.ldexp(sum(2.0 ** (x - top) for x in logs), math.ceil(top) + 1) + M
-    err_t = 2 * ulp * em
-    rel_g = (pabs * (2 * lbits + 1) + 2) * two ** (1 - prec)
+            + math.log2((64 * pabs + 9) / 3 + 1) for j in range(1, M + 1)]
+    logs += [lc - F + math.log2(5 * J * J) - ld,  # S: 5 J^2 / delta
+             lc - F + math.log2(3 * J) - 2 * ld,  # 3 J / delta^2
+             lc - F + math.log2(2 * J),  # and 2 J units
+             1 - F + math.log2(M),  # T: a unit per term
+             lc + ls + math.log2(40) - prec,  # S's rounding, in V and combined
+             # g(k0)'s rounding times |V|, and the rest of the combination
+             _log2_abs(vr, vi) + ve + math.log2(pabs * (2 * lbits + 1) + 2) + 1 - prec,
+             lt + 5 - prec, 5 - prec]
     ag = abs(g0)
-    err_v = c2 * (err_s + abs(S) * two ** (3 - prec)) + err_t
-    rounding = (abs(head) + n * abs(zz) + 2 * ag * (c2 * abs(S) + abs(T) + 1)) * two ** (4 - prec)
-    moved = 2 * dp * lbits * n * max(ag, two ** p.real)
-    err = (head_err + n * zz_err + ag * (err_v + abs(V) * rel_g) + _bound_from_log2(mp, rlog)
-           + _bound_from_log2(mp, slog) + rounding + moved)
+    err = (head_err + n * zz_err + ag * _bound_from_log2(mp, _log2_sum(logs))
+           + _bound_from_log2(mp, rlog) + _bound_from_log2(mp, slog)
+           + (abs(head) + n * abs(zz)) * mp.mpf(2) ** (4 - prec)
+           + 2 * dp * lbits * n * max(ag, mp.mpf(2) ** p.real))
     return v, err
 
 
@@ -715,9 +716,8 @@ def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPC
     fixed-point rotation with a proved drift bound (:func:`_rotated_sines`),
     never from a rounded pi*k/n product, so accuracy survives large n; err covers the
     rounding of a power that is not exact at working precision and of the
-    factor 2^-power.  The sum runs once, at the precision that the largest
-    term shows it needs (:func:`_first_bits`) if that is above the
-    context's, so that :func:`core.certify` never discards a full sum.
+    factor 2^-power.  Like every kernel, it runs under :func:`core.certify`,
+    at the context's precision and then with up to 1024 extra bits.
     """
     nn = _vertex_count(n)
 
@@ -726,13 +726,8 @@ def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPC
         if x == 0:  # every term is 1
             v, err = rendering(c, nn - 1)
             return HPComplex(v.real, err)
-        rounded = _rounded(power, x)  # an input exact at c stays exact above
-        bits = _first_bits(c, nn, x, abs(x) * c.eps if rounded else 0)
-        if bits > c.precision_bits:
-            c = c.with_bits(bits)
-            x = c.mpf(power)
         mp = c.mp
-        dp = abs(x) * c.eps if rounded else 0
+        dp = abs(x) * c.eps if _rounded(power, x) else 0
         scale = mp.power(2, -x)  # it and the product below round once each
         v, err = _circle_sum(c, nn, -x / 2, dp, c.tol / scale)
         v *= scale
@@ -781,15 +776,22 @@ def zeta_zn_negative_int(n: int, m: int) -> Fraction:
     """Exact zeta_n(-m) = n sum_k (-1)^{kn} C(2m, m+kn) over |k| <= m/n.
 
     The k = 0 term carries weight one; for m < n it is the only term,
-    giving n C(2m, m).
+    giving n C(2m, m).  The binomials are walked from C(2m, m) by the exact
+    step C(2m, m+j) = C(2m, m+j-1) (m-j+1)/(m+j), work that grows as m^2;
+    past 2m = ``zeta_z._EXACT_BITS``, the closed form's width for exact
+    values, NoConvergence is raised before any binomial is built.
     """
     nn = _vertex_count(n)
     if m < 1:
         raise DomainError("m must be a positive integer")
-    acc = 0
-    for k in range(-(m // nn), m // nn + 1):
-        sign = -1 if (k * nn) % 2 else 1
-        acc += sign * comb(2 * m, m + k * nn)
+    if 2 * m > _EXACT_BITS:
+        raise NoConvergence(f"zeta_n(-{m}): 2m exceeds {_EXACT_BITS}, the width of "
+                            f"exact values")
+    c = acc = comb(2 * m, m)
+    for j in range(1, m // nn * nn + 1):
+        c = c * (m - j + 1) // (m + j)
+        if j % nn == 0:
+            acc += -2 * c if j % 2 else 2 * c
     return Fraction(nn * acc)
 
 

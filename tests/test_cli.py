@@ -3,11 +3,12 @@
 import json
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from zetakit import zeta_zn_closed_poly
+from zetakit import catalan, zeta_zn_closed_poly, zeta_zn_negative_int
 from zetakit import cli
 from zetakit.cli import _build_parser, _parse_range, main
 
@@ -57,6 +58,18 @@ def test_eval_bernoulli_and_catalan(capsys):
     assert code == 0 and "value=-1/30" in out
     code, out, _ = run_cli(capsys, "eval", "catalan", "--m=3")
     assert code == 0 and "value=5" in out
+
+
+@pytest.mark.parametrize("argv, exact", [
+    (("eval", "zeta-zn", "--n=5", "--s=-8000"), lambda: zeta_zn_negative_int(5, 8000)),
+    (("eval", "catalan", "--m=20000"), lambda: catalan(20000)),
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else "")
+def test_eval_prints_wide_exact_values_in_full(capsys, argv, exact):
+    # integers past the interpreter's 4300-digit limit on str(int)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    value = out.split("value=")[1].split()[0]
+    assert len(value) > 4300 and Decimal(value) == Decimal(int(exact()))
 
 
 def test_eval_deriv(capsys):
@@ -281,6 +294,13 @@ def test_sweep_geometric_grid(capsys):
     assert ns == [4 * 2 ** i for i in range(11)]
 
 
+def test_sweep_drops_a_point_that_repeats_the_one_before(capsys):
+    # at 1e300 the step 1 rounds back to the start: one row, not two
+    code, out, _ = run_cli(capsys, "--format=csv", "sweep", "zeta-z", "--s=1e300:1e300")
+    assert code == 0
+    assert out.strip().splitlines()[1:] == ["1e+300,0,0,closed-form"]
+
+
 def test_sweep_empty_range_rejected(capsys):
     code, _, err = run_cli(capsys, "sweep", "zeta-z", "--s=5:1:1")
     assert code == 2
@@ -290,6 +310,7 @@ def test_sweep_empty_range_rejected(capsys):
     ("eval", "zeta-z", "--s=-1e300"), ("eval", "z", "--s=-1e300"),
     ("eval", "zeta-z-deriv", "--s=-1e300"), ("extract", "--s=-1e300", "--n-max=20"),
     ("eval", "zeta-z", "--s=-1000000"), ("eval", "zeta-z-deriv", "--s=-100000"),
+    ("eval", "zeta-zn", "--n=5", "--s=-20000"), ("eval", "zeta-zn", "--n=1000", "--s=-1e100"),
 ], ids=" ".join)
 def test_huge_negative_arguments_refuse_at_once(capsys, argv):
     # a numerical refusal, exit 4 and named on stderr, within a second: no

@@ -235,15 +235,12 @@ def _route_bounds(w, n, k0, p, M, J):
     return remainder, tail
 
 
-def test_route_bounds_cover_the_bounds_at_twice_the_precision():
-    # every plan of 300 seeded cases, real, complex, integer and
-    # half-integer p at 64, 256 and 1024 bits: the remainder and the tail of
-    # S that the route certifies from the plan's floats are at least those
-    # bounds at twice the precision
+def _route_plans():
+    """(ctx, n, p, plan) at every plan of 300 seeded cases, real, complex,
+    integer and half-integer p at 64, 256 and 1024 bits."""
     rng = random.Random(41)
     ctxs = [PrecisionContext(64, 1e-12), PrecisionContext(256, 1e-30),
             PrecisionContext(1024, 1e-120)]
-    plans = 0
     for i in range(300):
         ctx = ctxs[i % 3]
         mp = ctx.mp
@@ -257,8 +254,17 @@ def test_route_bounds_cover_the_bounds_at_twice_the_precision():
         n = int(math.exp(rng.uniform(math.log(64), math.log(1e9))))
         tol = ctx.tol * mp.mpf(2) ** rng.randint(-8, 8)
         plan = zeta_zn._route_plan(n, p, tol, n // 2, 10 ** 6, ctx.precision_bits)
-        if plan is None:
-            continue
+        if plan is not None:
+            yield ctx, n, p, plan
+
+
+def test_route_bounds_cover_the_bounds_at_twice_the_precision():
+    # every plan of the seeded cases: the remainder and the tail of S that
+    # the route certifies from the plan's floats are at least those bounds
+    # at twice the precision
+    plans = 0
+    for ctx, n, p, plan in _route_plans():
+        mp = ctx.mp
         k0, M, J, rlog, slog = plan
         w = _wide(mp)
         remainder, tail = _route_bounds(w, n, k0, w.convert(p), M, J)
@@ -266,6 +272,76 @@ def test_route_bounds_cover_the_bounds_at_twice_the_precision():
         assert w.mpf(numerics._bound_from_log2(mp, slog)) >= tail, (n, p, plan)
         plans += 1
     assert plans > 100
+
+
+def _former_budget(w, prec, n, p, plan, S, T):
+    """The part of the route's error budget that scales with |g(k0)|, as
+    its former mpf formulas formed it, here in w's numbers, with T's
+    fixed-point error summed without the factor 2 it was raised by; plus
+    R_M and the tail of S (:func:`_route_bounds`)."""
+    k0, M, J = plan[:3]
+    F = prec + numerics.FIXED_GUARD
+    ulp = w.mpf(2) ** -F
+    u0 = w.sin(w.pi * k0 / n)
+    g0 = (2 * u0) ** p
+    c2 = 2 * n * u0 / w.pi
+    V = 1 + c2 * S + T
+    pabs = abs(p)
+    lbits = n.bit_length() + 1
+    jmin = min(max(int(-(p.real + 1) / 2), 0), J - 1)
+    delta = min(abs(p + 2 * j + 1) for j in {max(jmin - 1, 0), jmin, min(jmin + 1, J - 1)})
+    err_s = ulp * (5 * J * J / delta + 3 * J / delta ** 2 + 2 * J)
+    # sum_j 2^1.73 Gamma(a' + 2j + 2) / Gamma(a' + 3) (2 pi)^(-2j)
+    # k0^(1-2j) (L_D + 1), a' = max(3|p|/2, 1)
+    fa = max(w.mpf(1.5) * pabs, 1)
+    ratio, em = w.one, w.mpf(M)
+    for j in range(1, M + 1):
+        ratio *= (fa + 2 * j) * (fa + 2 * j + 1) if j > 1 else fa + 3
+        em += (w.mpf(2) ** w.mpf(1.73) * ratio / (2 * w.pi) ** (2 * j)
+               * w.mpf(k0) ** (1 - 2 * j) * ((64 * pabs + 9) / 3 + 1))
+    err_t = 2 * ulp * em
+    rel_g = (pabs * (2 * lbits + 1) + 2) * w.mpf(2) ** (1 - prec)
+    ag = abs(g0)
+    err_v = c2 * (err_s + abs(S) * w.mpf(2) ** (3 - prec)) + err_t
+    share = 2 * ag * (c2 * abs(S) + abs(T) + 1) * w.mpf(2) ** (4 - prec)
+    return ag * (err_v + abs(V) * rel_g) + share + sum(_route_bounds(w, n, k0, p, M, J))
+
+
+def test_route_err_covers_its_former_budget_at_twice_the_precision(monkeypatch):
+    # every plan of the seeded cases: the err of the route, its fixed-point
+    # and rounding factor certified from float log2s, is at least the former
+    # budget formed at twice the precision from the same S and T.  The
+    # terms it keeps in mpf, formed as before (the head's and zeta_Z's, and
+    # the rounding of p), are zero here: their sum, rounded to nearest, has
+    # no margin at its last bit.  A negative odd p, s at a pole of zeta_Z
+    # that the sums never route, is left out
+    seen = []
+    to_mp = zeta_zn._to_mp
+    monkeypatch.setattr(zeta_zn, "_power_sum", lambda mp, *a: (mp.zero, mp.zero))
+    monkeypatch.setattr(zeta_zn, "_to_mp", lambda *a: seen.append(to_mp(*a)) or seen[-1])
+    plans = 0
+    for ctx, n, p, plan in _route_plans():
+        mp = ctx.mp
+        if p.imag == 0 and p < 0 and p % 2 == 1:
+            continue
+        w = _wide(mp)
+        seen.clear()
+        err = zeta_zn._route(mp, n, p, 0, plan, mp.zero, mp.zero)[1]
+        S, T = (w.convert(x) for x in seen)
+        assert w.mpf(err) >= _former_budget(w, mp.prec, n, w.convert(p), plan, S, T), (n, p, plan)
+        plans += 1
+    assert plans > 100
+
+
+def test_log2_sum_is_the_former_pieces_expression():
+    # the float log-sum of the remainder's pieces, bit for bit as the former
+    # expression formed it, on seeded lists of two to twelve log2s
+    rng = random.Random(43)
+    for _ in range(10_000):
+        logs = [rng.uniform(-2000, 2000) * rng.choice((1e-3, 1, 1))
+                for _ in range(rng.randint(2, 12))]
+        top = max(logs)
+        assert numerics._log2_sum(logs) == top + math.log2(sum(2.0 ** (x - top) for x in logs))
 
 
 @pytest.mark.parametrize("lb", [-3000.25, -70.5, 0.0, 12.75, 900.0])

@@ -1,9 +1,13 @@
 """Discrete-circle zeta: direct sums, exact values, cot sums, polynomials."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from mpmath.ctx_mp import MPContext
@@ -204,6 +208,38 @@ def test_sine_power_sum_error_bound_is_honest(n, p):
     assert abs(r.value - truth) <= r.err
 
 
+def test_power_sum_lemma_holds_at_a_huge_power():
+    # at 64 bits the power 2^200 is past the lemma's |p| < 2^(prec/2):
+    # the sum reports an infinite err before any sine is rotated, and
+    # certify serves it with more bits; the truth is mpmath at twice the
+    # bits it ran at
+    ctx = PrecisionContext(64, 1e-12)
+    assert zeta_zn._power_sum(ctx.mp, 7, ctx.mp.mpf(2) ** 200, True)[1] == ctx.mp.inf
+    r = sine_power_sum(7, 2 ** 200, ctx)
+    truth, mp = _truth(7, 2 ** 200, False, 2 * (64 + 1024 + 30))
+    assert 0 < r.err <= ctx.tol
+    assert abs(r.value - truth) <= r.err
+
+
+def _run_within(call, seconds=10):
+    """What ``call`` (an expression on ``zetakit``) returns, or the name and
+    message of what it raises, from a fresh interpreter killed after
+    ``seconds``."""
+    code = (f"import zetakit\ntry:\n    print({call})\n"
+            f"except zetakit.ZetaKitError as exc:\n    print(type(exc).__name__, exc)")
+    env = dict(os.environ, PYTHONPATH=str(Path(zeta_zn.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=seconds, check=True).stdout
+
+
+def test_sine_power_sum_refuses_a_huge_negative_power_at_once():
+    # sin(pi/5)^-1e8 is about 2^76,700,000: its err misses 1e-30 at every
+    # precision certify tries, each a two-term sum, so it refuses by name
+    # within 10 s
+    out = _run_within("zetakit.sine_power_sum(5, -1e8, zetakit.PrecisionContext(256))")
+    assert out.startswith("NoConvergence") and "sine_power_sum" in out
+
+
 @pytest.mark.parametrize("n", [16, 17])
 @pytest.mark.parametrize("kind, s", [
     pytest.param(kind, s, id=kind) for kind, s in
@@ -223,24 +259,6 @@ def test_sums_above_log_taylor_prec(kind, s, n):
         truth, mp = _truth(n, p, False, 6200)
         r = sine_power_sum(n, p, ctx)
         assert abs(r.value - truth) <= r.err
-
-
-def test_sine_power_sum_runs_once_at_the_precision_it_needs(monkeypatch):
-    # at 256 bits the folded sum of sin(pi k/2000)^-20 misses 1e-30 (err
-    # 3.9e-27); the block scale shows it before the loop, so the one sum
-    # runs at the bits it needs instead of being discarded by certify
-    calls = []
-    power_sum = zeta_zn._power_sum
-
-    def counted(mp, *args):
-        calls.append(mp.prec)
-        return power_sum(mp, *args)
-
-    monkeypatch.setattr(zeta_zn, "_power_sum", counted)
-    ctx = PrecisionContext(256, 1e-30)
-    r = sine_power_sum(2000, -20, ctx)
-    assert len(calls) == 1 and calls[0] > ctx.working_bits
-    assert r.err <= ctx.tol
 
 
 # ---------------------------------------------------------------- large-n route
@@ -585,6 +603,26 @@ def test_negative_int_m_below_n(ctx):
 def test_negative_int_rejects_bad_m():
     with pytest.raises(DomainError):
         zeta_zn_negative_int(3, 0)
+
+
+def _negative_int_per_term(n, m):
+    """The former per-term sum n sum_k (-1)^(kn) C(2m, m + kn), |k| <= m/n."""
+    return n * sum((-1 if k * n % 2 else 1) * comb(2 * m, m + k * n)
+                   for k in range(-(m // n), m // n + 1))
+
+
+def test_negative_int_walk_matches_the_per_term_sum():
+    for n in range(2, 21):
+        for m in range(1, 301):
+            assert zeta_zn_negative_int(n, m) == _negative_int_per_term(n, m), (n, m)
+
+
+def test_negative_int_refuses_past_the_exact_width_at_once():
+    # 2m = 40000 > 2^15: refused before C(40000, 20000) is built, in a
+    # fresh interpreter given 10 s; 2m = 2^15 is served
+    out = _run_within("zetakit.zeta_zn_negative_int(5, 20000)")
+    assert out.startswith("NoConvergence") and "32768" in out
+    assert zeta_zn_negative_int(2, 2 ** 14) > 0
 
 
 # ---------------------------------------------------------------- odd powers
