@@ -213,6 +213,7 @@ def _cmd_verify(args) -> int:
     results = verify.run_suite(args.suite, ctx)
     records = []
     for r in results:
+        sys.stderr.write(f"check {r.name}: {r.seconds:.3f}s\n")
         records.append({
             "check": r.name,
             "status": "PASS" if r.passed else "FAIL",

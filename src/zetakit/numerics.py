@@ -6,17 +6,21 @@ recurrence-shift plus Stirling-series scheme appropriate at high precision).
 Everything else is implemented here because downstream identities consume
 exact rationals or certified bounds: the Bernoulli numbers are exact
 Fractions from the integer tangent numbers (Brent & Harvey 2011), and the
-Euler-Maclaurin zeta sums k^-s multiplicatively, one power per prime, its
-length and order sized from the bits the value must carry
-(:func:`_em_zeta_raw`).  The error bounds of gamma, digamma and zeta also
-cover the rounding of an argument that is not exact at working precision.
+Euler-Maclaurin zeta sums k^-s multiplicatively in fixed point, its length
+and order sized from the bits the value must carry (:func:`_em_zeta_raw`).
+The error bounds of gamma, digamma and zeta also cover the rounding of an
+argument that is not exact at working precision.
 
 The hot loops run in Python-integer fixed point at F = prec + FIXED_GUARD
 fractional bits, so that no mpf is normalised per term.  The Mellin
-quadrature and the discrete-circle sums use the kernels here: exp, cos/sin
-and log of Python ints, each an argument reduction around the basecase
-series that mpmath's own ``mpf_exp``, ``mpf_cos_sin`` and ``mpf_log`` call,
-and integer powers by binary powering.
+quadrature, the discrete-circle sums and the zeta power sum use the kernels
+here: exp, cos/sin and log of Python ints, each an argument reduction around
+the basecase series that mpmath's own ``mpf_exp``, ``mpf_cos_sin`` and
+``mpf_log`` call, and integer powers by binary powering.  Logarithms come
+from one table of log p for the primes per precision step
+(:func:`_prime_logs`): the zeta power sum reads it for its prime terms, and
+``_log_fixed`` for the 9-bit prefix of its Taylor step, in place of
+mpmath's logarithm cache, which is filled at twice the working bits.
 
 Every kernel that returns a bounded value runs through :func:`core.certify`:
 when its ``err`` misses ``target_tol`` it is recomputed with up to 1024 extra
@@ -31,10 +35,13 @@ in floats and takes the first order that meets its target, by a walk or by
 the certified mpf bound, raised by 2^-20 relatively.  The zeta kernel and
 the product aim twice that raise below their target, so the certified
 bound meets it.  No search evaluates a bound in mpmath numbers.  The rule
-also certifies the large-n route's fixed-point and rounding factor.
+also certifies the large-n route's fixed-point and rounding factor, and the
+same raise (:func:`_raised`) covers the roundings of the error terms that
+the discrete-circle sums add in mpf.
 
-All functions are pure.  The only shared mutable state is the Bernoulli memo
-and the Euler-Maclaurin coefficient table, each guarded by a lock.
+All functions are pure.  The only shared mutable state is the Bernoulli memo,
+the Euler-Maclaurin coefficient table and the prime-log table with its
+prefix memo, each guarded by a lock.
 """
 
 from __future__ import annotations
@@ -205,9 +212,10 @@ def bernoulli(k: int) -> Fraction:
 # FIXED_GUARD: on the grid e = -F, or with F + 1 bits in the larger part.
 # ``_dyadic`` reads an mpf or mpc in, ``_trim`` and ``_divide`` cut a product
 # or a quotient to F + 1 bits, and ``_to_mp`` rounds the result back once.
-# The Mellin node sum and the discrete-circle sums also call exp, cos/sin,
-# log and integer powers of reals x 2^-F, below; the Euler-Maclaurin order
-# walk (:func:`_em_tail`) and the product route (zeta_z) call none of them.
+# The Mellin node sum, the discrete-circle sums and the zeta power sum also
+# call exp, cos/sin, log and integer powers of reals x 2^-F, below; the
+# Euler-Maclaurin order walk (:func:`_em_tail`) and the product route
+# (zeta_z) call none of them.
 # Each of exp, cos/sin and log is within FIXED_ULPS units of 2^-F of the
 # truth (relatively for exp, absolutely for the others), so FIXED_GUARD
 # leaves the callers 2^(FIXED_GUARD - 10) such calls per term before their
@@ -293,14 +301,41 @@ def _log_fixed(x: int, F: int) -> int:
     """log(x 2^-F) at F fractional bits, for x > 0.
 
     x = y 2^e with y 2^-F in [1/2, 1) (truncated when e > 0, a relative
-    change below 2^(1-F)); log y is ``log_taylor_cached`` up to mpmath's
-    ``LOG_TAYLOR_PREC`` and ``mpf_log`` at F + 10 bits above it, as in
-    ``mpf_log``; e ln 2 takes ln 2 at four bits above those of |e|.
+    change below 2^(1-F)); e ln 2 takes ln 2 at four bits above those of
+    |e|.  Above mpmath's ``LOG_TAYLOR_PREC`` log y is ``mpf_log`` at F + 10
+    bits, as in ``mpf_log``.  Up to it log y takes the Taylor step of
+    ``log_taylor_cached``: with a = n 2^(F-9) for the 9-bit prefix n = 256..511
+    of y, log y = log(a 2^-F) + 2 atanh(v), v = (y - a)/(y + a) < 2^-9, and
+    log(a 2^-F) = log n - 9 ln 2 comes from the prime factors of n in the
+    prime-log table (:func:`_prefix_logs`), within 2 units of 2^-F.
+
+    Error, in units of 2^-F: the truncation of x moves the logarithm by
+    below 2.01, v, floored once, by below 2.01 through 2 atanh, and e ln 2
+    by below 1.07.  The series 2 atanh v is summed as mpmath sums it: the
+    powers v^(4i+1), each one floored product by v^4 < 2^-36 away from the
+    last, so within 1.01, over 4i+1 and over 4i+3 into two sums, the second
+    times v^2 at the end; I <= F/36 + 1 powers stay above 2^-F, and each
+    adds below 1.21 to each sum, so twice the series is within 2.42 I + 6 <
+    F/14.8 + 8.5, the tail included.  The total stays below F/14 + 16, so
+    below FIXED_ULPS for every F up to ``LOG_TAYLOR_PREC`` = 2500.
     """
     e = x.bit_length() - F
     y = x >> e if e >= 0 else x << -e
     if F <= libmp.libelefun.LOG_TAYLOR_PREC:
-        m = libmp.libelefun.log_taylor_cached(y, F)
+        n = y >> (F - 9)  # the prefix, 256..511
+        a = n << (F - 9)
+        v = ((y - a) << F) // (y + a)
+        v2 = (v * v) >> F
+        v4 = (v2 * v2) >> F
+        # v^(4i+1)/(4i+1) into s0 and, times v^2 below, v^(4i+3)/(4i+3) into s1
+        s0, s1, t, k = v, v // 3, (v * v4) >> F, 5
+        while t:
+            s0 += t // k
+            s1 += t // (k + 2)
+            t = (t * v4) >> F
+            k += 4
+        G = _log_bits(F)
+        m = 2 * (s0 + ((s1 * v2) >> F)) + (_prefix_logs(G)[n - 256] >> (G - F))
     else:
         m = libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp(y, -F), F + 10), F)
     g = abs(e).bit_length() + 4
@@ -324,31 +359,181 @@ def _pow_fixed(x: int, q: int, F: int) -> int:
 
 
 # --------------------------------------------------------------------------
+# logarithms of primes, in fixed point
+#
+# One table per precision step G = _log_bits(F) holds log p for the primes
+# p, shared by the zeta power sum (:func:`_power_sum`) and the Taylor step of
+# :func:`_log_fixed`, across calls and threads, and guarded by a lock.  It
+# grows on demand, as the Euler-Maclaurin coefficients do.
+
+_LOG_LOCK = threading.Lock()
+# G -> logs, logs[p] = log p at G fractional bits for each prime p < len(logs)
+_PRIME_LOGS: dict = {}
+# G -> log(n/512) at G fractional bits, n = 256..511
+_PREFIX_LOGS: dict = {}
+
+
+def _log_bits(F: int) -> int:
+    """G, the fractional bits of the prime-log table that serves F: F + 16
+    rounded up to a multiple of 64, so that reading an entry at F bits
+    floors away at least 16 of them."""
+    return -(-(F + 16) // 64) * 64
+
+
+def _smallest_factors(limit: int) -> list:
+    """spf with spf[k] the smallest prime factor of k for 2 <= k < limit."""
+    spf = list(range(limit))
+    for p in range(2, isqrt(limit - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def _factor_log(logs, spf, k: int) -> int:
+    """The sum of ``logs`` over the prime factors of k, with multiplicity."""
+    acc = 0
+    while k > 1:
+        p = spf[k]
+        acc += logs[p]
+        k //= p
+    return acc
+
+
+def _prime_logs(G: int, limit: int) -> tuple:
+    """logs with logs[p] = log p at G fractional bits for every prime p <
+    limit at least (0 at the other indices), each within 2.25 log2 p units
+    of 2^-G; read at F <= G - 16 bits and floored (:func:`_log_bits`), within
+    2 units of 2^-F, far inside FIXED_ULPS.
+
+    log 2 is ``ln2_fixed``, within 1.125 units.  An odd prime p takes
+
+        log p = log(p-1) + 2 atanh(1/q),  q = 2p - 1,
+
+    log(p-1) the exact sum of the entries of the prime factors of p - 1,
+    all below p, and atanh(1/q) = sum_j 1/((2j+1) q^(2j+1)) an integer
+    series at W = G + bitlen(G) + 4 bits: each q-power floor(2^W/q^(2j+1))
+    is exact, each term floors once more, J <= W/4.6 + 1 terms stay above
+    2^-W, and the rest sum below one unit, so twice the series is within
+    0.6 W + 6 units of 2^-W, and below 1.125 units of 2^-G once floored to
+    G bits.  So an entry's error e(p) is at most the sum of a e(r) over r^a
+    || p - 1, plus 1.125: e(p) <= 1.125 T(p), T(2) = 1 and T(p) = 1 + sum a
+    T(r), the node count of p's Pratt tree.  By induction T(p) <= 2 log2 p
+    - 1 for odd p: p - 1 = 2^a m has Omega(p - 1) >= 2 prime factors for p
+    >= 5, so T(p) <= 1 + a + sum b (2 log2 r - 1) <= 2 log2(p - 1) + 1 -
+    Omega(p - 1), and T(3) = 2.
+
+    One table per step G, shared across calls and threads, guarded by a
+    lock; it grows on demand by at least half its length, as
+    :func:`_em_coefficients` does, and every entry is the same whatever
+    the order of the requests that built it.
+    """
+    with _LOG_LOCK:
+        logs = _PRIME_LOGS.get(G, ())
+    have = len(logs)
+    if have >= limit:
+        return logs
+    limit = max(limit, 3 * have // 2, 3)
+    spf = _smallest_factors(limit)
+    W = G + G.bit_length() + 4
+    new = list(logs) + [0] * (limit - have)
+    for p in range(max(have, 2), limit):
+        if spf[p] != p:
+            continue
+        if p == 2:
+            new[2] = libmp.ln2_fixed(G)
+            continue
+        q = 2 * p - 1
+        q2 = q * q
+        t, a, j = (1 << W) // q, 0, 1
+        while t:
+            a += t // j
+            t //= q2
+            j += 2
+        new[p] = _factor_log(new, spf, p - 1) + ((2 * a) >> (W - G))
+    with _LOG_LOCK:
+        if len(_PRIME_LOGS.get(G, ())) < limit:
+            _PRIME_LOGS[G] = tuple(new)
+        return _PRIME_LOGS[G]
+
+
+def _prefix_logs(G: int) -> tuple:
+    """log(n/512) = log n - 9 log 2 at G fractional bits for the 9-bit
+    prefixes n = 256..511 of :func:`_log_fixed`, from the entries of n's
+    prime factors (:func:`_prime_logs`), each within 1.125 (2 log2 n + 9) <
+    31 units of 2^-G; so within 2 units of 2^-F once read at F <= G - 16
+    bits.  Memoised per step G, under the table's lock."""
+    with _LOG_LOCK:
+        memo = _PREFIX_LOGS.get(G)
+    if memo is None:
+        logs = _prime_logs(G, 512)
+        spf = _smallest_factors(512)
+        memo = tuple(_factor_log(logs, spf, n) - 9 * logs[2] for n in range(256, 512))
+        with _LOG_LOCK:
+            memo = _PREFIX_LOGS.setdefault(G, memo)
+    return memo
+
+
+# --------------------------------------------------------------------------
 # Riemann zeta by Euler-Maclaurin
 
 def _power_sum(mp, s, N: int):
-    """sum_{k<N} k^-s with one mp.power per prime.
+    """sum_{k<N} k^-s in Python-integer fixed point at F = prec +
+    FIXED_GUARD + b fractional bits, |s| < 2^b with b = bitlen(floor |s|):
+    one exact integer sum, rounded once.
 
-    k -> k^-s is completely multiplicative, so a composite k = p m, p its
-    smallest prime factor, is the product of the values at p and at m; only
-    the values up to N/2 are kept, since m <= N/2.
+    k -> k^-s is completely multiplicative.  A prime term is
+    ``_exp_fixed(-Re s log p)``, times ``_cos_sin_fixed(-Im s log p)`` for
+    complex s, with log p from the prime-log table (:func:`_prime_logs`)
+    and s floored onto the grid 2^-F; a composite k = p m, p its smallest
+    prime factor, is one fixed-point product of the values at p and m, and
+    only the values up to N/2 are kept, since m <= N/2.  No mpmath
+    logarithm or power is taken.
+
+    Error.  Let u = 2^-F and A_k = max(1, k^-Re s).  The entry of log p is
+    within 2u and the parts of s within u each, so a prime term's arguments
+    are within d = (2^(b+1) + log p + 2) u of the truth; ``_exp_fixed`` is
+    within 1.01 FIXED_ULPS u A_p and the error d moves it by 1.01 d A_p at
+    most; cos and sin are each within FIXED_ULPS u + d, and the products
+    floor once per part.  So a prime term is within D u A_p, D = 2.43
+    (FIXED_ULPS + d/u) + 1.5 <= 2^12 + 2^(b+3) for any N a list can hold,
+    and D u <= 2^(-prec-7).  A composite term's relative error x_k, against
+    A_k, obeys 1 + x_k <= (1 + x_p)(1 + x_m) + 2u, for A_k = A_p A_m when
+    Re s < 0 and A_k = 1 otherwise, so x_k <= 1.02 Omega(k) D u: every term
+    is within log2(N) 2^(-prec-6) A_k of k^-s, and the sum is exact.  With
+    the final rounding, below 2^-prec |sum|, that fits inside the share of
+    the N power terms in :func:`_em_zeta_raw`'s rounding budget, 2^(10-prec)
+    per term times a bound on every term and partial sum, which A_k and the
+    sum are below, with a factor of 2^16 / log2 N to spare.
     """
-    spf = list(range(N))  # smallest prime factor
-    for p in range(2, isqrt(N - 1) + 1):
-        if spf[p] == p:
-            for m in range(p * p, N, p):
-                if spf[m] == m:
-                    spf[m] = p
+    b = int(abs(s)).bit_length()
+    F = mp.prec + FIXED_GUARD + b
+    G = _log_bits(F)
+    logs = _prime_logs(G, N)
+    spf = _smallest_factors(N)
+    sr, si, _ = _dyadic(s, -F)
+    cplx = isinstance(s, mp.mpc)
     keep = N // 2
-    pw = [mp.zero, mp.one]
-    acc = mp.one
+    re, im = [0, 1 << F], [0, 0]
+    acc_r, acc_i = 1 << F, 0  # the term k = 1
     for k in range(2, N):
         p = spf[k]
-        v = mp.power(k, -s) if p == k else pw[p] * pw[k // p]
+        if p == k:
+            x = logs[k] >> (G - F)
+            vr, vi = _exp_fixed((-sr * x) >> F, F), 0
+            if cplx:
+                c, t = _cos_sin_fixed((-si * x) >> F, F)
+                vr, vi = (vr * c) >> F, (vr * t) >> F
+        else:
+            ar, ai, br, bi = re[p], im[p], re[k // p], im[k // p]
+            vr, vi = (ar * br - ai * bi) >> F, (ar * bi + ai * br) >> F
         if k <= keep:
-            pw.append(v)
-        acc += v
-    return acc
+            re.append(vr)
+            im.append(vi)
+        acc_r += vr
+        acc_i += vi
+    return _to_mp(mp, acc_r, acc_i, -F, cplx)
 
 
 #: N / b for the Euler-Maclaurin zeta, 2^-b its remainder target.  The
@@ -429,7 +614,16 @@ def _bound_from_log2(mp, lb: float):
     if lb == -math.inf:
         return mp.zero
     e = math.floor(lb)
-    return mp.ldexp(mp.mpf(2.0 ** (lb - e)) * (1 + mp.ldexp(1, -20)), e)
+    return _raised(mp, mp.ldexp(mp.mpf(2.0 ** (lb - e)), e))
+
+
+def _raised(mp, x):
+    """x raised by 2^-20 relatively, the raise of :func:`_bound_from_log2`:
+    an error bound summed from positive mpf terms, rounded to nearest at
+    prec >= 64 bits, is at least (1 - 2^-prec)^r times the same sum formed
+    exactly after r roundings, and the raise, itself rounded once, covers
+    any r up to 2^40."""
+    return x * (1 + mp.ldexp(1, -20))
 
 
 def _least_order(bound, lo: int, hi: int, tlog: float):
@@ -553,12 +747,10 @@ def _em_zeta_raw(mp, s, tol, max_terms: int) -> Tuple:
 
     The correction sum runs with the order walk (:func:`_em_tail`) and is
     scaled by the one power N^-s that the two middle terms share.  The power
-    sum is multiplicative (:func:`_power_sum`): a term k^-s is a product of
-    at most log2 N prime powers, so it carries the roundings of at most
-    log2 N powers and log2 N products, not of one mp.power.  Each fits inside
-    the rounding budget below, 2^10 units in the last place per term (4
-    log2 N of them at most, for any N a list can hold), times a bound on
-    every term and partial sum, over the N + M terms.
+    sum is one fixed-point sum over the prime-log table (:func:`_power_sum`),
+    each term within log2(N) 2^(-prec-6) max(1, k^-sigma) of k^-s.  Both
+    fit inside the rounding budget below, 2^10 units in the last place per
+    term, times a bound on every term and partial sum, over the N + M terms.
     """
     sigma = s.real
     target = min(tol, mp.ldexp(mp.one, -mp.prec))

@@ -2,13 +2,15 @@
 
 Each check returns its largest observed error so regressions show up as
 drifting margins, not just flips to failure.  Randomized checks draw from a
-fixed seed: a verification run is deterministic for a given context.
+fixed seed: a verification run is deterministic for a given context, apart
+from each check's wall time, which no comparison of results reads.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial
 from typing import List, Optional
@@ -38,6 +40,7 @@ class CheckResult:
     passed: bool
     max_err: float
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)  # wall time of the check
 
 
 def _result(name: str, errs, threshold, detail: str = "") -> CheckResult:
@@ -544,7 +547,8 @@ _SUITES = {
 
 
 def run_suite(suite: str, ctx: Optional[PrecisionContext] = None) -> List[CheckResult]:
-    """Run one named suite (or 'all')."""
+    """Run one named suite (or 'all'); each result carries its check's
+    wall time."""
     ctx = get_context(ctx)
     if suite == "all":
         names = list(SUITE_NAMES)
@@ -552,4 +556,9 @@ def run_suite(suite: str, ctx: Optional[PrecisionContext] = None) -> List[CheckR
         names = [suite]
     else:
         raise DomainError(f"unknown suite {suite!r}")
-    return [check(ctx) for name in names for check in _SUITES[name]]
+    results = []
+    for name in names:
+        for check in _SUITES[name]:
+            started = time.perf_counter()
+            results.append(replace(check(ctx), seconds=time.perf_counter() - started))
+    return results

@@ -100,6 +100,7 @@ from .numerics import (
     _log2_sum,
     _log_fixed,
     _pow_fixed,
+    _raised,
     _rounded,
     _to_mp,
 )
@@ -258,7 +259,8 @@ def _power_sum(mp, n: int, p, fold: bool, dp=0, count=None):
     term (2^13 units of 2^-F, far below its 2^(1-prec) M since S <= M) and
     of S and the final product (within the 16 units), and the caller's
     rounding of p, which moves a term by |dp log x_k| (doubled for the
-    second order).
+    second order); formed in mpf, it takes one relative raise
+    (``numerics._raised``) for its own roundings.
 
     The first holds while |p| < 2^(prec/2).  A sine's relative error |d| <=
     e_s moves its term by |(1 + d)^p - 1| <= e^x - 1 <= x + x^2, x = |p| e_s
@@ -311,7 +313,7 @@ def _power_sum(mp, n: int, p, fold: bool, dp=0, count=None):
             im += w * ((r * si) >> F)
             mass += w * r
         total = mp.make_mpc((scaled(re, F), scaled(im, F)))
-        return total, mp.make_mpf(scaled(mass, F)) * rel
+        return total, _raised(mp, mp.make_mpf(scaled(mass, F)) * rel)
     if _quarter(p):
         q, half = divmod(abs(to_int(mpf_shift(a, 1))), 2)
 
@@ -327,7 +329,7 @@ def _power_sum(mp, n: int, p, fold: bool, dp=0, count=None):
             return modulus(log_sine(s))
         bits = F
     total = mp.make_mpf(scaled(sum(w * power(s) for w, s in terms), bits))
-    return total, total * rel  # every term is positive
+    return total, _raised(mp, total * rel)  # every term is positive
 
 
 # --------------------------------------------------------------------------
@@ -564,11 +566,12 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
       >= 1/2: q_j is odd for an integer s, at least p + 1 >= 2 for a
       negative half-integer s, and a half-integer for a quarter-integer s.
 
-    g(k0) = exp(p log(2 u0)) in mpmath, within (|p| (2L + 1) + 2) 2^(1-prec)
-    relatively, L = bitlen(n) + 1 >= |log(2 u0)|; the last combination is
-    a dozen roundings, covered by 2^(4-prec) of its terms.  The rounding dp
-    of p moves every term by at most 2 dp L |g(k)| and |g(k)| <=
-    max(|g(k0)|, 2^Re p) past k0: 2 dp L n max(|g(k0)|, 2^Re p).
+    g(k0) = exp(p log(2 u0)), the logarithm ``numerics._log_fixed`` of u0
+    read exactly and the rest in mpmath, within (|p| (2L + 1) + 2)
+    2^(1-prec) relatively, L = bitlen(n) + 1 >= |log(2 u0)|; the last
+    combination is a dozen roundings, covered by 2^(4-prec) of its terms.
+    The rounding dp of p moves every term by at most 2 dp L |g(k)| and
+    |g(k)| <= max(|g(k0)|, 2^Re p) past k0: 2 dp L n max(|g(k0)|, 2^Re p).
 
     The terms that scale with |g(k0)|, the errors of S (times c = 2n
     u0/pi) and T, |V| times the rounding of g(k0), V = 1 + c S + T, and
@@ -576,6 +579,8 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     :func:`numerics._bound_from_log2` (T's lgamma may pass 2^24, but 1.73 >
     log2 3.3 + 0.007 leaves a margin).  The rest stays in mpf: its
     magnitudes can leave the float range, their log2s reach |p| log2 n.
+    The total, summed in mpf rounded to nearest, takes one relative raise
+    (``numerics._raised``) that covers those roundings.
     """
     k0, M, J, rlog, slog = plan
     prec = mp.prec
@@ -633,7 +638,8 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     S = _to_mp(mp, sr, si, -F, cplx)
     T = _to_mp(mp, 2 * tr, 2 * ti, -F, cplx)
     u0 = mp.make_mpf(sin0)
-    g0 = mp.exp(p * mp.log(2 * u0))
+    lb = W + n.bit_length()  # sin0 lies on the grid 2^-lb, since u0 > 2^-bitlen(n)
+    g0 = mp.exp(p * mp.make_mpf(from_man_exp(_log_fixed(to_fixed(sin0, lb) << 1, lb), -lb)))
     c2 = 2 * n * u0 / mp.pi
     V = 1 + c2 * S + T
     v = head + n * zz - g0 * V
@@ -665,7 +671,7 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
            + _bound_from_log2(mp, rlog) + _bound_from_log2(mp, slog)
            + (abs(head) + n * abs(zz)) * mp.mpf(2) ** (4 - prec)
            + 2 * dp * lbits * n * max(ag, mp.mpf(2) ** p.real))
-    return v, err
+    return v, _raised(mp, err)
 
 
 def _route_choice(c: PrecisionContext, n: int, z, tol):

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from zetakit import catalan, zeta_zn_closed_poly, zeta_zn_negative_int
-from zetakit import cli
+from zetakit import PrecisionContext, catalan, zeta_zn_closed_poly, zeta_zn_negative_int
+from zetakit import cli, verify
 from zetakit.cli import _build_parser, _parse_range, main
 
 
@@ -246,6 +246,21 @@ def test_verify_zeta_z_at_lowest_precision(capsys):
                            "verify", "zeta-z")
     assert code == 0
     assert "5/5 checks passed" in out
+
+
+def test_verify_times_each_check_on_stderr_only(capsys):
+    # each check's wall time goes to stderr, one line per check in suite
+    # order; stdout holds the same lines as before timing was reported, no
+    # time enters it, and two runs print the same bytes
+    argv = ("--precision-bits=64", "--tol=1e-12", "verify", "spheres")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and run_cli(capsys, *argv)[:2] == (0, out)
+    results = verify.run_suite("spheres", PrecisionContext(64, 1e-12))
+    rows = [f"[PASS] {r.name} (max err {r.max_err:.3e}) {r.detail}" for r in results]
+    assert out == "\n".join(rows + ["4/4 checks passed"]) + "\n"
+    timed = [line for line in err.splitlines() if line.startswith("check ")]
+    assert [line.split(":")[0] for line in timed] == [f"check {r.name}" for r in results]
+    assert all(float(line.split(": ")[1].rstrip("s")) >= 0 for line in timed)
 
 
 def test_verify_corrupt_fails(capsys, monkeypatch):

@@ -1,15 +1,17 @@
 """Kernel tests: Gamma, digamma, Bernoulli, zeta, and the fixed-point
 kernels of the hot loops."""
 
+import math
 import random
 import sys
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import mpmath
 import pytest
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import libelefun
 
 from zetakit import (
     DomainError,
@@ -417,6 +419,164 @@ def test_zeta_euler_bernoulli_consistency(ctx, mp):
         expected = (-1) ** m * bernoulli(m + 1) / (m + 1)
         ev = mp.mpf(expected.numerator) / expected.denominator
         assert abs(riemann_zeta_numeric(-m, ctx).value - ev) < ctx.tol
+
+
+# ---------------------------------------------------------------- prime logs
+
+def _primes_below(limit):
+    return [p for p in range(2, limit) if all(p % q for q in range(2, isqrt(p) + 1))]
+
+
+@pytest.mark.parametrize("F", [84, 296, 1094, 2520, 4116])
+def test_prime_log_table_is_within_its_bound(F):
+    # every entry of the table that serves F within 2.25 log2 p units of
+    # 2^-G and, read at F bits, within 2 units of 2^-F; the 9-bit prefix
+    # logs of _log_fixed (used up to LOG_TAYLOR_PREC) within 31 units of
+    # 2^-G; all against mpmath at 2F + 64 bits
+    mp = MPContext()
+    mp.prec = 2 * F + 64
+    G = numerics._log_bits(F)
+    assert G % 64 == 0 and G - F >= 16
+    logs = numerics._prime_logs(G, 600)
+    primes = _primes_below(600)
+    assert [k for k in range(600) if logs[k]] == primes
+    for p in primes:
+        truth = mp.log(p)
+        assert abs(mp.ldexp(logs[p], -G) - truth) <= 2.25 * math.log2(p) * mp.ldexp(1, -G)
+        assert abs(mp.ldexp(logs[p] >> (G - F), -F) - truth) <= 2 * mp.ldexp(1, -F)
+    if F <= libelefun.LOG_TAYLOR_PREC:
+        for n, lg in zip(range(256, 512), numerics._prefix_logs(G)):
+            assert abs(mp.ldexp(lg, -G) - mp.log(mp.mpf(n) / 512)) <= 31 * mp.ldexp(1, -G)
+
+
+def test_prime_log_table_grows_to_the_same_entries(monkeypatch):
+    # several small requests, each growing the table by at least half its
+    # length, one large request and concurrent requests build the same
+    # entries, and concurrent prefix memos are the same
+    G = numerics._log_bits(300)
+    monkeypatch.setattr(numerics, "_PRIME_LOGS", {})
+    for limit in (3, 10, 40, 41, 200, 700):
+        small = numerics._prime_logs(G, limit)
+        assert len(small) >= limit
+    monkeypatch.setattr(numerics, "_PRIME_LOGS", {})
+    assert numerics._prime_logs(G, len(small)) == small
+
+    monkeypatch.setattr(numerics, "_PRIME_LOGS", {})
+    monkeypatch.setattr(numerics, "_PREFIX_LOGS", {})
+    targets = (600, 12, 300, 3, 450, 70)
+    got, memos = {}, []
+    threads = [threading.Thread(target=lambda k=k: got.setdefault(k, numerics._prime_logs(G, k)))
+               for k in targets]
+    threads += [threading.Thread(target=lambda: memos.append(numerics._prefix_logs(G)))
+                for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in targets:
+        assert len(got[k]) >= k and got[k] == small[:len(got[k])]
+    assert numerics._PRIME_LOGS[G] == small[:len(numerics._PRIME_LOGS[G])]
+    assert len(memos) == 3 and memos[0] == memos[1] == memos[2]
+
+
+def test_cold_zeta_call_builds_the_table_once(monkeypatch):
+    # a 1024-bit zeta call on an empty table builds it in one pass, to the
+    # primes below the Euler-Maclaurin length, and takes no prefix logs
+    builds = []
+
+    class Table(dict):
+        def __setitem__(self, G, logs):
+            builds.append((G, len(logs)))
+            super().__setitem__(G, logs)
+
+    monkeypatch.setattr(numerics, "_PRIME_LOGS", Table())
+    monkeypatch.setattr(numerics, "_PREFIX_LOGS", {})
+    lengths, _ = _em_orders(monkeypatch)
+    riemann_zeta_numeric(complex(0.7, 3.1), PrecisionContext(1024, 1e-120))
+    assert len(builds) == 1 and builds[0][1] == lengths[0]
+    assert numerics._PREFIX_LOGS == {}
+
+
+def test_log_and_power_sum_take_no_mpmath_logarithm(monkeypatch):
+    # _log_fixed up to LOG_TAYLOR_PREC and the zeta power sum, on empty
+    # tables too, never reach mpmath's logarithm or power
+    def refuse(*args, **kwargs):
+        raise AssertionError("an mpmath logarithm was taken")
+
+    for name in ("log_taylor_cached", "mpf_log", "mpf_pow"):
+        monkeypatch.setattr(libelefun, name, refuse)
+        monkeypatch.setattr(mpmath.libmp, name, refuse, raising=False)
+    monkeypatch.setattr(numerics, "_PRIME_LOGS", {})
+    monkeypatch.setattr(numerics, "_PREFIX_LOGS", {})
+    rng = random.Random(11)
+    for F in (84, 300, 1100, libelefun.LOG_TAYLOR_PREC):
+        for _ in range(20):
+            numerics._log_fixed(rng.randrange(1, 1 << (F + 40)) >> rng.randrange(0, F), F)
+    for bits in (64, 256, 1024):
+        mp = PrecisionContext(bits).mp
+        numerics._power_sum(mp, mp.mpf(2.5), 60)
+        numerics._power_sum(mp, mp.mpc(0.3, 20), 60)
+
+
+def _power_sum_cases():
+    """(mp, s, N): at 64, 256 and 1024 bits, a seeded generic real,
+    negative, integer and complex s, |Im s| up to 2^10 (and one near 2^10
+    at 64 bits), with N as the zeta kernel takes it, at least |Im s| + 8."""
+    for bits in (64, 256, 1024):
+        mp = PrecisionContext(bits).mp
+        rng = random.Random(bits)
+        points = [mp.mpf(rng.uniform(0.5, 9)), mp.mpf(rng.uniform(-0.5, 0)),
+                  mp.mpf(rng.randint(2, 9)),
+                  mp.mpc(rng.uniform(-0.5, 3), rng.choice((-1, 1)) * 2 ** rng.uniform(0, 10))]
+        if bits == 64:
+            points.append(mp.mpc(rng.uniform(-0.5, 3), 1000 + rng.random()))
+        for s in points:
+            yield mp, s, max(rng.randint(12, 160), int(abs(s.imag)) + 8)
+
+
+def _power_sum_miss(mp, s, N):
+    """(|computed - truth|, budget) for numerics._power_sum(mp, s, N), the
+    truth fsum(k^-s) at twice the precision, the budget its docstring's:
+    log2(N) 2^(-prec-6) max(1, k^-Re s) per term, and 2^-prec |sum| for
+    the one rounding."""
+    w = MPContext()
+    w.prec = 2 * mp.prec + 64
+    got = w.convert(numerics._power_sum(mp, s, N))
+    ws = w.convert(s)
+    truth = w.fsum(w.power(k, -ws) for k in range(1, N))
+    terms = w.fsum(max(1, w.power(k, -ws.real)) for k in range(1, N))
+    budget = (terms * math.log2(N) + abs(truth)) * w.ldexp(1, -mp.prec - 6) \
+        + abs(truth) * w.ldexp(1, -mp.prec)
+    return abs(got - truth), budget
+
+
+def test_power_sum_is_within_its_budget():
+    cases = 0
+    for mp, s, N in _power_sum_cases():
+        miss, budget = _power_sum_miss(mp, s, N)
+        assert miss <= budget, (mp.prec, s, N)
+        cases += 1
+    assert cases == 13
+
+
+def test_power_sum_budget_catches_a_planted_table_entry(monkeypatch):
+    # the entry of log 3 planted 2^(prec/2) units of 2^-F off, in a table
+    # of its own, moves every sum past its budget
+    for mp, s, N in _power_sum_cases():
+        monkeypatch.setattr(numerics, "_PRIME_LOGS", {})
+        F = mp.prec + numerics.FIXED_GUARD + int(abs(s)).bit_length()
+        G = numerics._log_bits(F)
+        logs = list(numerics._prime_logs(G, N))
+        logs[3] += 1 << (mp.prec // 2 + G - F)
+        numerics._PRIME_LOGS[G] = tuple(logs)
+        miss, budget = _power_sum_miss(mp, s, N)
+        assert miss > budget, (mp.prec, s, N)
 
 
 # ---------------------------------------------------------------- escalation

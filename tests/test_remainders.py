@@ -274,11 +274,12 @@ def test_route_bounds_cover_the_bounds_at_twice_the_precision():
     assert plans > 100
 
 
-def _former_budget(w, prec, n, p, plan, S, T):
-    """The part of the route's error budget that scales with |g(k0)|, as
-    its former mpf formulas formed it, here in w's numbers, with T's
-    fixed-point error summed without the factor 2 it was raised by; plus
-    R_M and the tail of S (:func:`_route_bounds`)."""
+def _former_budget(w, prec, n, p, dp, plan, S, T, head, zz, zz_err):
+    """The route's error budget as its former mpf formulas formed it, here
+    in w's numbers: the part that scales with |g(k0)|, with T's fixed-point
+    error summed without the factor 2 it was raised by; R_M and the tail of
+    S (:func:`_route_bounds`); and the terms kept in mpf, the head's err,
+    n zz_err, the rounding (|head| + n |zz|) 2^(4-prec) and that of p."""
     k0, M, J = plan[:3]
     F = prec + numerics.FIXED_GUARD
     ulp = w.mpf(2) ** -F
@@ -304,33 +305,45 @@ def _former_budget(w, prec, n, p, plan, S, T):
     ag = abs(g0)
     err_v = c2 * (err_s + abs(S) * w.mpf(2) ** (3 - prec)) + err_t
     share = 2 * ag * (c2 * abs(S) + abs(T) + 1) * w.mpf(2) ** (4 - prec)
-    return ag * (err_v + abs(V) * rel_g) + share + sum(_route_bounds(w, n, k0, p, M, J))
+    head_value, head_err = head
+    kept = (head_err + n * zz_err + (abs(head_value) + n * abs(zz)) * w.mpf(2) ** (4 - prec)
+            + 2 * dp * lbits * n * max(ag, w.mpf(2) ** p.real))
+    return (ag * (err_v + abs(V) * rel_g) + share + sum(_route_bounds(w, n, k0, p, M, J))
+            + kept)
 
 
 def test_route_err_covers_its_former_budget_at_twice_the_precision(monkeypatch):
-    # every plan of the seeded cases: the err of the route, its fixed-point
-    # and rounding factor certified from float log2s, is at least the former
-    # budget formed at twice the precision from the same S and T.  The
-    # terms it keeps in mpf, formed as before (the head's and zeta_Z's, and
-    # the rounding of p), are zero here: their sum, rounded to nearest, has
-    # no margin at its last bit.  A negative odd p, s at a pole of zeta_Z
-    # that the sums never route, is left out
-    seen = []
-    to_mp = zeta_zn._to_mp
-    monkeypatch.setattr(zeta_zn, "_power_sum", lambda mp, *a: (mp.zero, mp.zero))
+    # every plan of the seeded cases: the err of the route is at least its
+    # former budget formed at twice the precision from the same S, T, head
+    # and zeta_Z, the terms kept in mpf included, with zz_err = tol/8 and
+    # p taken as rounded by |p| eps.  Among them is n = 69,813,411, p =
+    # 3.37 + 1.29i at 64 bits, where the mpf terms summed without a margin
+    # came out one unit of 2^-64 short.  A negative odd p, s at a pole of
+    # zeta_Z that the sums never route, is left out
+    seen, heads = [], []
+    to_mp, power_sum = zeta_zn._to_mp, zeta_zn._power_sum
+    monkeypatch.setattr(zeta_zn, "_power_sum", lambda *a: heads.append(power_sum(*a)) or heads[-1])
     monkeypatch.setattr(zeta_zn, "_to_mp", lambda *a: seen.append(to_mp(*a)) or seen[-1])
-    plans = 0
+    plans = found = 0
     for ctx, n, p, plan in _route_plans():
         mp = ctx.mp
         if p.imag == 0 and p < 0 and p % 2 == 1:
             continue
         w = _wide(mp)
+        zz = zeta_z._closed(ctx, -p / 2)[0]
+        zz = zz if p.imag else zz.real
+        zz_err, dp = ctx.tol / 8, abs(p) * ctx.eps
         seen.clear()
-        err = zeta_zn._route(mp, n, p, 0, plan, mp.zero, mp.zero)[1]
+        heads.clear()
+        err = zeta_zn._route(mp, n, p, dp, plan, zz, zz_err)[1]
         S, T = (w.convert(x) for x in seen)
-        assert w.mpf(err) >= _former_budget(w, mp.prec, n, w.convert(p), plan, S, T), (n, p, plan)
+        head = tuple(w.convert(x) for x in heads[0])
+        budget = _former_budget(w, mp.prec, n, w.convert(p), w.convert(dp), plan, S, T,
+                                head, w.convert(zz), w.convert(zz_err))
+        assert w.mpf(err) >= budget, (n, p, plan)
         plans += 1
-    assert plans > 100
+        found += n == 69_813_411 and ctx.precision_bits == 64
+    assert plans > 100 and found == 1
 
 
 def test_log2_sum_is_the_former_pieces_expression():
