@@ -73,7 +73,8 @@ class ZetaExtraction:
 def _lead(z, ctx: PrecisionContext):
     """(value, err) of the leading coefficient 2^z zeta_Z(z/2), the closed
     form's value unchecked (:func:`zeta_z._closed`).  Raises PoleError at
-    positive odd z; positive even z give an exact zero."""
+    positive odd z and near, but off, a positive even z, which given
+    exactly gives an exact zero."""
     mp = ctx.mp
     r, r_err = zeta_z._closed(ctx, z / 2)[:2]
     p = mp.power(2, z)

@@ -10,11 +10,13 @@ rational alongside the rounded rendering when the value is known exactly.
 
 The precision policy lives here: kernels that miss ``target_tol`` retry at
 up to 1024 extra bits (:func:`certify`), packaged results refuse
-(:func:`complex_result`), and arguments near the integer and half-integer
-lattice snap to it (:func:`snap`).  The tolerance is checked once per
-result, on the value returned: a composite of Gamma, digamma or zeta_Z
-factors takes them unchecked and holds only its own value to it, and the
-rendering of every packaged value enters its err (:func:`rendering`).
+(:func:`complex_result`), and :func:`snap` finds the integer or
+half-integer near an argument: a pole there refuses, while an exact path
+serves only an argument that is exactly on it.  The tolerance is checked
+once per result, on the value returned: a composite of Gamma, digamma or
+zeta_Z factors takes them unchecked and holds only its own value to it,
+and the rendering of every packaged value enters its err
+(:func:`rendering`).
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class PrecisionContext:
 
     @cached_property
     def pole_radius(self):
-        """Arguments this close to a pole/zero lattice point are snapped."""
+        """Radius within which :func:`snap` finds an integer or half-integer."""
         return self.mp.mpf(2) ** (-self.precision_bits // 2)
 
     @property

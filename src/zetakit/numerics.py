@@ -39,9 +39,9 @@ also certifies the large-n route's fixed-point and rounding factor, and the
 same raise (:func:`_raised`) covers the roundings of the error terms that
 the discrete-circle sums add in mpf.
 
-All functions are pure.  The only shared mutable state is the Bernoulli memo,
-the Euler-Maclaurin coefficient table and the prime-log table with its
-prefix memo, each guarded by a lock.
+All functions are pure.  The only shared mutable state is five tables that
+:func:`_grown` grows under one lock: the Bernoulli memo, the Euler-Maclaurin
+coefficients, the prime logs, their prefix memo and the Mellin nodes.
 """
 
 from __future__ import annotations
@@ -159,10 +159,33 @@ def digamma(s, ctx: Optional[PrecisionContext] = None) -> HPComplex:
 
 
 # --------------------------------------------------------------------------
+# shared tables
+
+_TABLE_LOCK = threading.Lock()
+
+
+def _grown(tables: dict, key, need: int, build) -> tuple:
+    """tables[key], a tuple of at least ``need`` entries shared across calls
+    and threads.  A shorter one is built outside the lock by ``build(old,
+    count)``, count = max(need, 3 len(old) // 2) at least, and published
+    under the one lock only if longer than the table there by then.  Builds
+    are deterministic, so no order of requests changes an entry."""
+    table = tables.get(key, ())
+    if len(table) >= need:
+        return table
+    new = build(table, max(need, 3 * len(table) // 2))
+    with _TABLE_LOCK:
+        table = tables.get(key, ())
+        if len(new) > len(table):
+            tables[key] = table = new
+    return table
+
+
+# --------------------------------------------------------------------------
 # Bernoulli numbers (exact, memoized)
 
-_BERN_LOCK = threading.Lock()
-_BERN_EVEN: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
+# 0 -> (B_0, B_2, B_4, ...)
+_BERN_EVEN: dict = {}
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -183,9 +206,8 @@ def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2).
 
     Even-index values come from the tangent numbers, B_2k = (-1)^(k-1) 2k
-    T_k / (4^k (4^k - 1)) (Brent & Harvey 2011); odd indices above 1 vanish.
-    The memo grows in one pass to at least B_k, and at least by half its
-    length, so a run of rising requests costs O(n^2) for the largest n.
+    T_k / (4^k (4^k - 1)) (Brent & Harvey 2011), memoised (:func:`_grown`);
+    odd indices above 1 vanish.
     """
     if k < 0:
         raise DomainError("Bernoulli index must be nonnegative")
@@ -193,15 +215,14 @@ def bernoulli(k: int) -> Fraction:
         return Fraction(-1, 2)
     if k % 2 == 1:
         return Fraction(0)
-    half = k // 2
-    with _BERN_LOCK:
-        have = len(_BERN_EVEN)
-        if have <= half:
-            n = max(half, 3 * have // 2)
-            T = _tangent_numbers(n)
-            _BERN_EVEN.extend(Fraction((-1) ** (j - 1) * 2 * j * T[j], 4 ** j * (4 ** j - 1))
-                              for j in range(have, n + 1))
-        return _BERN_EVEN[half]
+
+    def build(old, count):  # B_0 .. B_2(count-1) from one pass of T
+        T = _tangent_numbers(count - 1)
+        return (old or (Fraction(1),)) + tuple(
+            Fraction((-1) ** (j - 1) * 2 * j * T[j], 4 ** j * (4 ** j - 1))
+            for j in range(max(len(old), 1), count))
+
+    return _grown(_BERN_EVEN, 0, k // 2 + 1, build)[k // 2]
 
 
 # --------------------------------------------------------------------------
@@ -363,10 +384,8 @@ def _pow_fixed(x: int, q: int, F: int) -> int:
 #
 # One table per precision step G = _log_bits(F) holds log p for the primes
 # p, shared by the zeta power sum (:func:`_power_sum`) and the Taylor step of
-# :func:`_log_fixed`, across calls and threads, and guarded by a lock.  It
-# grows on demand, as the Euler-Maclaurin coefficients do.
+# :func:`_log_fixed` (:func:`_grown`).
 
-_LOG_LOCK = threading.Lock()
 # G -> logs, logs[p] = log p at G fractional bits for each prime p < len(logs)
 _PRIME_LOGS: dict = {}
 # G -> log(n/512) at G fractional bits, n = 256..511
@@ -422,40 +441,30 @@ def _prime_logs(G: int, limit: int) -> tuple:
     T(r), the node count of p's Pratt tree.  By induction T(p) <= 2 log2 p
     - 1 for odd p: p - 1 = 2^a m has Omega(p - 1) >= 2 prime factors for p
     >= 5, so T(p) <= 1 + a + sum b (2 log2 r - 1) <= 2 log2(p - 1) + 1 -
-    Omega(p - 1), and T(3) = 2.
-
-    One table per step G, shared across calls and threads, guarded by a
-    lock; it grows on demand by at least half its length, as
-    :func:`_em_coefficients` does, and every entry is the same whatever
-    the order of the requests that built it.
+    Omega(p - 1), and T(3) = 2.  One table per step G (:func:`_grown`).
     """
-    with _LOG_LOCK:
-        logs = _PRIME_LOGS.get(G, ())
-    have = len(logs)
-    if have >= limit:
-        return logs
-    limit = max(limit, 3 * have // 2, 3)
-    spf = _smallest_factors(limit)
-    W = G + G.bit_length() + 4
-    new = list(logs) + [0] * (limit - have)
-    for p in range(max(have, 2), limit):
-        if spf[p] != p:
-            continue
-        if p == 2:
-            new[2] = libmp.ln2_fixed(G)
-            continue
-        q = 2 * p - 1
-        q2 = q * q
-        t, a, j = (1 << W) // q, 0, 1
-        while t:
-            a += t // j
-            t //= q2
-            j += 2
-        new[p] = _factor_log(new, spf, p - 1) + ((2 * a) >> (W - G))
-    with _LOG_LOCK:
-        if len(_PRIME_LOGS.get(G, ())) < limit:
-            _PRIME_LOGS[G] = tuple(new)
-        return _PRIME_LOGS[G]
+
+    def build(old, limit):
+        spf = _smallest_factors(limit)
+        W = G + G.bit_length() + 4
+        new = list(old) + [0] * (limit - len(old))
+        for p in range(max(len(old), 2), limit):
+            if spf[p] != p:
+                continue
+            if p == 2:
+                new[2] = libmp.ln2_fixed(G)
+                continue
+            q = 2 * p - 1
+            q2 = q * q
+            t, a, j = (1 << W) // q, 0, 1
+            while t:
+                a += t // j
+                t //= q2
+                j += 2
+            new[p] = _factor_log(new, spf, p - 1) + ((2 * a) >> (W - G))
+        return tuple(new)
+
+    return _grown(_PRIME_LOGS, G, limit, build)
 
 
 def _prefix_logs(G: int) -> tuple:
@@ -463,16 +472,14 @@ def _prefix_logs(G: int) -> tuple:
     prefixes n = 256..511 of :func:`_log_fixed`, from the entries of n's
     prime factors (:func:`_prime_logs`), each within 1.125 (2 log2 n + 9) <
     31 units of 2^-G; so within 2 units of 2^-F once read at F <= G - 16
-    bits.  Memoised per step G, under the table's lock."""
-    with _LOG_LOCK:
-        memo = _PREFIX_LOGS.get(G)
-    if memo is None:
+    bits.  Memoised per step G (:func:`_grown`)."""
+
+    def build(old, count):
         logs = _prime_logs(G, 512)
         spf = _smallest_factors(512)
-        memo = tuple(_factor_log(logs, spf, n) - 9 * logs[2] for n in range(256, 512))
-        with _LOG_LOCK:
-            memo = _PREFIX_LOGS.setdefault(G, memo)
-    return memo
+        return tuple(_factor_log(logs, spf, n) - 9 * logs[2] for n in range(256, 512))
+
+    return _grown(_PREFIX_LOGS, G, 256, build)
 
 
 # --------------------------------------------------------------------------
@@ -545,7 +552,6 @@ def _power_sum(mp, s, N: int):
 _EM_N_PER_BIT = 1 / 7
 
 
-_EM_LOCK = threading.Lock()
 # working bits -> (B_2/2!, B_4/4!, ...), each as (m, e) for m 2^e
 _EM_TABLE: dict = {}
 
@@ -555,31 +561,25 @@ def _em_coefficients(wb: int, count: int) -> tuple:
     m 2^e, |m| >= 2^F and F = wb + FIXED_GUARD: rounded to nearest once from
     the exact Bernoulli number, so within 2^-(F+1) of it, relatively.
 
-    One table per working precision, shared by the zeta kernel and the
-    product route's tail, across calls and threads, and guarded by a lock.
-    It grows on demand, by at least half its length, and asks the Bernoulli
-    memo for its last entry first, so that the memo grows in one pass.
+    One table per working precision (:func:`_grown`), shared by the zeta
+    kernel and the product route's tail.  A build asks the Bernoulli memo
+    for its last entry first, so that the memo grows in one pass.
     """
-    with _EM_LOCK:
-        table = _EM_TABLE.get(wb, ())
-    have = len(table)
-    if have >= count:
-        return table
-    count = max(count, 3 * have // 2)
-    F = wb + FIXED_GUARD
-    bernoulli(2 * count)
-    fact = factorial(2 * have)
-    new = []
-    for j in range(have + 1, count + 1):
-        fact *= (2 * j - 1) * 2 * j
-        b = bernoulli(2 * j)
-        num, den = b.numerator, b.denominator * fact
-        e = abs(num).bit_length() - den.bit_length() - F - 1
-        new.append((((num << (1 - e)) // den + 1) >> 1, e))
-    with _EM_LOCK:
-        if len(_EM_TABLE.get(wb, ())) < count:
-            _EM_TABLE[wb] = table + tuple(new)
-        return _EM_TABLE[wb]
+
+    def build(old, count):
+        F = wb + FIXED_GUARD
+        bernoulli(2 * count)
+        fact = factorial(2 * len(old))
+        new = list(old)
+        for j in range(len(old) + 1, count + 1):
+            fact *= (2 * j - 1) * 2 * j
+            b = bernoulli(2 * j)
+            num, den = b.numerator, b.denominator * fact
+            e = abs(num).bit_length() - den.bit_length() - F - 1
+            new.append((((num << (1 - e)) // den + 1) >> 1, e))
+        return tuple(new)
+
+    return _grown(_EM_TABLE, wb, count, build)
 
 
 def _log2_abs(re: int, im: int) -> float:

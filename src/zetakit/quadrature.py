@@ -10,9 +10,9 @@ The endpoint singularity (pi x)^(-2s) integrates in closed form to
 pi^(-2s)/(1-2s); the smooth remainder (2 sin(pi x/2))^(-2s) - (pi x)^(-2s)
 goes to one nested tanh-sinh rule on (0, 1).  Nodes, weights and the two
 logarithms at each node do not depend on s, so they are cached per
-(working bits, level) and shared across evaluation points and threads.
-They are cached as Python-integer fixed point, the logarithms at F =
-prec + 20 fractional bits and the weights at F + prec + 17, and the node
+(working bits, level), shared across evaluation points and threads
+(``numerics._grown``), as Python-integer fixed point: the logarithms at F
+= prec + 20 fractional bits and the weights at F + prec + 17.  The node
 sum (:func:`_node_sum`) runs on them: e^(-2s log x) is
 ``numerics._exp_fixed`` of the real part times ``numerics._cos_sin_fixed``
 of the imaginary part, and the sums are exact integer sums rounded once.
@@ -23,13 +23,12 @@ with room to spare.
 
 from __future__ import annotations
 
-import threading
 from typing import Tuple
 
 from mpmath.libmp import to_fixed
 
 from .core import NoConvergence, PrecisionContext
-from .numerics import FIXED_GUARD, _cos_sin_fixed, _dyadic, _exp_fixed, _to_mp
+from .numerics import FIXED_GUARD, _cos_sin_fixed, _dyadic, _exp_fixed, _grown, _to_mp
 
 #: No route evaluates the heat trace's Bessel factor any more; the name stays
 #: because the benchmark tracer's ``numerics.i0e`` span wraps it.
@@ -39,7 +38,6 @@ _MAX_LEVEL = 13
 #: The first level whose change from the level before may stop the rule.
 _FIRST_STOP = 4
 
-_CACHE_LOCK = threading.Lock()
 # (working_bits, level) -> fixed-point nodes (w, log(pi x), log(2 sin(pi x/2)))
 _NODE_CACHE: dict = {}
 
@@ -77,37 +75,34 @@ def _nodes(mp, wb: int, level: int) -> tuple:
     (pi/2) sinh u, with the sine at x+ taken as cospi(x-/2) so nothing
     cancels near x = 1; w is the tanh-sinh weight (pi/2) cosh u / cosh(y)^2
     halved for the unit interval.  All three are formed in mpmath at wb
-    bits, then truncated to their fixed points.
+    bits, then truncated to their fixed points.  Every level has a node, so
+    a level once built is served from the cache (``numerics._grown``).
     """
-    key = (wb, level)
-    with _CACHE_LOCK:
-        cached = _NODE_CACHE.get(key)
-    if cached is not None:
-        return cached
     F, FW = _frac_bits(wb)
-    h = mp.mpf(2) ** (-level)
-    ymax = _ymax(mp, wb)
-    log_pi = mp.log(mp.pi)
 
     def node(w, log_line, log_chord):
         return (to_fixed(w._mpf_, FW), to_fixed(log_line._mpf_, F),
                 to_fixed(log_chord._mpf_, F))
 
-    nodes = []
-    for j in _level_js(level):
-        u = j * h
-        y = mp.pi / 2 * mp.sinh(u)
-        if y > ymax:
-            break
-        e2y = mp.exp(2 * y)
-        w = mp.pi * mp.cosh(u) / (e2y + 2 + 1 / e2y)
-        xm = 1 / (1 + e2y)
-        nodes.append(node(w, log_pi - mp.log1p(e2y), mp.log(2 * mp.sinpi(xm / 2))))
-        if j:  # the centre node x = 1/2 is its own reflection
-            nodes.append(node(w, log_pi - mp.log1p(1 / e2y), mp.log(2 * mp.cospi(xm / 2))))
-    result = tuple(nodes)
-    with _CACHE_LOCK:
-        return _NODE_CACHE.setdefault(key, result)
+    def build(old, count):
+        h = mp.mpf(2) ** (-level)
+        ymax = _ymax(mp, wb)
+        log_pi = mp.log(mp.pi)
+        nodes = []
+        for j in _level_js(level):
+            u = j * h
+            y = mp.pi / 2 * mp.sinh(u)
+            if y > ymax:
+                break
+            e2y = mp.exp(2 * y)
+            w = mp.pi * mp.cosh(u) / (e2y + 2 + 1 / e2y)
+            xm = 1 / (1 + e2y)
+            nodes.append(node(w, log_pi - mp.log1p(e2y), mp.log(2 * mp.sinpi(xm / 2))))
+            if j:  # the centre node x = 1/2 is its own reflection
+                nodes.append(node(w, log_pi - mp.log1p(1 / e2y), mp.log(2 * mp.cospi(xm / 2))))
+        return tuple(nodes)
+
+    return _grown(_NODE_CACHE, (wb, level), 1, build)
 
 
 def _node_sum(mp, m2s, nodes) -> Tuple:

@@ -63,17 +63,21 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
 
     Nonpositive integers return the exact central binomial coefficient
     C(-2s, -s); positive integers return an exact zero flagged as a simple
-    zero; positive half-integers raise PoleError.  A negative half-integer
-    s = -m - 1/2, given exactly, returns the rational 8 16^m / ((m+1)
-    C(2m+2, m+1)) over pi, rounded once.  An exact value's err is that of its
-    rendering, so C(-2s, -s) refuses from s = -51/-148/-532 at 64/256/1024 bits,
-    before it is built where a lower bound shows that (:func:`_refuse_wide`).
+    zero; both only when s is exactly one (:func:`_exact_at`), and an s
+    merely near a positive integer raises PoleError, as Gamma(1-s) snaps to
+    a pole.  Positive half-integers, and s near one, raise PoleError.  A
+    negative half-integer s = -m - 1/2, given exactly, returns the rational
+    8 16^m / ((m+1) C(2m+2, m+1)) over pi, rounded once.  An exact value's
+    err is that of its rendering, so C(-2s, -s) refuses from s =
+    -51/-148/-532 at 64/256/1024 bits, before it is built where a lower
+    bound shows that (:func:`_refuse_wide`).
     ``use_exact_paths=False`` forces the generic Gamma route (useful for
     cross-checking the exact values against the analytic continuation).
     """
     ctx = get_context(ctx)
-    q = snap(ctx, ctx.mpc(s)) if use_exact_paths else None
-    if q is not None and q <= 0:
+    z = ctx.mpc(s)
+    q = snap(ctx, z)
+    if use_exact_paths and _exact_at(s, z, q) and q <= 0:
         _refuse_wide(ctx, q, "closed-form")
     v, err, certified, exact, note = _closed(ctx, s, use_exact_paths)
     if exact is not None:
@@ -85,6 +89,15 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
 #: -n and -n - 1/2 have about 2n bits (C(2^15, 2^14) takes 0.03 s); past it
 #: the Gamma route serves.  Tests, workloads and CI reach 2n of about 2000.
 _EXACT_BITS = 2 ** 15
+
+
+def _exact_at(s, z, q: Optional[Fraction]) -> bool:
+    """Whether s is exactly q, the integer or half-integer that z, s
+    converted at working precision, snaps to (:func:`core.snap`): z equals q
+    and s was not rounded (``numerics._rounded``).  Only such an s takes an
+    exact path; one merely within snapping distance takes the generic route,
+    or refuses by name near a pole, so no lattice value stands in for it."""
+    return q is not None and z == q and not numerics._rounded(s, z)
 
 
 def _refuse_wide(ctx: PrecisionContext, q: Fraction, method: str) -> None:
@@ -114,28 +127,27 @@ def _closed(ctx: PrecisionContext, s, use_exact_paths: bool = True):
     """(value, err, certified, exact, note) of :func:`zeta_z_closed` before
     its tolerance check, its Gamma factors unchecked too, for the
     composites that take zeta_Z(s) as a factor; an exact value's err is that
-    of its rendering (:func:`core.rendering`).  Past :data:`_EXACT_BITS`
+    of its rendering (:func:`core.rendering`); only an s on the lattice
+    takes an exact path (:func:`_exact_at`).  Past :data:`_EXACT_BITS`
     the Gamma route, with no pole at the negative integers, serves."""
     mp = ctx.mp
     z = ctx.mpc(s)
     q = snap(ctx, z)
-    if q is not None:
-        if q.denominator == 2 and q > 0:
-            raise PoleError(f"zeta_Z has a pole at s = {q}")
-        use_exact_paths = use_exact_paths and -2 * q <= _EXACT_BITS
-        if q.denominator == 1 and use_exact_paths:
+    if q is not None and q.denominator == 2 and q > 0:
+        raise PoleError(f"zeta_Z has a pole at s = {q}")
+    if use_exact_paths and _exact_at(s, z, q) and -2 * q <= _EXACT_BITS:
+        if q.denominator == 1:
             exact = Fraction(comb(-2 * int(q), -int(q)) if q <= 0 else 0)
             return (*rendering(ctx, exact, exact), True, exact, None if q <= 0 else "simple-zero")
-        if use_exact_paths and z == q and not numerics._rounded(s, z):
-            # zeta_Z(-m-1/2) = 8 16^m m! (m+1)! / ((2m+2)! pi), the rational
-            # and pi at prec + 10 bits, their quotient rounded once to prec:
-            # 2^(1-prec) covers that and the two roundings at prec + 10
-            m = -int(q + Fraction(1, 2))
-            r = Fraction(8 * 16 ** m, (m + 1) * comb(2 * m + 2, m + 1))
-            wp = mp.prec + 10
-            v = mp.make_mpf(mpf_div(from_rational(r.numerator, r.denominator, wp, round_nearest),
-                                    mpf_pi(wp, round_nearest), mp.prec, round_nearest))
-            return v, v * mp.ldexp(1, 1 - mp.prec), True, None, None
+        # zeta_Z(-m-1/2) = 8 16^m m! (m+1)! / ((2m+2)! pi), the rational
+        # and pi at prec + 10 bits, their quotient rounded once to prec:
+        # 2^(1-prec) covers that and the two roundings at prec + 10
+        m = -int(q + Fraction(1, 2))
+        r = Fraction(8 * 16 ** m, (m + 1) * comb(2 * m + 2, m + 1))
+        wp = mp.prec + 10
+        v = mp.make_mpf(mpf_div(from_rational(r.numerator, r.denominator, wp, round_nearest),
+                                mpf_pi(wp, round_nearest), mp.prec, round_nearest))
+        return v, v * mp.ldexp(1, 1 - mp.prec), True, None, None
     # the Gamma arguments exactly: past 2^wb a rounding of them enters err
     g1 = numerics._gamma_raw(mp.fsub(0.5, z, exact=True), ctx)
     g2 = numerics._gamma_raw(mp.fsub(1, z, exact=True), ctx)
@@ -371,30 +383,31 @@ def big_z(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
 def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     """zeta_Z'(s) for real s < 1/2, plus the exact values at positive integers.
 
-    Uses zeta_Z(s) (-psi0(1/2-s) - 2 log 2 + psi0(1-s)) off the integers;
-    at s = -n the bracket telescopes into the exact rational C(2n,n)
-    sum_{k<=n} (1/k - 2/(2k-1)) = -2 C(2n, n) sum_{n<k<=2n} 1/k, 0 at s = 0,
+    Uses zeta_Z(s) (-psi0(1/2-s) - 2 log 2 + psi0(1-s)) except at an s
+    that is exactly an integer (:func:`_exact_at`); at s = -n the bracket
+    telescopes into the exact rational C(2n,n) sum_{k<=n} (1/k - 2/(2k-1))
+    = -2 C(2n, n) sum_{n<k<=2n} 1/k, 0 at s = 0,
     whose err is that of its rendering, so it refuses from n = 28/95/330 at
     64/256/1024 bits, before it is built where a lower bound shows that
     (:func:`_refuse_wide`); positive integers route to the exact reciprocal
-    formula.  Positive half-integers (and other s >= 1/2) raise DomainError.
+    formula.  Positive half-integers (and other s >= 1/2, such as an s
+    merely near a positive integer) raise DomainError.
     Only zeta_Z'(s), not its factors, is checked against the tolerance.
     """
     ctx = get_context(ctx)
     mp = ctx.mp
     x = ctx.mpf(s)
     q = snap(ctx, x)
-    if q is not None:
-        if q.denominator == 2 and q > 0:
-            raise DomainError("derivative undefined at the poles s = n - 1/2 > 0")
-        if q.denominator == 1 and q >= 1:
+    if q is not None and q.denominator == 2 and q > 0:
+        raise DomainError("derivative undefined at the poles s = n - 1/2 > 0")
+    if _exact_at(s, x, q) and q.denominator == 1:
+        if q >= 1:
             return exact_result(ctx, zeta_z_deriv_at_positive_integer(int(q)),
                                 "exact-at-positive-integer")
-        if q.denominator == 1:  # s = -n <= 0, the sum empty at n = 0
-            n = -int(q)
-            _refuse_wide(ctx, q, "digamma-formula")
-            return exact_result(ctx, -2 * comb(2 * n, n) * sum(
-                Fraction(1, k) for k in range(n + 1, 2 * n + 1)), "digamma-formula")
+        n = -int(q)  # s = -n <= 0, the sum empty at n = 0
+        _refuse_wide(ctx, q, "digamma-formula")
+        return exact_result(ctx, -2 * comb(2 * n, n) * sum(
+            Fraction(1, k) for k in range(n + 1, 2 * n + 1)), "digamma-formula")
     if x >= mp.mpf(1) / 2:
         raise DomainError("derivative formula applies left of s = 1/2")
     zc, zc_err = _closed(ctx, x)[:2]
@@ -402,7 +415,10 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     d2 = numerics._digamma_raw(1 - x, ctx)
     bracket = -d1.value - 2 * mp.log(2) + d2.value
     v = zc * bracket
-    err = abs(bracket) * zc_err + abs(zc) * (d1.err + d2.err) + abs(v) * mp.mpf(2) ** (6 - mp.prec)
+    # the bracket rounds three times relative to its terms, not to itself,
+    # which cancels to O(s) near s = 0: 4 (|d1| + |d2| + 2) units of 2^-prec
+    err = abs(bracket) * zc_err + abs(zc) * (d1.err + d2.err) \
+        + (16 * abs(v) + abs(zc) * (abs(d1.value) + abs(d2.value) + 2)) * mp.mpf(2) ** (2 - mp.prec)
     if numerics._rounded(s, x):
         # the rounding |x - s| <= |x| eps grows by |zeta_Z''| = |zeta_Z|
         # |bracket^2 + psi'(1/2-x) - psi'(1-x)|; 2 bracket^2 for the second order

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 import zetakit
 
@@ -114,14 +115,38 @@ def _exact_or_refused(call):
     return isinstance(getattr(r, "exact", None), Fraction)
 
 
-@pytest.mark.parametrize("call, point", [
-    (zeta_z_closed, -3), (zeta_z_closed, Fraction(3, 2)), (zeta_z_product, 2),
-    (zeta_z_deriv, -4), (gamma, -4), (digamma, -1),
+def _zeta_z_truth(mp, x):
+    """zeta_Z(x) = 4^-x Gamma(1/2 - x) / (sqrt(pi) Gamma(1 - x))."""
+    return mp.power(4, -x) * mp.gamma(mp.mpf(1) / 2 - x) * mp.rgamma(1 - x) / mp.sqrt(mp.pi)
+
+
+def _zeta_z_deriv_truth(mp, x):
+    """zeta_Z'(x) = zeta_Z(x) (-psi(1/2 - x) - 2 log 2 + psi(1 - x))."""
+    return _zeta_z_truth(mp, x) * (-mp.digamma(mp.mpf(1) / 2 - x) - 2 * mp.log(2)
+                                   + mp.digamma(1 - x))
+
+
+@pytest.mark.parametrize("call, point, truth", [
+    (zeta_z_closed, -3, _zeta_z_truth), (zeta_z_closed, Fraction(3, 2), None),
+    (zeta_z_product, 2, None), (zeta_z_deriv, -4, _zeta_z_deriv_truth), (gamma, -4, None),
+    (digamma, -1, None),
 ], ids=["closed-neg3", "closed-3/2", "product-2", "deriv-neg4", "gamma-neg4", "digamma-neg1"])
-def test_lattice_snap_radius(call, point):
-    # 256 bits snap within 2^-128 of an integer or half-integer
+def test_lattice_snap_radius(call, point, truth):
+    # 256 bits snap within 2^-128 of an integer or half-integer: a pole or a
+    # degenerate point refuses there, while an exact value is taken at the
+    # lattice point alone and a point off it gets a generic value within
+    # err of the truth (from mpmath at twice the bits and 64 more)
     ctx = PrecisionContext(256)
-    assert _exact_or_refused(lambda: call(point + Fraction(1, 2 ** 200), ctx))
+    assert _exact_or_refused(lambda: call(point, ctx))
+    near = point + Fraction(1, 2 ** 200)
+    if truth is None:
+        assert _exact_or_refused(lambda: call(near, ctx))
+    else:
+        r = call(near, ctx)
+        assert r.exact is None
+        mp = MPContext()
+        mp.prec = 2 * 256 + 64
+        assert abs(mp.mpc(r.value.value) - truth(mp, mp.convert(near))) <= r.err
     assert not _exact_or_refused(lambda: call(point + Fraction(1, 2 ** 100), ctx))
 
 

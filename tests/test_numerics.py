@@ -22,8 +22,10 @@ from zetakit import (
     gamma,
     riemann_zeta_numeric,
     sine_power_sum,
+    zeta_z_mellin,
+    zeta_zn_direct,
 )
-from zetakit import numerics
+from zetakit import numerics, quadrature
 
 
 # ---------------------------------------------------------------- gamma
@@ -147,14 +149,14 @@ def test_bernoulli_matches_mpmath():
 def test_bernoulli_memo_is_order_independent(monkeypatch):
     # a fresh memo filled in one request is the reference; rising, falling
     # and concurrent requests must leave exactly the same table
-    monkeypatch.setattr(numerics, "_BERN_EVEN", [Fraction(1)])
+    monkeypatch.setattr(numerics, "_BERN_EVEN", {})
     reference = [bernoulli(2 * j) for j in range(301)]
-    monkeypatch.setattr(numerics, "_BERN_EVEN", [Fraction(1)])
+    monkeypatch.setattr(numerics, "_BERN_EVEN", {})
     for k in (10, 600, 4, 2, 64, 66, 68):
         assert bernoulli(k) == reference[k // 2]
     assert [bernoulli(2 * j) for j in range(301)] == reference
 
-    monkeypatch.setattr(numerics, "_BERN_EVEN", [Fraction(1)])
+    monkeypatch.setattr(numerics, "_BERN_EVEN", {})
     targets = (600, 12, 300, 2, 450, 70)
     got = {}
     threads = [threading.Thread(target=lambda k=k: got.setdefault(k, bernoulli(k)))
@@ -170,13 +172,13 @@ def test_bernoulli_memo_is_order_independent(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {k: reference[k // 2] for k in targets}
-    assert numerics._BERN_EVEN[:301] == reference
+    assert list(numerics._BERN_EVEN[0][:301]) == reference
 
 
 def test_cold_zeta_builds_the_tangent_numbers_once(monkeypatch):
     # the first 1024-bit zeta of a process fills the Bernoulli memo and the
     # coefficient table in one pass, not in rising steps
-    monkeypatch.setattr(numerics, "_BERN_EVEN", [Fraction(1)])
+    monkeypatch.setattr(numerics, "_BERN_EVEN", {})
     monkeypatch.setattr(numerics, "_EM_TABLE", {})
     calls = []
     tangent = numerics._tangent_numbers
@@ -219,6 +221,53 @@ def test_zeta_coefficient_table_is_exact_to_its_bits(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert all(len(got[n]) >= n and got[n][:n] == once[:n] for n in counts)
     assert numerics._EM_TABLE[wb][:200] == once[:200]
+
+
+# ---------------------------------------------------------------- shared tables
+
+def test_a_late_shorter_build_does_not_shorten_a_table(monkeypatch):
+    # a build of 5 coefficients asks the Bernoulli memo first; there a
+    # request for 200 builds and publishes its table before the shorter
+    # build finishes, which then must not replace it (the builds run
+    # outside the one lock, or the nested request would deadlock)
+    monkeypatch.setattr(numerics, "_EM_TABLE", {})
+    wb = 286
+    real, longer = numerics.bernoulli, []
+
+    def bernoulli_first(k):
+        monkeypatch.setattr(numerics, "bernoulli", real)
+        longer.append(numerics._em_coefficients(wb, 200))
+        return real(k)
+
+    monkeypatch.setattr(numerics, "bernoulli", bernoulli_first)
+    short = numerics._em_coefficients(wb, 5)
+    assert len(longer[0]) >= 200 and numerics._EM_TABLE[wb] is longer[0]
+    assert short is longer[0]
+
+
+def test_cold_operations_publish_every_table_through_the_helper(monkeypatch):
+    # one cold operation per table fills all five shared tables, each
+    # published under the one lock of numerics._grown
+    published = []
+
+    class Table(dict):
+        def __setitem__(self, key, table):
+            published.append((self.name, numerics._TABLE_LOCK.locked()))
+            super().__setitem__(key, table)
+
+    tables = {"_BERN_EVEN": numerics, "_EM_TABLE": numerics, "_PRIME_LOGS": numerics,
+              "_PREFIX_LOGS": numerics, "_NODE_CACHE": quadrature}
+    for name, module in tables.items():
+        table = Table()
+        table.name = name
+        monkeypatch.setattr(module, name, table)
+    ctx = PrecisionContext(256, 1e-30)
+    bernoulli(10)
+    riemann_zeta_numeric(2.5, ctx)
+    zeta_z_mellin(0.25, ctx)
+    zeta_zn_direct(7, 0.3, ctx)
+    assert {name for name, _ in published} == set(tables)
+    assert all(locked for _, locked in published)
 
 
 # ---------------------------------------------------------------- zeta

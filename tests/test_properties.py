@@ -93,6 +93,15 @@ def _reals(draw, lo, hi):
     return Fraction(draw(st.integers(lo * den, hi * den)), den)
 
 
+def _near_lattice(draw, bits, lo, hi):
+    """q +- 2^-(bits/2 + k), 1 <= k <= 16, for an integer or half-integer q
+    in [lo, hi]: a dyadic Fraction, exact at working precision, within the
+    snapping radius of q but off it, where the exact paths must not serve."""
+    q = Fraction(draw(st.integers(2 * lo, 2 * hi)), 2)
+    k = draw(st.integers(1, 16))
+    return q + draw(st.sampled_from([1, -1])) * Fraction(1, 2 ** (bits // 2 + k))
+
+
 @st.composite
 def _circle_points(draw):
     """(bits, n, s) with n in 2..2000 and s real or complex, Re s in
@@ -213,9 +222,14 @@ def _lattice_points(draw):
     half-integer or a non-dyadic Fraction), or a complex s with dyadic parts
     and 1/16 <= |Im s| <= 4.  Every real s stays 1/8 from the poles at the
     positive half-integers, and a positive one off the integers and
-    half-integers, where the product degenerates."""
+    half-integers, where the product degenerates; or a real s within the
+    snapping radius of a point of [-8, 0] of the lattice but off it
+    (:func:`_near_lattice`)."""
     bits = draw(st.sampled_from(sorted(_CONTEXTS)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["real", "complex", "near"]))
+    if kind == "near":
+        return bits, _near_lattice(draw, bits, -8, 0)
+    if kind == "real":
         s = draw(_reals(-8, 8))
         assume(s <= 0 or min(abs(s - Fraction(k, 2)) for k in range(1, 18)) >= Fraction(1, 8))
         return bits, s
@@ -223,16 +237,22 @@ def _lattice_points(draw):
                          draw(st.integers(1, 64)) / 16 * draw(st.sampled_from([1, -1])))
 
 
-@settings(_PROFILE, max_examples=16)
+@settings(_PROFILE, max_examples=24)
 @given(_lattice_points())
 def test_zeta_z_closed_is_honest(point):
-    # truth: mpmath's Gamma quotient at 2 bits + 64, taken at the exact s
+    # truth: mpmath's Gamma quotient at 2 bits + 64, taken at the exact s;
+    # an exact result is checked by its rational, since the truth rounds
     bits, s = point
     ctx = PrecisionContext(bits, _CONTEXTS[bits])
     mp = _truth_context(bits)
     r = zeta_z_closed(s, ctx)
     assert r.err <= ctx.tol
-    assert abs(mp.mpc(r.value.value) - _zeta_z_truth(mp, _exact(mp, s))) <= r.err
+    truth = _zeta_z_truth(mp, _exact(mp, s))
+    if r.exact is not None:
+        assert abs(mp.convert(r.exact) - truth) <= (1 + abs(truth)) * mp.mpf(2) ** (-bits - 32)
+        assert abs(mpf_to_fraction(r.value.re) - r.exact) <= mpf_to_fraction(r.err)
+    else:
+        assert abs(mp.mpc(r.value.value) - truth) <= r.err
 
 
 #: the lowest Re s of the product property per precision, above the point
@@ -323,9 +343,13 @@ def test_digamma_is_honest(point):
 @st.composite
 def _deriv_points(draw):
     """(bits, s), s a real Fraction left of the poles at the positive
-    half-integers: in [-8, 0], in (0, 1/2) with denominator 3, 7 or 64, or a
-    positive integer up to 8, where the derivative is an exact rational."""
-    kind = draw(st.sampled_from(["left", "strip", "integer"]))
+    half-integers: in [-8, 0], in (0, 1/2) with denominator 3, 7 or 64, a
+    positive integer up to 8, where the derivative is an exact rational, or
+    near a point of [-8, 0] of the lattice but off it (:func:`_near_lattice`)."""
+    bits = draw(st.sampled_from(sorted(_CONTEXTS)))
+    kind = draw(st.sampled_from(["left", "strip", "integer", "near"]))
+    if kind == "near":
+        return bits, _near_lattice(draw, bits, -8, 0)
     if kind == "left":
         s = draw(_reals(-8, 0))
     elif kind == "strip":
@@ -333,10 +357,10 @@ def _deriv_points(draw):
         s = Fraction(draw(st.integers(1, (den - 1) // 2)), den)
     else:
         s = Fraction(draw(st.integers(1, 8)))
-    return draw(st.sampled_from(sorted(_CONTEXTS))), s
+    return bits, s
 
 
-@settings(_PROFILE, max_examples=24)
+@settings(_PROFILE, max_examples=32)
 @given(_deriv_points())
 def test_zeta_z_deriv_is_honest(point):
     # truth: zeta_Z(s) (-psi(1/2 - s) - 2 log 2 + psi(1 - s)) in mpmath at
@@ -399,10 +423,14 @@ def test_exact_paths_are_honest(point):
 @st.composite
 def _big_z_points(draw):
     """(bits, s) with |Re s| <= 16: a real Fraction at least 1/4 from the
-    poles at the positive odd integers, or a complex s with dyadic parts and
-    1/16 <= |Im s| <= 8."""
+    poles at the positive odd integers, a complex s with dyadic parts and
+    1/16 <= |Im s| <= 8, or near a point of [-16, 0] of the lattice but off
+    it (:func:`_near_lattice`)."""
     bits = draw(st.sampled_from(sorted(_CONTEXTS)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["real", "complex", "near"]))
+    if kind == "near":
+        return bits, _near_lattice(draw, bits, -16, 0)
+    if kind == "real":
         s = draw(_reals(-16, 16))
         assume(min(abs(s - k) for k in range(1, 17, 2)) >= Fraction(1, 4))
         return bits, s
@@ -410,7 +438,7 @@ def _big_z_points(draw):
                          draw(st.integers(1, 128)) / 16 * draw(st.sampled_from([1, -1])))
 
 
-@settings(_PROFILE, max_examples=16)
+@settings(_PROFILE, max_examples=24)
 @given(_big_z_points())
 def test_big_z_is_honest(point):
     # truth: pi 2^s zeta_Z(s/2) from the Gamma quotient at 2 bits + 64
@@ -507,5 +535,5 @@ def test_expansion_terms_are_honest(point):
               x / 3 * mp.power(mp.pi, 2 - x) * mp.zeta(x - 2))
     for term, truth in zip(expansion_terms(s, ctx), truths):
         c = term.coefficient
-        assert c.err <= ctx.tol, term.label
-        assert abs(mp.mpc(c.value) - truth) <= c.err, term.label
+        assert c.err <= ctx.tol, term.description
+        assert abs(mp.mpc(c.value) - truth) <= c.err, term.description

@@ -1,6 +1,8 @@
 """Three evaluation routes for the lattice zeta function, plus derivatives."""
 
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from math import comb, factorial
@@ -373,6 +375,50 @@ def test_mellin_node_sum_is_bit_identical(bits, tol, s):
     assert zeta_z_mellin(s, ctx).value.value._mpc_ == ref._mpc_
 
 
+def test_concurrent_cold_node_builds_publish_one_tuple(monkeypatch):
+    # four Mellin calls in four threads, each with its own context at the
+    # same bits, all build each cold level before any publishes it (a
+    # barrier in the build holds them): each level is published once, as
+    # the level built in a single thread, and every thread gets the value
+    # of a single-thread call
+    ctx = PrecisionContext(256, 1e-30)
+    wb = ctx.working_bits
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    single = {(wb, level): quadrature._nodes(ctx.mp, wb, level) for level in range(6)}
+    value = zeta_z_mellin(0.3, ctx).value.value
+    publishes = []
+
+    class Cache(dict):
+        def __setitem__(self, key, nodes):
+            publishes.append(key)
+            super().__setitem__(key, nodes)
+
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", Cache())
+    barrier = threading.Barrier(4)
+    ymax = quadrature._ymax
+
+    def held(mp, wb):
+        barrier.wait(timeout=30)
+        return ymax(mp, wb)
+
+    monkeypatch.setattr(quadrature, "_ymax", held)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(
+        zeta_z_mellin(0.3, PrecisionContext(256, 1e-30)).value.value)) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(publishes) == sorted(single) and quadrature._NODE_CACHE == single
+    assert got == [value] * 4
+
+
 @pytest.mark.parametrize("max_terms, levels", [(10, 0), (200, 5)])
 def test_mellin_refuses_max_terms_before_summing(monkeypatch, max_terms, levels):
     # at 256 bits levels 0..5 hold 9, 10, 20, 40, 78 and 156 nodes, and
@@ -612,6 +658,41 @@ def test_rounded_argument_is_honest(case, bits, tol):
     r = call(ctx)
     assert r.err <= ctx.tol
     assert abs(mp.mpc(r.value.value) - oracle(mp, mp.mpf(s.numerator) / s.denominator)) <= r.err
+
+
+# (call, s, mpmath oracle of the same value at s): points within the
+# snapping radius of an integer at 64 bits, or at 256 bits too, but off it,
+# which the exact paths once answered with the lattice value
+_NEAR_LATTICE = {
+    "closed-near-neg20": (zeta_z_closed, -20.0000000001, _closed_oracle),
+    "closed-near-3": (zeta_z_closed, 3 + 1e-10, _closed_oracle),
+    "deriv-near-neg5": (zeta_z_deriv, -5 + 1e-10, _ROUNDED["deriv-near-pole"][1]),
+    "big-z-near-neg2": (big_z, -2.0000000001, _ROUNDED["big-z-near-pole"][1]),
+    "closed-2^-130-off-neg20": (zeta_z_closed, Fraction(-20) + Fraction(1, 2 ** 130),
+                                _closed_oracle),
+}
+#: (case, bits) that refuse by name: Gamma(1 - s) snaps to a pole
+_NEAR_LATTICE_POLES = {("closed-near-3", 64)}
+
+
+@pytest.mark.parametrize("bits, tol", [(64, 1e-12), (256, 1e-30)], ids=str)
+@pytest.mark.parametrize("case", sorted(_NEAR_LATTICE))
+def test_near_lattice_points_are_not_snapped(case, bits, tol):
+    # within the snapping radius 2^-(bits/2) of an integer, an s off it gets
+    # the generic route's value, within err of mpmath at 2 bits + 64 taken
+    # at the exact s, or a named refusal; never the exact lattice value
+    call, s, oracle = _NEAR_LATTICE[case]
+    ctx = PrecisionContext(bits, tol)
+    if (case, bits) in _NEAR_LATTICE_POLES:
+        with pytest.raises(PoleError):
+            call(s, ctx)
+        return
+    mp = MPContext()
+    mp.prec = 2 * bits + 64
+    x = mp.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else mp.mpf(s)
+    r = call(s, ctx)
+    assert r.exact is None and r.err <= ctx.tol
+    assert abs(mp.mpc(r.value.value) - oracle(mp, x)) <= r.err
 
 
 # ---------------------------------------------------------------- route agreement
