@@ -13,8 +13,8 @@ up to 1024 extra bits (:func:`certify`), packaged results refuse
 (:func:`complex_result`), and :func:`snap` finds the integer or
 half-integer near an argument: a pole there refuses, while an exact path
 serves only an argument that is exactly on it.  The tolerance is checked
-once per result, on the value returned: a composite of Gamma, digamma or
-zeta_Z factors takes them unchecked and holds only its own value to it,
+once per result, on the value returned: a composite of Gamma or zeta_Z
+factors takes them unchecked and holds only its own value to it,
 and the rendering of every packaged value enters its err
 (:func:`rendering`).
 """

@@ -2,7 +2,9 @@
 numeric Riemann zeta via Euler-Maclaurin summation with a certified tail.
 
 Gamma and digamma are delegated to mpmath (whose gamma uses precisely the
-recurrence-shift plus Stirling-series scheme appropriate at high precision).
+recurrence-shift plus Stirling-series scheme appropriate at high precision),
+except the digamma difference of zeta_Z', an accelerated alternating series
+in fixed point with a proved bound (:func:`_digamma_bracket`).
 Everything else is implemented here because downstream identities consume
 exact rationals or certified bounds: the Bernoulli numbers are exact
 Fractions from the integer tangent numbers (Brent & Harvey 2011), and the
@@ -24,8 +26,8 @@ mpmath's logarithm cache, which is filled at twice the working bits.
 
 Every kernel that returns a bounded value runs through :func:`core.certify`:
 when its ``err`` misses ``target_tol`` it is recomputed with up to 1024 extra
-bits, then refuses with NoConvergence; a composite takes Gamma and digamma
-as factors unchecked (:func:`_gamma_raw`).  Poles are found by :func:`core.snap`.
+bits, then refuses with NoConvergence; a composite takes Gamma as a factor
+unchecked (:func:`_gamma_raw`).  Poles are found by :func:`core.snap`.
 
 One rule serves every proved Euler-Maclaurin remainder: the zeta kernel's
 (:func:`_em_tail`), the product tail's (``zeta_z._tail_order``) and the
@@ -377,6 +379,63 @@ def _pow_fixed(x: int, q: int, F: int) -> int:
         if q:
             x = (x * x) >> F
     return r
+
+
+def _digamma_bracket(mp, x) -> Tuple:
+    """(B, err) for B = psi(1 - x) - psi(1/2 - x) - 2 log 2 at real x < 1/2,
+    with no digamma evaluated.
+
+    With t = 1 - 2x > 0, psi(w + 1/2) - psi(w) = 2 beta(2w) at w = 1/2 - x,
+    beta(y) = sum_{k>=0} (-1)^k/(y + k), and beta(t) = 1/t - beta(t + 1), so
+    B = 2/t - 2 beta(t + 1) - 2 log 2.  The terms a_k = 1/(t + 1 + k) are the
+    moments integral_0^1 u^k u^t du of a positive measure, so the alternating
+    series takes Algorithm 1 of Cohen, Rodriguez Villegas and Zagier
+    ("Convergence acceleration of alternating series", Experimental Math. 9,
+    2000): with P(u) = T_n(1 - 2u) = sum_j p_j u^j and d = P(-1) = T_n(3)
+    (d_0 = 1, d_1 = 3, d_(m+1) = 6 d_m - d_(m-1)),
+
+        S = sum_{k<n} (-1)^k c_k a_k,  c_k = sum_{j>k} |p_j|,
+
+    and beta(t + 1) - S/d = (1/d) integral_0^1 P(u) u^t/(1 + u) du, so
+    |beta(t + 1) - S/d| <= beta(t + 1)/d <= 1/d, as |P| <= 1 on [0, 1]:
+    log2(3 + sqrt 8) = 2.54 bits per term, with no tail to bound.  The loop
+    runs b through (-1)^(k+1) |p_k|, the integer coefficients of P, so each
+    division in it is exact; the p_j alternate in sign, so d = sum_j |p_j|
+    and 0 <= c_k <= d - 1.  n is the least with d > 2^(prec+3).
+
+    Fixed point.  Each a_k is one floored quotient at G = prec +
+    ``FIXED_GUARD`` + bitlen(n) + 2 fractional bits, with t 2^G read from
+    the floor of x 2^G, within one unit: its denominator is at least (k +
+    1) 2^G, so a_k is within 2 units of 2^-G.  As |c_k| <= d, the integer S
+    is within 2 n d units, and floor(S/d) within 2n + 1 < 2^(bitlen(n) + 1)
+    units of S/d: 2^(-prec-21).
+
+    err.  In units u = 2^-prec: t, rounded at prec + 10 bits, and 2/t,
+    rounded once, put 2/t within 1.01 u (2/t); 2 beta(t + 1) < 2, rounded
+    once and with the fixed point, within 2.01 u; 2 log 2 within 2 u; the
+    two subtractions within (2/t + 2) u and (2/t + 4) u.  That is below 4
+    (2/t + 4) u, the rounding term of err, which the truncation, at most
+    2/d < 2^(-prec-2), joins.
+    """
+    prec = mp.prec
+    n, d_prev, d = 0, 3, 1  # d = T_n(3), T_(-1)(3) = 3
+    while d.bit_length() <= prec + 3:
+        d_prev, d = d, 6 * d - d_prev
+        n += 1
+    G = prec + FIXED_GUARD + n.bit_length() + 2
+    one = 1 << G
+    top = one << G
+    den = 2 * (one - _dyadic(x, -G)[0]) - 1  # (t + 1) 2^G, within one
+    b, c, acc = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        acc += c * (top // den)
+        b = 2 * (k + n) * (k - n) * b // ((2 * k + 1) * (k + 1))
+        den += one
+    beta = _to_mp(mp, acc // d, 0, -G, False)
+    t = mp.fsub(1, 2 * x, prec=prec + 10)
+    err = mp.ldexp(1, 2 - d.bit_length()) + (2 / t + 4) * mp.ldexp(1, 2 - prec)
+    return 2 / t - 2 * beta - 2 * mp.ln2, err
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,11 @@ Three independent evaluation routes are provided and cross-checked:
   shares no kernel with the closed form.
 
 Derivative values follow the digamma formula
-zeta'(s) = zeta(s) (-psi0(1/2-s) - 2 log 2 + psi0(1-s)), with exact rational
-paths at the integers.
+zeta'(s) = zeta(s) (psi0(1-s) - psi0(1/2-s) - 2 log 2), with exact rational
+paths at the integers.  The digamma bracket is one alternating series,
+summed by the acceleration of Cohen, Rodriguez Villegas and Zagier in fixed
+point with a proved bound (``numerics._digamma_bracket``), so zeta_Z(s)'s
+Gamma factors are the only trusted ones.
 """
 
 from __future__ import annotations
@@ -205,7 +208,9 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     adds the remainder and the rounding of an s not exact at working
     precision (:func:`_log_deriv_bound`).  The rounding term only grows with
     K, so when it alone exceeds the tolerance NoConvergence is raised at
-    once, naming precision.  Positive integers and half-integers (zeros and
+    once, naming precision; for real s < 1/2 a lower bound on |zeta_Z(s)|
+    decides that in floats before the partial product is formed
+    (:func:`_rounding_refuses`).  Positive integers and half-integers (zeros and
     poles of the product) raise NeedsLimitInterpretation.
     """
     ctx = get_context(ctx)
@@ -225,6 +230,8 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     while True:
         if K > ctx.max_terms:
             raise NoConvergence("product truncation exceeds max_terms")
+        if _rounding_refuses(mp, z, K, tol):
+            raise NoConvergence(_PRECISION_TOO_LOW)
         P, partial = _partial_product(mp, z, K, partial)
         a, c = K - z, K - 2 * z
         la, lc = mp.log(a / K), mp.log(c / K)
@@ -245,11 +252,28 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
                 return complex_result(ctx, v, err, True, "product")
             # the rounding term only grows with K: no larger K can certify
             if rounding > tol:
-                raise NoConvergence(
-                    "precision too low: the product's rounding alone exceeds the tolerance")
+                raise NoConvergence(_PRECISION_TOO_LOW)
         K *= 4
         if terms is not None:
             raise NoConvergence("requested truncation cannot certify the tolerance")
+
+
+_PRECISION_TOO_LOW = "precision too low: the product's rounding alone exceeds the tolerance"
+
+
+def _rounding_refuses(mp, z, K: int, tol) -> bool:
+    """Whether the product's rounding term at K must exceed tol, decided in
+    floats before any factor is formed; always False unless z is real and
+    below 1/2.  There Wendel's inequality Gamma(y + 1/2) <= y^(1/2) Gamma(y)
+    at y = 1/2 - z gives zeta_Z(z) >= 4^-z / sqrt(pi (1/2 - z)), and the
+    rounding term is at least |v| (3K + 16) 2^(2-prec).  Where that decides,
+    |v| is far above tol, so R is far below 1 and |v| >= zeta_Z(z)/2, a
+    factor 2 that also covers the float log2s."""
+    x = 0.5 if isinstance(z, mp.mpc) else float(z)
+    if x >= 0.5:
+        return False
+    lb = -2 * x - math.log2(math.pi * (0.5 - x)) / 2
+    return lb + math.log2(3 * K + 16) + 1 - mp.prec > math.log2(tol.man) + tol.exp
 
 
 def _partial_product(mp, z, K: int, partial=None):
@@ -383,8 +407,22 @@ def big_z(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
 def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     """zeta_Z'(s) for real s < 1/2, plus the exact values at positive integers.
 
-    Uses zeta_Z(s) (-psi0(1/2-s) - 2 log 2 + psi0(1-s)) except at an s
-    that is exactly an integer (:func:`_exact_at`); at s = -n the bracket
+    Uses zeta_Z(s) B(s), B(s) = psi0(1-s) - psi0(1/2-s) - 2 log 2, except at
+    an s that is exactly an integer (:func:`_exact_at`).  zeta_Z(s) comes
+    from the closed form (:func:`_closed`); its Gamma factors are the only
+    trusted factor, so the result is not ``certified``.  B evaluates no
+    digamma (:func:`numerics._digamma_bracket`, which proves what follows):
+    with t = 1 - 2s, B = 2/t - 2 beta(t + 1) - 2 log 2, beta(y) = sum_k
+    (-1)^k/(y + k), and the terms 1/(t + 1 + k) are moments of a positive
+    measure on [0, 1].  So the acceleration of Cohen, Rodriguez Villegas and
+    Zagier sums beta(t + 1) as S/d, S = sum_{k<n} c_k/(t + 1 + k) with
+    integer weights c_k and d = T_n(3), within beta(t + 1)/d <= 1/d: 2.54
+    bits per term, n the least with d > 2^(prec+3).  Fixed-point lemma: as
+    |c_k| <= d, terms floored at G = prec + ``FIXED_GUARD`` + bitlen(n) + 2
+    bits, each within 2 units of 2^-G, put floor(S/d) within 2n + 1 units.
+    err adds |zeta_Z| times the bracket's err: the truncation, below 2/d, and
+    4 (2/t + 4) units of 2^-prec for its roundings, relative to its terms
+    since B cancels to O(s) near s = 0.  At s = -n the bracket
     telescopes into the exact rational C(2n,n) sum_{k<=n} (1/k - 2/(2k-1))
     = -2 C(2n, n) sum_{n<k<=2n} 1/k, 0 at s = 0,
     whose err is that of its rendering, so it refuses from n = 28/95/330 at
@@ -411,14 +449,9 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     if x >= mp.mpf(1) / 2:
         raise DomainError("derivative formula applies left of s = 1/2")
     zc, zc_err = _closed(ctx, x)[:2]
-    d1 = numerics._digamma_raw(mp.mpf(1) / 2 - x, ctx)
-    d2 = numerics._digamma_raw(1 - x, ctx)
-    bracket = -d1.value - 2 * mp.log(2) + d2.value
+    bracket, bracket_err = numerics._digamma_bracket(mp, x)
     v = zc * bracket
-    # the bracket rounds three times relative to its terms, not to itself,
-    # which cancels to O(s) near s = 0: 4 (|d1| + |d2| + 2) units of 2^-prec
-    err = abs(bracket) * zc_err + abs(zc) * (d1.err + d2.err) \
-        + (16 * abs(v) + abs(zc) * (abs(d1.value) + abs(d2.value) + 2)) * mp.mpf(2) ** (2 - mp.prec)
+    err = abs(bracket) * zc_err + abs(zc) * bracket_err + 16 * abs(v) * mp.mpf(2) ** (2 - mp.prec)
     if numerics._rounded(s, x):
         # the rounding |x - s| <= |x| eps grows by |zeta_Z''| = |zeta_Z|
         # |bracket^2 + psi'(1/2-x) - psi'(1-x)|; 2 bracket^2 for the second order

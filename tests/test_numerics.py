@@ -115,6 +115,30 @@ def test_digamma_reflection(ctx, mp):
         assert abs(lhs - rhs) <= 8 * ctx.tol * (1 + abs(rhs))
 
 
+def _bracket_points(mp):
+    """x = (1 - t)/2 for t = 1 - 2x from 2^-60 (x next to 1/2) to 10^6, and
+    x within 2^-40 of 0, where the bracket cancels to about 3.3 x."""
+    ts = [mp.ldexp(1, -60), mp.ldexp(1, -30), mp.mpf(1) / 8, mp.mpf(7) / 10,
+          mp.mpf(33) / 10, mp.mpf(1000), mp.mpf(10) ** 6]
+    return [(1 - t) / 2 for t in ts] + [mp.ldexp(1, -40), -mp.ldexp(1, -40),
+                                        3 * mp.ldexp(1, -42), mp.zero]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
+def test_digamma_bracket_is_honest(bits):
+    # truth: the mpmath digamma difference at 2 bits + 64 (bits + 192 at
+    # 4096 bits, where mpmath's digamma takes seconds a value at twice that)
+    mp = PrecisionContext(bits).mp
+    truth = MPContext()
+    truth.prec = 2 * bits + 64 if bits < 4096 else mp.prec + 192
+    for x in _bracket_points(mp):
+        b, err = numerics._digamma_bracket(mp, x)
+        y = truth.mpf(x)
+        want = truth.digamma(1 - y) - truth.digamma(truth.mpf(1) / 2 - y) - 2 * truth.ln2
+        assert abs(b - want) <= err
+        assert err <= (2 / (1 - 2 * x) + 5) * mp.ldexp(1, 2 - mp.prec)
+
+
 # ---------------------------------------------------------------- bernoulli
 
 def test_bernoulli_first_values():

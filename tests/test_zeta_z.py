@@ -23,7 +23,7 @@ from zetakit import (
     zeta_z_mellin,
     zeta_z_product,
 )
-from zetakit import quadrature, zeta_z
+from zetakit import numerics, quadrature, zeta_z
 from zetakit.core import mpf_to_fraction
 
 
@@ -233,6 +233,46 @@ def test_product_refuses_at_once_when_rounding_exceeds_tol():
     # above 1e-12 and no truncation can certify: refuse, naming precision
     with pytest.raises(NoConvergence, match="precision"):
         zeta_z_product(-130.9, PrecisionContext(64, 1e-12))
+
+
+@pytest.mark.parametrize("bits, tol", [(64, 1e-12), (256, 1e-30), (1024, 1e-120)])
+def test_product_refuses_a_huge_value_before_forming_a_factor(monkeypatch, bits, tol):
+    # |zeta_Z(-9999.7)| >= 4^9999.7 / sqrt(pi 10^4): the float lower bound
+    # refuses before the 20,000 factors are formed
+    calls = []
+    monkeypatch.setattr(zeta_z, "_partial_product", lambda *a: calls.append(a))
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match="precision too low"):
+        zeta_z_product(-10 ** 4 + 0.3, PrecisionContext(bits, tol))
+    assert time.perf_counter() - start < 0.05
+    assert not calls
+
+
+@pytest.mark.parametrize("bits, tol, edge", [(64, 1e-12, 22), (256, 1e-30, 88),
+                                             (1024, 1e-120, 322)])
+def test_product_precheck_refuses_only_what_the_product_refuses(monkeypatch, bits, tol, edge):
+    # off-lattice real s in [-400, 0], every 3.7 and every 1/4 within 6 of
+    # -edge, where the product stops serving: wherever the float pre-check
+    # fires, the product without it refuses too
+    ctx = PrecisionContext(bits, tol)
+    check = zeta_z._rounding_refuses
+    fired = []
+    monkeypatch.setattr(zeta_z, "_rounding_refuses", lambda *a: fired.append(check(*a)) or fired[-1])
+    grid = [Fraction(37 * i + 3, 10) for i in range(109)]
+    grid += [edge - 6 + Fraction(4 * i + 1, 16) for i in range(48)]
+    for x in grid:
+        s = -x
+        fired.clear()
+        try:
+            zeta_z_product(s, ctx)
+        except NoConvergence:
+            if any(fired):
+                with monkeypatch.context() as m:
+                    m.setattr(zeta_z, "_rounding_refuses", lambda *a: False)
+                    with pytest.raises(NoConvergence):
+                        zeta_z_product(s, ctx)
+        else:
+            assert not any(fired)
 
 
 def test_product_needs_limit_interpretation(ctx):
@@ -560,6 +600,22 @@ def test_exact_value_err_covers_its_rendering(ctx):
     deriv = zeta_z_deriv(-40, ctx)
     assert 0 < deriv.err <= ctx.tol
     assert abs(mpf_to_fraction(deriv.value.re) - deriv.exact) <= mpf_to_fraction(deriv.err)
+
+
+@pytest.mark.parametrize("bits, tol", [(64, 1e-12), (1024, 1e-120)])
+def test_deriv_evaluates_no_digamma(monkeypatch, bits, tol):
+    # the bracket is the alternating series: neither mpmath's digamma nor
+    # numerics._digamma_raw may serve the derivative
+    ctx = PrecisionContext(bits, tol)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("digamma evaluated")
+
+    for target, name in ((ctx.mp, "digamma"), (ctx.mp, "psi"), (numerics, "_digamma_raw")):
+        monkeypatch.setattr(target, name, fail)
+    for s in (-1.3, Fraction(-13, 10), 0.3, Fraction(1, 7), -7.77, Fraction(1, 2) - Fraction(1, 2 ** 20)):
+        r = zeta_z_deriv(s, ctx)
+        assert r.method == "digamma-formula" and not r.certified
 
 
 def test_deriv_positive_integers_exact():
