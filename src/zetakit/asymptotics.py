@@ -30,6 +30,7 @@ from .core import (
     HPComplex,
     IllConditioned,
     PrecisionContext,
+    argument,
     complex_result,
     get_context,
 )
@@ -76,7 +77,7 @@ def _lead(z, ctx: PrecisionContext):
     positive odd z and near, but off, a positive even z, which given
     exactly gives an exact zero."""
     mp = ctx.mp
-    r, r_err = zeta_z._closed(ctx, z / 2)[:2]
+    r, r_err = zeta_z._closed(ctx, argument(ctx, z / 2))[:2]
     p = mp.power(2, z)
     v = p * mp.mpc(r)
     return v, abs(p) * r_err + abs(v) * mp.mpf(2) ** (6 - mp.prec)

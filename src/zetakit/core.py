@@ -10,9 +10,9 @@ rational alongside the rounded rendering when the value is known exactly.
 
 The precision policy lives here: kernels that miss ``target_tol`` retry at
 up to 1024 extra bits (:func:`certify`), packaged results refuse
-(:func:`complex_result`), and :func:`snap` finds the integer or
-half-integer near an argument: a pole there refuses, while an exact path
-serves only an argument that is exactly on it.  The tolerance is checked
+(:func:`complex_result`), and :func:`argument` reads an argument once: the
+lattice point near it (a pole there refuses, an exact path serves only an
+argument exactly on it) and its rounding.  The tolerance is checked
 once per result, on the value returned: a composite of Gamma or zeta_Z
 factors takes them unchecked and holds only its own value to it,
 and the rendering of every packaged value enters its err
@@ -21,6 +21,7 @@ and the rendering of every packaged value enters its err
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -123,7 +124,7 @@ class PrecisionContext:
 
     @cached_property
     def pole_radius(self):
-        """Radius within which :func:`snap` finds an integer or half-integer."""
+        """Radius within which :func:`argument` finds an integer or half-integer."""
         return self.mp.mpf(2) ** (-self.precision_bits // 2)
 
     @property
@@ -165,16 +166,26 @@ def certify(ctx: PrecisionContext, compute: Callable[[PrecisionContext], Any], w
     raise NoConvergence(f"{what}: tolerance not met at {_BOOST_BITS[-1]} extra bits")
 
 
-def snap(ctx: PrecisionContext, z) -> Optional[Fraction]:
-    """The integer or half-integer within ``pole_radius`` of z, or None."""
-    r = ctx.pole_radius
-    if abs(z.imag) > r:
-        return None
-    x2 = 2 * z.real
-    k = int(ctx.mp.nint(x2))
-    if abs(x2 - k) <= 2 * r:
-        return Fraction(k, 2)
-    return None
+Argument = namedtuple("Argument", "z q exact dz")
+
+
+def argument(ctx: PrecisionContext, s) -> Argument:
+    """Read s once: z = ``ctx.mpc(s)``; q, the integer or half-integer within
+    ``pole_radius`` of z (a box), or None; ``exact``, q if s is exactly q;
+    and dz >= |z - s|, 0 when s converts exactly (a float, a short dyadic
+    Fraction, an int or mpf/mpc value that fits)."""
+    z = ctx.mpc(s)
+    y = z.imag
+    rounded = (y != 0 or mpf_to_fraction(z.real) != s) if isinstance(s, Fraction) else z != s
+    q = exact = None
+    if not y or abs(y) <= ctx.pole_radius:
+        x2 = 2 * z.real
+        k = int(ctx.mp.nint(x2))
+        d = x2 - k
+        if not d or abs(d) <= 2 * ctx.pole_radius:
+            q = Fraction(k, 2)
+            exact = None if d or y or rounded else q
+    return Argument(z, q, exact, abs(z) * ctx.eps if rounded else 0)
 
 
 @dataclass(frozen=True)

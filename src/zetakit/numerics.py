@@ -27,7 +27,8 @@ mpmath's logarithm cache, which is filled at twice the working bits.
 Every kernel that returns a bounded value runs through :func:`core.certify`:
 when its ``err`` misses ``target_tol`` it is recomputed with up to 1024 extra
 bits, then refuses with NoConvergence; a composite takes Gamma as a factor
-unchecked (:func:`_gamma_raw`).  Poles are found by :func:`core.snap`.
+unchecked (:func:`_gamma_raw`).  Every entry point reads its argument once
+(:func:`core.argument`), which finds the poles and the rounding of s.
 
 One rule serves every proved Euler-Maclaurin remainder: the zeta kernel's
 (:func:`_em_tail`), the product tail's (``zeta_z._tail_order``) and the
@@ -62,10 +63,9 @@ from .core import (
     NoConvergence,
     PoleError,
     PrecisionContext,
+    argument,
     certify,
     get_context,
-    mpf_to_fraction,
-    snap,
 )
 
 __all__ = [
@@ -78,21 +78,6 @@ __all__ = [
 
 # --------------------------------------------------------------------------
 # Gamma and digamma
-
-def _gamma_pole(ctx: PrecisionContext, z) -> bool:
-    """Whether z snaps to a nonpositive integer, a pole of Gamma."""
-    q = snap(ctx, z)
-    return q is not None and q.denominator == 1 and q.numerator <= 0
-
-
-def _rounded(s, z) -> bool:
-    """Whether z, s converted at working precision, differs from s.  Ints,
-    floats and mpf/mpc values convert exactly; a Fraction does when it is
-    dyadic and short enough."""
-    if isinstance(s, Fraction):
-        return z.imag != 0 or mpf_to_fraction(z.real) != s
-    return z != s
-
 
 def _pole_distance(mp, z):
     """Distance from z to the nearest nonpositive integer, a pole of Gamma."""
@@ -122,30 +107,32 @@ def _gamma_raw(s, c: PrecisionContext) -> HPComplex:
     snapping distance of) the nonpositive integers.  When s is not exact at
     working precision, err also covers its rounding, which |s psi(s)|
     amplifies."""
-    z = c.mpc(s)
-    if _gamma_pole(c, z):
+    a = argument(c, s)
+    z = a.z
+    if a.q is not None and a.q <= 0 and a.q.denominator == 1:
         raise PoleError(f"gamma pole at {z}")
     wp = c.mp.prec + FACTOR_GUARD
     g = c.mp.gamma(z, prec=wp)
     err = abs(g) * c.mp.mpf(2) ** (8 - wp)
-    if _rounded(s, z):
-        # the rounding |z - s| <= |z| eps grows by |psi(z)|
-        err += abs(g * z) * _psi_bound(c.mp, z) * c.eps
+    if a.dz:
+        # the rounding |z - s| <= dz grows by |psi(z)|
+        err += abs(g) * _psi_bound(c.mp, z) * a.dz
     return HPComplex(g, err)
 
 
 def _digamma_raw(s, c: PrecisionContext) -> HPComplex:
     """psi_0(s) for real s, as :func:`_gamma_raw` gives Gamma(s); the
-    rounding of s grows by |s psi'(s)|."""
-    x = c.mpf(s)
-    if _gamma_pole(c, x):
+    rounding of s grows by |psi'(s)|."""
+    a = argument(c, s)
+    x = c.mpf(a.z)
+    if a.q is not None and a.q <= 0 and a.q.denominator == 1:
         raise PoleError(f"digamma pole at {x}")
     wp = c.mp.prec + FACTOR_GUARD
     d = c.mp.digamma(x, prec=wp)
     err = (abs(d) + 1) * c.mp.mpf(2) ** (8 - wp)
-    if _rounded(s, x):
-        # the rounding |x - s| <= |x| eps grows by psi'(x)
-        err += abs(x) * _trigamma_bound(c.mp, x) * c.eps
+    if a.dz:
+        # the rounding |x - s| <= dz grows by psi'(x)
+        err += _trigamma_bound(c.mp, x) * a.dz
     return HPComplex(d, err)
 
 
@@ -685,6 +672,13 @@ def _raised(mp, x):
     return x * (1 + mp.ldexp(1, -20))
 
 
+def _rounding_misses(lb: float, tol) -> bool:
+    """Whether an err of at least 2^lb, lb a float log2 with the caller's
+    slack for its float logarithms, must exceed tol: the refusal before any
+    work of ``zeta_z._rounding_refuses`` and ``zeta_zn.zeta_zn_direct``."""
+    return lb > math.log2(tol.man) + tol.exp
+
+
 def _least_order(bound, lo: int, hi: int, tlog: float):
     """(M, bound(M)) for the least M in [lo, hi] whose float log2 bound is
     at most tlog, by bisection, for a bound that falls with M on [lo, hi];
@@ -842,26 +836,25 @@ def riemann_zeta_numeric(s, ctx: Optional[PrecisionContext] = None) -> HPComplex
     """
     ctx = get_context(ctx)
     mp = ctx.mp
-    z = ctx.mpc(s)
-    if abs(z - 1) <= ctx.pole_radius:
+    arg = argument(ctx, s)
+    if arg.q == 1:
         raise PoleError("zeta pole at s = 1")
-    if z.real < mp.mpf(-1) / 2 and z.imag == 0 and mp.isint(z.real / 2) \
-            and not _rounded(s, z):
+    if arg.exact is not None and arg.exact < 0 and arg.exact % 2 == 0:
         return HPComplex(mp.mpc(0), mp.zero)  # trivial zero, exactly
 
     def compute(c: PrecisionContext) -> HPComplex:
         cm = c.mp
-        z = c.mpc(s)
-        rounded = _rounded(s, z)
+        b = arg if c is ctx else argument(c, s)
+        z, dz = b.z, b.dz
         if z.imag == 0:
             z = z.real  # a real argument runs the kernel in real arithmetic
         if z.real >= cm.mpf(-1) / 2:
             v, err = _em_zeta_raw(cm, z, c.tol / 2, c.max_terms)
-            if rounded:
+            if dz:
                 # zeta(s) = 1/(s-1) + E(s) with |E'(s)| <= (|s|+1)^2 for
                 # Re s > -1/2 - 1/10 (Euler-Maclaurin at N = 1 to order 2);
                 # 2 and |z|+2 cover the segment from s to z
-                err += abs(z) * c.eps * (2 / abs(z - 1) ** 2 + (abs(z) + 2) ** 2)
+                err += (2 / abs(z - 1) ** 2 + (abs(z) + 2) ** 2) * dz
             return HPComplex(cm.mpc(v), err)
         w, werr = _em_zeta_raw(cm, 1 - z, c.tol / 4, c.max_terms)
         g = _gamma_raw(1 - z, c)
@@ -869,13 +862,13 @@ def riemann_zeta_numeric(s, ctx: Optional[PrecisionContext] = None) -> HPComplex
         pref = a * cm.sinpi(z / 2)
         v = pref * w
         err = abs(pref) * werr + abs(v) * (g.err / abs(g.value) + cm.mpf(2) ** (12 - cm.prec))
-        if rounded:
+        if dz:
             # zeta'(s) = a zeta(1-s) ((log 2 pi - psi(1-s) - zeta'/zeta(1-s))
             # sin(pi s/2) + pi/2 cos(pi s/2)), |zeta'/zeta(1-s)| <= 1.51 at
             # Re(1-s) >= 3/2 and |sin|, |cos| <= cosh(pi Im s/2); 2 covers
             # the segment from s to z
-            err += 2 * abs(z) * c.eps * abs(a * w) * cm.cosh(cm.pi * z.imag / 2) \
-                * (_psi_bound(cm, 1 - z) + 5)
+            err += 2 * abs(a * w) * cm.cosh(cm.pi * z.imag / 2) \
+                * (_psi_bound(cm, 1 - z) + 5) * dz
         return HPComplex(cm.mpc(v), err)
 
     return certify(ctx, compute, "riemann_zeta_numeric")

@@ -75,8 +75,11 @@ def _nodes(mp, wb: int, level: int) -> tuple:
     (pi/2) sinh u, with the sine at x+ taken as cospi(x-/2) so nothing
     cancels near x = 1; w is the tanh-sinh weight (pi/2) cosh u / cosh(y)^2
     halved for the unit interval.  All three are formed in mpmath at wb
-    bits, then truncated to their fixed points.  Every level has a node, so
-    a level once built is served from the cache (``numerics._grown``).
+    bits, then truncated to their fixed points; log(pi x-+) = log pi -
+    log(1 + e^(+-2y)) cancels nothing and is within a unit of 2^-wb more
+    (mpmath's log1p would race on a shared context's precision).  Every
+    level has a node, so a level once built is served from the cache
+    (``numerics._grown``).
     """
     F, FW = _frac_bits(wb)
 
@@ -97,9 +100,9 @@ def _nodes(mp, wb: int, level: int) -> tuple:
             e2y = mp.exp(2 * y)
             w = mp.pi * mp.cosh(u) / (e2y + 2 + 1 / e2y)
             xm = 1 / (1 + e2y)
-            nodes.append(node(w, log_pi - mp.log1p(e2y), mp.log(2 * mp.sinpi(xm / 2))))
+            nodes.append(node(w, log_pi - mp.log(1 + e2y), mp.log(2 * mp.sinpi(xm / 2))))
             if j:  # the centre node x = 1/2 is its own reflection
-                nodes.append(node(w, log_pi - mp.log1p(1 / e2y), mp.log(2 * mp.cospi(xm / 2))))
+                nodes.append(node(w, log_pi - mp.log(1 + 1 / e2y), mp.log(2 * mp.cospi(xm / 2))))
         return tuple(nodes)
 
     return _grown(_NODE_CACHE, (wb, level), 1, build)
@@ -159,8 +162,10 @@ def heat_mellin_integral(ctx: PrecisionContext, s, tol) -> Tuple:
     error is the change between the last two levels plus a rounding term.
     That term covers the summed magnitude of the node terms, since the two
     exponentials at a node each reach (pi x)^(-2 Re s) and cancel, each
-    with a relative error of about |2s log(pi x)| units of 2^-prec from the
-    logarithms mpmath rounded at prec, and one unit per node for the
+    with a relative error of about |2s| (|log(pi x)| + 2) units of 2^-prec
+    from the logarithms formed at prec (:func:`_nodes`; the rounding of 1 +
+    e^(+-2y) adds the one absolute unit), which the 2 |2s| (2 ymax + 2) it
+    counts covers as |log(pi x)| <= 2 ymax, and one unit per node for the
     weights, the fixed-point kernels (:func:`_node_sum`) and the sums; it
     also covers the closed-form term and the nodes past the cutoff.
 

@@ -20,6 +20,7 @@ from .core import (
     NoConvergence,
     PrecisionContext,
     ReconstructionError,
+    argument,
     exact_result,
     get_context,
     mpf_to_fraction,
@@ -324,10 +325,10 @@ def _route_switch(ctx: PrecisionContext, s) -> int:
     s (:func:`zeta_zn._route_choice`), by bisection on n (the route's cost
     falls with n, the plain sum's grows); NoConvergence naming s when n =
     2^40 does not take it, as at s = 0 and the poles 1/2, 3/2, ..."""
-    z = ctx.mpc(s)
+    a = argument(ctx, ctx.mpc(s))
 
     def routed(n):
-        return zeta_zn._route_choice(ctx, n, z, ctx.tol) is not None
+        return zeta_zn._route_choice(ctx, n, a, ctx.tol) is not None
 
     if not routed(2 ** 40):
         raise NoConvergence(f"large-n-route: no n takes the route at s = {s} within max_terms")

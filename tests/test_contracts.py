@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -20,10 +21,14 @@ from zetakit import (
     PoleError,
     PrecisionContext,
     bernoulli,
+    big_z,
     digamma,
     extract_zeta,
     gamma,
+    riemann_zeta_numeric,
+    sine_odd_power_sum,
     sine_power_sum,
+    sphere_volume_zproduct,
     zeta_z_closed,
     zeta_z_deriv,
     zeta_z_mellin,
@@ -31,6 +36,8 @@ from zetakit import (
     zeta_zn_closed_poly,
     zeta_zn_direct,
 )
+from zetakit import quadrature
+from zetakit.core import argument, mpf_to_fraction
 
 
 def test_precision_context_validation():
@@ -103,6 +110,84 @@ def test_real_entry_point_accepts_zero_imaginary_part(ctx):
     r = digamma(complex(0.3, 0), ctx)
     assert r.value == digamma(0.3, ctx).value
     assert isinstance(r.value, type(ctx.mp.mpf(0)))
+
+
+_R = Fraction(1, 2 ** 32)  # the snapping radius at 64 bits
+
+
+@pytest.mark.parametrize("s, q, exact, rounded", [
+    (3, 3, 3, False), (-7, -7, -7, False), (0.25, None, None, False),
+    (-1.5, Fraction(-3, 2), Fraction(-3, 2), False), (2.0 ** -70, 0, None, False),
+    (complex(0.5, -1), None, None, False),
+    (Fraction(-5, 2), Fraction(-5, 2), Fraction(-5, 2), False),
+    (3 ** 100, ..., None, True), (-(3 ** 100), ..., None, True),  # over 94 bits, q = z
+    (Fraction(1, 3), None, None, True), (Fraction(-7, 3), None, None, True),
+    (2 + Fraction(1, 2 ** 200), 2, None, True),  # rounds onto 2
+    (2 + _R, 2, None, False), (2 + 2 * _R, None, None, False),  # the radius in Re s
+    (complex(-1, 2 ** -32), -1, None, False), (complex(-1, 2 ** -31), None, None, False),
+    (complex(1 + 0.9 * 2 ** -32, 0.9 * 2 ** -32), 1, None, False),  # a box, not a disc
+    (Fraction(1, 2) - _R / 2, Fraction(1, 2), None, False),
+], ids=repr)
+def test_argument_reads_each_argument_once(s, q, exact, rounded):
+    # z is s at working precision, q the lattice point within pole_radius of
+    # it (a box), exact that q only when s is q itself, and dz 0 when s
+    # converts without rounding (ints, floats, mpf/mpc values and dyadic
+    # Fractions that fit), else a bound on |z - s|
+    ctx = PrecisionContext(64)
+    a = argument(ctx, s)
+    assert a.z == ctx.mpc(s) and a.exact == exact
+    assert a.q == (mpf_to_fraction(a.z.real) if q is ... else q)
+    w = MPContext()
+    w.prec = 512
+    truth = w.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else w.mpc(s)
+    dist = abs(w.mpc(a.z) - truth)
+    assert (0 < dist <= a.dz) if rounded else (a.dz == 0 and dist == 0)
+    for v in (ctx.mp.mpf(0.3), ctx.mp.mpc(0.1, 0.2), w.mpf(3)):
+        assert argument(ctx, v).dz == 0
+
+
+def test_threads_share_one_context(monkeypatch):
+    # four threads run every entry point on one context, the Mellin route
+    # first and on a cold node cache, and each value is its single-thread
+    # value; the context's precision is as it was
+    ctx = PrecisionContext(256, 1e-30)
+    calls = [
+        lambda: zeta_z_mellin(0.3, ctx), lambda: zeta_z_closed(-1.3, ctx),
+        lambda: zeta_z_product(-1.3, ctx), lambda: big_z(0.7, ctx),
+        lambda: zeta_z_deriv(-1.3, ctx), lambda: gamma(complex(0.5, 1), ctx),
+        lambda: digamma(2.5, ctx), lambda: riemann_zeta_numeric(-2.5, ctx),
+        lambda: zeta_zn_direct(40, 0.37, ctx), lambda: zeta_zn_direct(4000, 0.37, ctx),
+        lambda: sine_power_sum(40, 1.3, ctx), lambda: sine_odd_power_sum(7, 2, ctx),
+        lambda: sphere_volume_zproduct(3, ctx),
+        lambda: extract_zeta(-1, 16, 64, ctx, points=4),
+    ]
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    single = [repr(call()) for call in calls]
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    barrier = threading.Barrier(4)
+    got, errors = {}, []
+
+    def work(i):
+        try:
+            barrier.wait(timeout=30)
+            got[i] = [repr(call()) for call in calls]
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert ctx.mp.prec == ctx.working_bits
+    assert all(got[i] == single for i in range(4))
 
 
 def _exact_or_refused(call):

@@ -15,7 +15,7 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from zetakit import numerics, zeta_z, zeta_zn
-from zetakit.core import NoConvergence, PrecisionContext
+from zetakit.core import NoConvergence, PrecisionContext, argument
 from zetakit.numerics import bernoulli
 
 #: the float screen's slack of the former walks, in bits
@@ -330,7 +330,7 @@ def test_route_err_covers_its_former_budget_at_twice_the_precision(monkeypatch):
         if p.imag == 0 and p < 0 and p % 2 == 1:
             continue
         w = _wide(mp)
-        zz = zeta_z._closed(ctx, -p / 2)[0]
+        zz = zeta_z._closed(ctx, argument(ctx, -p / 2))[0]
         zz = zz if p.imag else zz.real
         zz_err, dp = ctx.tol / 8, abs(p) * ctx.eps
         seen.clear()

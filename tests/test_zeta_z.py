@@ -24,7 +24,7 @@ from zetakit import (
     zeta_z_product,
 )
 from zetakit import numerics, quadrature, zeta_z
-from zetakit.core import mpf_to_fraction
+from zetakit.core import argument, mpf_to_fraction
 
 
 # ---------------------------------------------------------------- closed form
@@ -49,22 +49,27 @@ def test_closed_negative_half_integers(ctx, mp):
 
 @pytest.mark.parametrize("bits,tol", [(64, 1e-12), (256, 1e-30), (1024, 1e-120)], ids=str)
 def test_closed_half_integer_path_matches_gamma_route(bits, tol):
-    # s = -m - 1/2 takes the rational over pi, rounded once; it agrees with
-    # the Gamma route within both errs and its err covers mpmath's Gamma
-    # quotient at 2 bits + 64
+    # s = -m - 1/2 takes the rational over pi, rounded once, and the Gamma
+    # route serves just outside the snapping radius 2^-(bits/2) of it; each
+    # err covers mpmath's Gamma quotient at 2 bits + 64 at its own point
     ctx = PrecisionContext(bits, tol)
     mp = MPContext()
     mp.prec = 2 * bits + 64
     for m in (0, 1, 2, 5, 12, 20):
         s = Fraction(-2 * m - 1, 2)
         r = zeta_z_closed(s, ctx)
-        g = zeta_z_closed(s, ctx, use_exact_paths=False)
         assert r.method == "closed-form" and r.exact is None and r.err <= ctx.tol
-        assert abs(r.value.value - g.value.value) <= r.err + g.err
-        x = mp.mpf(-2 * m - 1) / 2
-        truth = mp.power(4, -x) * mp.gamma(mp.mpf(1) / 2 - x) / (mp.sqrt(mp.pi) * mp.gamma(1 - x))
-        assert abs(mp.mpc(r.value.value) - truth) <= r.err
+        assert abs(mp.mpc(r.value.value) - _closed_truth(mp, s)) <= r.err
+        near = s + Fraction(1, 2 ** (bits // 2 - 1))
+        g = zeta_z_closed(near, ctx)
+        assert abs(mp.mpc(g.value.value) - _closed_truth(mp, near)) <= g.err
     assert abs(mp.mpc(zeta_z_closed(-0.5, ctx).value.value) - 4 / mp.pi) <= ctx.tol
+
+
+def _closed_truth(mp, s):
+    """mpmath's Gamma quotient 4^-s Gamma(1/2 - s) / (sqrt(pi) Gamma(1 - s))."""
+    x = mp.convert(s)
+    return mp.power(4, -x) * mp.gamma(mp.mpf(1) / 2 - x) / (mp.sqrt(mp.pi) * mp.gamma(1 - x))
 
 
 def test_closed_half_integer_path_needs_the_exact_argument():
@@ -93,10 +98,18 @@ def test_closed_poles_at_positive_half_integers(ctx):
             zeta_z_closed(k, ctx)
 
 
-def test_closed_gamma_route_matches_exact_path(ctx, mp):
+def test_closed_gamma_route_matches_exact_path(ctx):
+    # the exact path at -n, and the Gamma route just outside the snapping
+    # radius 2^-128 of it, agree with mpmath's Gamma quotient at 2 bits + 64
+    w = MPContext()
+    w.prec = 2 * ctx.precision_bits + 64
     for n in (1, 4, 9, 17, 30):
-        generic = zeta_z_closed(-n, ctx, use_exact_paths=False)
-        assert abs(generic.value.value - comb(2 * n, n)) < mp.mpf(10) ** -25
+        assert zeta_z_closed(-n, ctx).exact == comb(2 * n, n)
+        assert abs(_closed_truth(w, -n) - comb(2 * n, n)) < w.mpf(10) ** -100
+        near = Fraction(-n) + Fraction(1, 2 ** 127)
+        generic = zeta_z_closed(near, ctx)
+        assert generic.exact is None
+        assert abs(w.mpc(generic.value.value) - _closed_truth(w, near)) <= generic.err
 
 
 # ---------------------------------------------------------------- product
@@ -573,7 +586,7 @@ def test_composites_take_the_gamma_route_past_the_exact_width(n):
     # for the composites (no pole at the negative integers), so Z(-2n) =
     # pi 4^-n C(2n, n) is served at once and within its err
     ctx = PrecisionContext(256, 1e-30)
-    exact = zeta_z._closed(ctx, -n)[3]
+    exact = zeta_z._closed(ctx, argument(ctx, -n))[3]
     assert (exact is None) == (2 * n > zeta_z._EXACT_BITS)
     t0 = time.perf_counter()
     r = big_z(-2 * n, ctx)
@@ -726,9 +739,15 @@ _NEAR_LATTICE = {
     "big-z-near-neg2": (big_z, -2.0000000001, _ROUNDED["big-z-near-pole"][1]),
     "closed-2^-130-off-neg20": (zeta_z_closed, Fraction(-20) + Fraction(1, 2 ** 130),
                                 _closed_oracle),
+    # rounds onto -4 at 64 bits, and onto the zero at 4, where Z'(4) dz
+    # has no log-derivative bound
+    "big-z-2^-130-off-neg4": (big_z, Fraction(-4) + Fraction(1, 2 ** 130),
+                              _ROUNDED["big-z-near-pole"][1]),
+    "big-z-2^-130-off-4": (big_z, Fraction(4) + Fraction(1, 2 ** 130), None),
 }
 #: (case, bits) that refuse by name: Gamma(1 - s) snaps to a pole
-_NEAR_LATTICE_POLES = {("closed-near-3", 64)}
+_NEAR_LATTICE_POLES = {("closed-near-3", 64), ("big-z-2^-130-off-4", 64),
+                       ("big-z-2^-130-off-4", 256)}
 
 
 @pytest.mark.parametrize("bits, tol", [(64, 1e-12), (256, 1e-30)], ids=str)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -66,13 +67,13 @@ def test_direct_sum_runs_once_when_the_first_precision_serves(monkeypatch):
 
 
 @pytest.mark.parametrize("n, s", [(1000, 3.7), (1000, 4), (10_000, complex(3, -2)),
-                                  (1000, -40.3)])
+                                  (1000, -40.3), (1000, complex(-40.3, 0.5))])
 def test_direct_sum_refuses_at_once_when_no_boost_can_serve(monkeypatch, n, s):
     # at 64 bits/1e-12 these sums are so large that their rounding back to
     # 64 bits, which every boosted sum adds to err, alone misses the
-    # tolerance: one sum, then NoConvergence naming the precision; at
-    # s = -40.3 the closed form cannot certify zeta_Z(s), so the plain sum
-    # is that one sum
+    # tolerance: one sum, then NoConvergence naming the precision; at real
+    # s = 4 and -40.3 the largest term alone shows that, and no sum runs
+    # (at s = 3.7 it falls just short)
     ctx = PrecisionContext(64, 1e-12)
     calls = []
     power_sum = zeta_zn._power_sum
@@ -84,7 +85,7 @@ def test_direct_sum_refuses_at_once_when_no_boost_can_serve(monkeypatch, n, s):
     monkeypatch.setattr(zeta_zn, "_power_sum", counted)
     with pytest.raises(NoConvergence, match="precision too low.*64 bits"):
         zeta_zn_direct(n, s, ctx)
-    assert calls == [ctx.working_bits]
+    assert calls == ([] if s in (4, -40.3) else [ctx.working_bits])
 
 
 def test_direct_exact_algebra_oracle(ctx, mp):
@@ -293,6 +294,52 @@ def test_direct_sum_refuses_max_terms_before_rotating(monkeypatch):
     with pytest.raises(NoConvergence, match="max_terms"):
         zeta_zn_direct(5000, 1.5, PrecisionContext(64, 1e-12, max_terms=100))
     assert steps == []
+
+
+@pytest.mark.parametrize("s", [-9999.7, 500.3, -2000.3])
+def test_huge_real_sum_refuses_before_rotating(monkeypatch, s):
+    # every term is positive, and the largest alone, 2^19999, 2^17291 or
+    # 2^4001, renders with an err above 1e-30 at 256 bits: refused from
+    # floats, with no sine rotated
+    calls = []
+    rotated = zeta_zn._rotated_sines
+    monkeypatch.setattr(zeta_zn, "_rotated_sines", lambda *a: calls.append(a) or rotated(*a))
+    t0 = time.perf_counter()
+    with pytest.raises(NoConvergence, match="precision too low"):
+        zeta_zn_direct(10 ** 6, s, PrecisionContext(256, 1e-30))
+    assert time.perf_counter() - t0 < 0.5
+    assert calls == []
+
+
+def test_magnitude_refusal_only_where_the_sum_refuses(monkeypatch):
+    # a seeded sweep of real s at 64 bits: each point is served bit for bit
+    # as with the float pre-check off, and each point it refuses is refused
+    # by the sum too; n = 6 at s = 10^12, whose largest term is 1 (its
+    # float logarithm a hair off 0), is served
+    ctx = PrecisionContext(64, 1e-12)
+    rng = random.Random(28)
+    points = [(rng.choice([2, 3, 5, 6, 7]) if i % 4 == 0 else
+               int(math.exp(rng.uniform(math.log(8), math.log(3000)))), rng.uniform(-45, 45))
+              for i in range(48)]
+    points += [(6, 1e12), (7, 20.3), (1000, -28.1)]
+
+    def outcome(n, s):
+        try:
+            r = zeta_zn_direct(n, s, ctx)
+        except NoConvergence as exc:
+            return str(exc)
+        return r.value.value, r.err
+
+    refused = 0
+    for n, s in points:
+        with_check = outcome(n, s)
+        with monkeypatch.context() as m:
+            m.setattr(zeta_zn, "_rounding_misses", lambda lb, tol: False)
+            without = outcome(n, s)
+        if isinstance(with_check, str) and "precision too low" in with_check:
+            refused += 1
+        assert with_check == without or isinstance(with_check, str) and isinstance(without, str)
+    assert refused >= 10 and not isinstance(outcome(6, 1e12), str)
 
 
 def test_route_serves_when_only_it_fits_max_terms(monkeypatch):
