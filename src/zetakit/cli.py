@@ -147,56 +147,37 @@ def _context_from_args(args) -> PrecisionContext:
 # --------------------------------------------------------------------------
 # eval
 
-_EVAL_TARGETS = ("zeta-z", "z", "zeta-zn", "zeta-z-deriv", "catalan",
-                 "bernoulli", "riemann-zeta")
+def _eval_zeta_zn(ctx, n, s):
+    n = zeta_zn._vertex_count(n)  # n >= 2 on every route below
+    s = _parse_number(s)
+    if isinstance(s, (int, Fraction)) and s == int(s) and int(s) < 0:
+        return zeta_zn.zeta_zn_negative_int(n, -int(s))
+    if isinstance(s, (int, Fraction)) and s == int(s) and 1 <= int(s) <= zeta_zn.POLY_CAP:
+        return zeta_zn.zeta_zn_closed_poly(int(s), ctx).evaluate(n)
+    return zeta_zn.zeta_zn_direct(n, s, ctx)
+
+
+#: target: (the flags it requires, which are also its input columns, and
+#: its call on the context and their values); each call looks the library
+#: up when it runs.
+_EVAL_TARGETS = {
+    "zeta-z": (("s",), lambda ctx, s: zeta_z.zeta_z_closed(_parse_number(s), ctx)),
+    "z": (("s",), lambda ctx, s: zeta_z.big_z(_parse_number(s), ctx)),
+    "zeta-zn": (("n", "s"), _eval_zeta_zn),
+    "zeta-z-deriv": (("s",), lambda ctx, s: zeta_z.zeta_z_deriv(_parse_number(s), ctx)),
+    "catalan": (("m",), lambda ctx, m: spheres.catalan(m)),
+    "bernoulli": (("k",), lambda ctx, k: numerics.bernoulli(k)),
+    "riemann-zeta": (("s",), lambda ctx, s: numerics.riemann_zeta_numeric(_parse_number(s), ctx)),
+}
 
 
 def _cmd_eval(args) -> int:
     ctx = _context_from_args(args)
-    target = args.target
-    if target == "zeta-z":
-        if args.s is None:
-            raise _Usage("eval zeta-z requires --s")
-        result = zeta_z.zeta_z_closed(_parse_number(args.s), ctx)
-        inputs = {"s": args.s}
-    elif target == "z":
-        if args.s is None:
-            raise _Usage("eval z requires --s")
-        result = zeta_z.big_z(_parse_number(args.s), ctx)
-        inputs = {"s": args.s}
-    elif target == "zeta-zn":
-        if args.s is None or args.n is None:
-            raise _Usage("eval zeta-zn requires --n and --s")
-        n = zeta_zn._vertex_count(args.n)  # n >= 2 on every route below
-        s = _parse_number(args.s)
-        if isinstance(s, (int, Fraction)) and s == int(s) and int(s) < 0:
-            result = zeta_zn.zeta_zn_negative_int(n, -int(s))
-        elif (isinstance(s, (int, Fraction)) and s == int(s)
-              and 1 <= int(s) <= zeta_zn.POLY_CAP):
-            result = zeta_zn.zeta_zn_closed_poly(int(s), ctx).evaluate(n)
-        else:
-            result = zeta_zn.zeta_zn_direct(n, s, ctx)
-        inputs = {"n": args.n, "s": args.s}
-    elif target == "zeta-z-deriv":
-        if args.s is None:
-            raise _Usage("eval zeta-z-deriv requires --s")
-        result = zeta_z.zeta_z_deriv(_parse_number(args.s), ctx)
-        inputs = {"s": args.s}
-    elif target == "catalan":
-        if args.m is None:
-            raise _Usage("eval catalan requires --m")
-        result = spheres.catalan(int(args.m))
-        inputs = {"m": args.m}
-    elif target == "bernoulli":
-        if args.k is None:
-            raise _Usage("eval bernoulli requires --k")
-        result = numerics.bernoulli(int(args.k))
-        inputs = {"k": args.k}
-    else:  # riemann-zeta
-        if args.s is None:
-            raise _Usage("eval riemann-zeta requires --s")
-        result = numerics.riemann_zeta_numeric(_parse_number(args.s), ctx)
-        inputs = {"s": args.s}
+    flags, call = _EVAL_TARGETS[args.target]
+    inputs = {f: getattr(args, f) for f in flags}
+    if None in inputs.values():
+        raise _Usage(f"eval {args.target} requires " + " and ".join(f"--{f}" for f in flags))
+    result = call(ctx, *inputs.values())
     value, err, method, exact = _format_value(ctx, result,
                                               scientific=args.format == "csv")
     rec = dict(inputs)
@@ -401,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one function")
-    p_eval.add_argument("target", choices=_EVAL_TARGETS)
+    p_eval.add_argument("target", choices=tuple(_EVAL_TARGETS))
     p_eval.add_argument("--s")
     p_eval.add_argument("--n", type=int)
     p_eval.add_argument("--m", type=int)

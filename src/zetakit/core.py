@@ -10,7 +10,9 @@ rational alongside the rounded rendering when the value is known exactly.
 
 The precision policy lives here: kernels that miss ``target_tol`` retry at
 up to 1024 extra bits (:func:`certify`), packaged results refuse
-(:func:`complex_result`), and :func:`argument` reads an argument once: the
+(:func:`complex_result`), a value whose rounding alone must miss the
+tolerance refuses, before work where a lower bound shows it, by one rule
+(:func:`refuse_rounding`), and :func:`argument` reads an argument once: the
 lattice point near it (a pole there refuses, an exact path serves only an
 argument exactly on it) and its rounding.  The tolerance is checked
 once per result, on the value returned: a composite of Gamma or zeta_Z
@@ -25,7 +27,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf
+from math import inf, log2
 from typing import Any, Callable, Optional, Union
 
 from mpmath.ctx_mp import MPContext
@@ -264,6 +266,23 @@ def complex_result(ctx: PrecisionContext, value, err, certified: bool, method: s
         raise NoConvergence(f"{method}: error bound {mp.nstr(e, 3)} exceeds the "
                             f"tolerance {mp.nstr(ctx.tol, 3)}")
     return EvalResult(HPComplex(v, e), e, certified, method, exact, note)
+
+
+def refuse_rounding(ctx: PrecisionContext, lb, what: str, bits: Optional[int] = None) -> None:
+    """Raise NoConvergence, naming precision, when a value of at least 2^lb,
+    rendered at ``bits`` of precision (the context's by default), must have
+    an err above ``target_tol``: the err of that rendering, or any err of
+    at least 2^(lb - wb) at wb = bits + ``GUARD_BITS`` working bits.  The
+    one refusal rule, before or after work, decided in log2 space: an int
+    lb exactly (the tolerance's mantissa is odd, so 2^d exceeds it iff d >=
+    its bit length), so that no huge bound passes through a float; a float
+    or mpf lb carries its caller's slack for its rounded logarithms."""
+    bits = ctx.precision_bits if bits is None else bits
+    man, exp = ctx.tol.man, ctx.tol.exp
+    d = lb - bits - GUARD_BITS - exp
+    if d >= man.bit_length() if isinstance(d, int) else d > log2(man):
+        raise NoConvergence(f"{what}: precision too low: rounding at {bits} bits alone "
+                            "exceeds the tolerance")
 
 
 def exact_result(ctx: PrecisionContext, q: Fraction, method: str,

@@ -672,13 +672,6 @@ def _raised(mp, x):
     return x * (1 + mp.ldexp(1, -20))
 
 
-def _rounding_misses(lb: float, tol) -> bool:
-    """Whether an err of at least 2^lb, lb a float log2 with the caller's
-    slack for its float logarithms, must exceed tol: the refusal before any
-    work of ``zeta_z._rounding_refuses`` and ``zeta_zn.zeta_zn_direct``."""
-    return lb > math.log2(tol.man) + tol.exp
-
-
 def _least_order(bound, lo: int, hi: int, tlog: float):
     """(M, bound(M)) for the least M in [lo, hi] whose float log2 bound is
     at most tlog, by bisection, for a bound that falls with M on [lo, hi];

@@ -44,6 +44,7 @@ from .core import (
     complex_result,
     exact_result,
     get_context,
+    refuse_rounding,
     rendering,
 )
 from . import numerics
@@ -72,7 +73,7 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     8 16^m / ((m+1) C(2m+2, m+1)) over pi, rounded once.  An exact value's
     err is that of its rendering, so C(-2s, -s) refuses from s =
     -51/-148/-532 at 64/256/1024 bits, before it is built where a lower
-    bound shows that (:func:`_refuse_wide`).
+    bound shows that (:func:`_refuse_wide`, by :func:`core.refuse_rounding`).
     """
     ctx = get_context(ctx)
     a = argument(ctx, s)
@@ -94,23 +95,21 @@ def _refuse_wide(ctx: PrecisionContext, q: Fraction, method: str) -> None:
     """NoConvergence, decided in integers before the exact value at s = q <= 0
     is built, when its rendering alone misses the tolerance: a value of at
     least 2^lb that renders inexactly has an err of at least 2^lb (1 -
-    2^-wb) eps >= 2^(lb - wb).  At q = -n - 1/2 the rational over pi, at
-    least 2 4^n / sqrt(pi (n+1)), never renders exactly (the Gamma route
-    near it has an err above 2^(6-wb) |value|).  At q = -n, lb
-    bounds C(2n, n) >= 4^n / (2 sqrt n), and zeta_Z'(-n) = -2 C(2n, n)
-    sum_{n<k<=2n} 1/k is larger; over a power of two, 2^popcount(n) for
-    C(2n, n) and at most that for zeta_Z'(-n) (its sum has 2^-a, from the one
-    k = 2^a), the odd part of either is at least 2^(lb - popcount(n)), so
-    either renders inexactly once lb - popcount(n) >= wb."""
-    n, wb = -int(q), ctx.working_bits
+    2^-wb) eps >= 2^(lb - wb) (:func:`core.refuse_rounding`).  At q = -n -
+    1/2 the rational over pi, at least 2 4^n / sqrt(pi (n+1)), never renders
+    exactly (the Gamma route near it has an err above 2^(6-wb) |value|).  At
+    q = -n, lb bounds C(2n, n) >= 4^n / (2 sqrt n), and zeta_Z'(-n) = -2
+    C(2n, n) sum_{n<k<=2n} 1/k is larger; over a power of two, 2^popcount(n)
+    for C(2n, n) and at most that for zeta_Z'(-n) (its sum has 2^-a, from
+    the one k = 2^a), the odd part of either is at least 2^(lb -
+    popcount(n)), so either renders inexactly once lb - popcount(n) >= wb."""
+    n = -int(q)
     lb = 2 * n - 1 - (n.bit_length() + 1) // 2
     if q.denominator == 2:
         lb = 2 * n - ((n + 1).bit_length() + 1) // 2
-    elif lb - n.bit_count() < wb:
+    elif lb - n.bit_count() < ctx.working_bits:
         return
-    if lb - wb > ctx.mp.mag(ctx.tol):
-        raise NoConvergence(f"{method}: rendering the exact value at {ctx.precision_bits} "
-                            "bits alone exceeds the tolerance")
+    refuse_rounding(ctx, lb, method)
 
 
 def _closed(ctx: PrecisionContext, a):
@@ -182,8 +181,8 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     with v0 = P_K e^(-G(K) - g(K)/2), so |v0| (e^R_J - 1) <= tol/4, by the
     one rule for remainder bounds of :mod:`zetakit.numerics`
     (:func:`_tail_order`).  When the bound stops falling first, K grows
-    fourfold and the partial product is extended, or an explicit ``terms``
-    raises NoConvergence.
+    fourfold and the partial product is built again, or an explicit
+    ``terms`` raises NoConvergence.
 
     Rounding, in units u = 2^-prec of |v|, with the fixed-point parts at F =
     prec + ``FIXED_GUARD``: P_K within (3K + 1) 2^(1-F) + u
@@ -194,10 +193,14 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     adds the remainder and the rounding of an s not exact at working
     precision (:func:`_log_deriv_bound`).  The rounding term only grows with
     K, so when it alone exceeds the tolerance NoConvergence is raised at
-    once, naming precision; for real s < 1/2 a lower bound on |zeta_Z(s)|
-    decides that in floats before the partial product is formed
-    (:func:`_rounding_refuses`).  Positive integers and half-integers (zeros and
-    poles of the product) raise NeedsLimitInterpretation.
+    once, naming precision (:func:`core.refuse_rounding`).  For real s < 1/2
+    a lower bound decides that in floats before the partial product is
+    formed: Wendel's inequality Gamma(y + 1/2) <= y^(1/2) Gamma(y) at y =
+    1/2 - s gives zeta_Z(s) >= 4^-s / sqrt(pi (1/2 - s)), and the rounding
+    term is at least |v| (3K + 16) 2^(2-prec).  Where that decides, |v| is
+    far above tol, so R is far below 1 and |v| >= zeta_Z(s)/2, a factor 2
+    that also covers the float log2s.  Positive integers and half-integers
+    (zeros and poles of the product) raise NeedsLimitInterpretation.
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -212,13 +215,14 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     tol = ctx.tol
     b = min(mp.prec, max(0, int(-2 * z.real) + 1 - mp.mag(tol)))
     K = terms if terms is not None else int(2 * absz) + int(_PRODUCT_D_PER_BIT * b) + 3
-    partial = None
+    x = 0.5 if isinstance(z, mp.mpc) else float(z)
+    lb = -2 * x - math.log2(math.pi * (0.5 - x)) / 2 if x < 0.5 else None  # Wendel
     while True:
         if K > ctx.max_terms:
             raise NoConvergence("product truncation exceeds max_terms")
-        if _rounding_refuses(mp, z, K, tol):
-            raise NoConvergence(_PRECISION_TOO_LOW)
-        P, partial = _partial_product(mp, z, K, partial)
+        if lb is not None:
+            refuse_rounding(ctx, lb + math.log2(3 * K + 16) + 1, "product")
+        P = _partial_product(mp, z, K)
         a, c = K - z, K - 2 * z
         la, lc = mp.log(a / K), mp.log(c / K)
         wa, wc = 2 * a + 1, c + mp.mpf(0.5)
@@ -236,37 +240,16 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
             err = abs(v) * R / (1 - R) * (1 + mp.mpf(2) ** -10) + rounding
             if err <= tol:
                 return complex_result(ctx, v, err, True, "product")
-            # the rounding term only grows with K: no larger K can certify
-            if rounding > tol:
-                raise NoConvergence(_PRECISION_TOO_LOW)
+            # the rounding term, 2^(lb - wb) at lb = log2(rounding) + wb,
+            # only grows with K: no larger K can certify
+            refuse_rounding(ctx, mp.log(rounding, 2) + mp.prec, "product")
         K *= 4
         if terms is not None:
             raise NoConvergence("requested truncation cannot certify the tolerance")
 
 
-_PRECISION_TOO_LOW = "precision too low: the product's rounding alone exceeds the tolerance"
-
-
-def _rounding_refuses(mp, z, K: int, tol) -> bool:
-    """Whether the product's rounding term at K must exceed tol, decided in
-    floats before any factor is formed; always False unless z is real and
-    below 1/2.  There Wendel's inequality Gamma(y + 1/2) <= y^(1/2) Gamma(y)
-    at y = 1/2 - z gives zeta_Z(z) >= 4^-z / sqrt(pi (1/2 - z)), and the
-    rounding term is at least |v| (3K + 16) 2^(2-prec).  Where that decides,
-    |v| is far above tol, so R is far below 1 and |v| >= zeta_Z(z)/2, a
-    factor 2 that also covers the float log2s
-    (:func:`numerics._rounding_misses`)."""
-    x = 0.5 if isinstance(z, mp.mpc) else float(z)
-    if x >= 0.5:
-        return False
-    lb = -2 * x - math.log2(math.pi * (0.5 - x)) / 2
-    return numerics._rounding_misses(lb + math.log2(3 * K + 16) + 1 - mp.prec, tol)
-
-
-def _partial_product(mp, z, K: int, partial=None):
-    """(P_K, partial) for P_K = prod_{k<=K} (k-z)^2 / (k (k-2z)), real (mpf)
-    or complex z; passing the ``partial`` state returned for a smaller K
-    forms only the new factors, with the truncations of a build from k = 1.
+def _partial_product(mp, z, K: int):
+    """P_K = prod_{k<=K} (k-z)^2 / (k (k-2z)), real (mpf) or complex z.
 
     With z = m 2^ez (:func:`numerics._dyadic`, ez <= 0), k - z and
     k (k-2z) are exact Gaussian integers times 2^ez.  prod (k-z) and
@@ -279,15 +262,14 @@ def _partial_product(mp, z, K: int, partial=None):
     """
     F = mp.prec + FIXED_GUARD
     mr, mi, ez = _dyadic(z)
-    k0, (nr, ni, ne), (dr, di, de) = partial or (0, (1, 0, 0), (1, 0, 0))
-    for k in range(k0 + 1, K + 1):
+    nr, ni, ne, dr, di, de = 1, 0, 0, 1, 0, 0
+    for k in range(1, K + 1):
         x = k << -ez
         ar, br, bi = x - mr, k * (x - 2 * mr), 2 * k * mi  # times ar - i mi, br - i bi
         nr, ni, ne = _trim(nr * ar + ni * mi, ni * ar - nr * mi, ne, F)
         dr, di, de = _trim(dr * br + di * bi, di * br - dr * bi, de, F)
     qr, qi, e = _divide(nr * nr - ni * ni, 2 * nr * ni, dr, di, F)
-    P = _to_mp(mp, qr, qi, 2 * ne - de + ez * K + e, bool(mi))
-    return P, (K, (nr, ni, ne), (dr, di, de))
+    return _to_mp(mp, qr, qi, 2 * ne - de + ez * K + e, bool(mi))
 
 
 #: 8 zeta(3) rounded up: the constant of the Euler-Maclaurin tail remainder.

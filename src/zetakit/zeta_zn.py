@@ -81,11 +81,13 @@ from .core import (
     HPComplex,
     NoConvergence,
     PrecisionContext,
+    _BOOST_BITS,
     argument,
     certify,
     complex_result,
     exact_result,
     get_context,
+    refuse_rounding,
     rendering,
 )
 from .numerics import (
@@ -101,7 +103,6 @@ from .numerics import (
     _log_fixed,
     _pow_fixed,
     _raised,
-    _rounding_misses,
     _to_mp,
 )
 from .zeta_z import _EXACT_BITS, _closed
@@ -685,10 +686,11 @@ def _route_choice(c: PrecisionContext, n: int, a, tol):
             if routable else None)
 
 
-def _circle_sum(c: PrecisionContext, n: int, z, dp, tol, fold: bool = True):
+def _circle_sum(c: PrecisionContext, n: int, a, dp, tol, fold: bool = True):
     """(value, err) of the sum of (2 sin(pi k/n))^p over k = 1..n-1, p =
-    -2z, at c's precision; ``dp`` bounds the rounding of p, as in
-    :func:`_power_sum`, and ``tol`` is the tolerance the err should meet.
+    -2z, at c's precision, a = ``core.argument(c, z)`` as the caller read
+    it; ``dp`` bounds the rounding of p, as in :func:`_power_sum`, and
+    ``tol`` is the tolerance the err should meet.
 
     Folded and where :func:`_route_choice` gives a plan, the sum takes the
     large-n route (:func:`_route`) on zeta_Z(z) from the closed form before
@@ -696,18 +698,19 @@ def _circle_sum(c: PrecisionContext, n: int, z, dp, tol, fold: bool = True):
     enters the sum's; otherwise every term is summed (:func:`_power_sum`).
     Only a path whose work fits ``max_terms`` is taken, and NoConvergence
     naming it is raised before any sine is rotated when none does."""
+    z = a.z
+    if z.imag == 0:
+        z = z.real  # keep the sum in real arithmetic when possible
     p = -2 * z
-    cplx = isinstance(p, c.mp.mpc)
     count = n // 2 if fold else n - 1
-    a = argument(c, z)
     plan = _route_choice(c, n, a, tol) if fold else None
     if plan is None:
         if count > c.max_terms:
             raise NoConvergence(f"discrete-circle sum: {count} terms exceed max_terms = "
                                 f"{c.max_terms}")
         return _power_sum(c.mp, n, p, fold, dp)
-    zz, zz_err = _closed(c, a)[:2]
-    return _route(c.mp, n, p, dp, plan, zz if cplx else zz.real, zz_err)
+    zz, zz_err = _closed(c, a._replace(dz=0))[:2]  # dp charges the rounding of z
+    return _route(c.mp, n, p, dp, plan, zz if z.imag else zz.real, zz_err)
 
 
 def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPComplex:
@@ -725,8 +728,16 @@ def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPC
     rounding of a power that is not exact at working precision and of the
     factor 2^-power.  Like every kernel, it runs under :func:`core.certify`,
     at the context's precision and then with up to 1024 extra bits.
+
+    Every err is at least |v| 2^(2-prec), and for power x < 0 the sum is at
+    least its largest term T = sin(pi/n)^x: so, when T rendered with 1024
+    extra bits misses the tolerance, no attempt can meet it, and the first
+    refuses before any sine is rotated (:func:`core.refuse_rounding`, log2
+    T in mpf at working precision; |v| < T/2 would leave err >= T/2, and
+    the bit to spare covers the logarithm).
     """
     nn = _vertex_count(n)
+    ctx = get_context(ctx)
 
     def compute(c: PrecisionContext) -> HPComplex:
         a = argument(c, power)
@@ -735,12 +746,15 @@ def sine_power_sum(n: int, power, ctx: Optional[PrecisionContext] = None) -> HPC
             return HPComplex(v.real, err)
         mp = c.mp
         x, dp = c.mpf(a.z), a.dz
+        if c is ctx and x < 0:
+            refuse_rounding(c, x * mp.log(mp.sinpi(mp.mpf(1) / nn), 2), "sine_power_sum",
+                            c.precision_bits + _BOOST_BITS[-1])
         scale = mp.power(2, -x)  # it and the product below round once each
-        v, err = _circle_sum(c, nn, -x / 2, dp, c.tol / scale)
+        v, err = _circle_sum(c, nn, argument(c, -x / 2), dp, c.tol / scale)
         v *= scale
         return HPComplex(v, err * scale + abs(v) * mp.mpf(2) ** (2 - mp.prec))
 
-    return certify(get_context(ctx), compute, "sine_power_sum")
+    return certify(ctx, compute, "sine_power_sum")
 
 
 def zeta_zn_direct(n: int, s, ctx: Optional[PrecisionContext] = None, *,
@@ -761,29 +775,24 @@ def zeta_zn_direct(n: int, s, ctx: Optional[PrecisionContext] = None, *,
     or (2 sin(pi/n))^(-2s) (none above 1 at s > 0, n <= 6); when its
     rendering, at least |v| 2^(1-prec), must miss the tolerance, that
     refusal comes before any sine is rotated, decided in floats with a bit
-    to spare (:func:`numerics._rounding_misses`); both paths have err >= 16
-    |v| 2^-prec, so the sum would refuse too."""
+    to spare; both paths have err >= 16 |v| 2^-prec, so the sum would
+    refuse too.  Both refusals are :func:`core.refuse_rounding`."""
     nn = _vertex_count(n)
     ctx = get_context(ctx)
     a = argument(ctx, s)
     if a.exact == 0:
         return exact_result(ctx, Fraction(nn - 1), "direct-sum")
-    too_low = (f"zeta_zn_direct: precision too low: rounding the sum to "
-               f"{ctx.precision_bits} bits alone exceeds the tolerance")
     if not a.z.imag and (a.z.real < 0 or nn > 6):
         x = float(a.z.real)
-        lb = -2 * x * math.log2(2 * math.sin(math.pi * (nn // 2 if x < 0 else 1) / nn))
-        if _rounding_misses(lb - ctx.working_bits, ctx.tol):
-            raise NoConvergence(too_low)
+        refuse_rounding(ctx, -2 * x * math.log2(2 * math.sin(
+            math.pi * (nn // 2 if x < 0 else 1) / nn)), "zeta_zn_direct")
 
     def compute(c: PrecisionContext) -> HPComplex:
         b = a if c is ctx else argument(c, s)
-        z = b.z
-        if z.imag == 0:
-            z = z.real
-        v, err = _circle_sum(c, nn, z, 2 * b.dz, c.tol, fold)  # p = -2s
-        if c is ctx and err > ctx.tol and (abs(v) - err) * ctx.eps > ctx.tol:
-            raise NoConvergence(too_low)
+        v, err = _circle_sum(c, nn, b, 2 * b.dz, c.tol, fold)  # p = -2s
+        if c is ctx and err > ctx.tol and abs(v) > err:
+            # the rendering (|v| - err) eps = 2^(lb - wb) at lb = log2(|v| - err) + 1
+            refuse_rounding(ctx, c.mp.log(abs(v) - err, 2) + 1, "zeta_zn_direct")
         return HPComplex(v, err)
 
     r = certify(ctx, compute, "zeta_zn_direct")

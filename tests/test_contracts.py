@@ -5,6 +5,7 @@ import importlib
 import pkgutil
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from zetakit import (
     zeta_zn_closed_poly,
     zeta_zn_direct,
 )
-from zetakit import quadrature
+from zetakit import quadrature, zeta_z, zeta_zn
 from zetakit.core import argument, mpf_to_fraction
 
 
@@ -78,6 +79,28 @@ def test_product_respects_term_budget():
     tiny = PrecisionContext(max_terms=16)
     with pytest.raises(NoConvergence):
         zeta_z_product(Fraction(1, 4), tiny)
+
+
+@pytest.mark.parametrize("call, bits, tol, module, work", [
+    (lambda c: zeta_z_closed(-1e300, c), 256, 1e-30, zeta_z, "_closed"),
+    # exact at 1024 bits, 5^300 having 697
+    (lambda c: zeta_z_closed(-10 ** 300, c), 1024, 1e-120, zeta_z, "_closed"),
+    (lambda c: zeta_z_deriv(-10 ** 4, c), 256, 1e-30, zeta_z, "comb"),
+    (lambda c: zeta_z_product(-10 ** 4 + 0.3, c), 256, 1e-30, zeta_z, "_partial_product"),
+    (lambda c: zeta_zn_direct(10 ** 6, -9999.7, c), 256, 1e-30, zeta_zn, "_circle_sum"),
+    (lambda c: sine_power_sum(10 ** 5, -2000.3, c), 256, 1e-30, zeta_zn, "_circle_sum"),
+], ids=["closed", "closed-1024", "deriv", "product", "zeta_zn_direct", "sine_power_sum"])
+def test_refusal_before_work(monkeypatch, call, bits, tol, module, work):
+    # each value's rounding alone misses the tolerance, shown by a lower
+    # bound before any work: one refusal, naming precision, at once
+    calls = []
+    monkeypatch.setattr(module, work, lambda *a: calls.append(a))
+    ctx = PrecisionContext(bits, tol)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match="precision too low"):
+        call(ctx)
+    assert time.perf_counter() - start < 0.1
+    assert not calls
 
 
 @pytest.mark.parametrize("route", [zeta_z_closed, zeta_z_mellin])

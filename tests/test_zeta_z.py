@@ -162,11 +162,11 @@ def test_product_error_bound_is_honest(bits, tol, s, terms):
 
 
 def _record_builds(monkeypatch):
-    """The (first new factor, K) of each partial-product build, in order."""
+    """The (first factor, K) of each partial-product build, in order."""
     builds = []
     build = zeta_z._partial_product
-    monkeypatch.setattr(zeta_z, "_partial_product", lambda mp, z, K, partial=None: (
-        builds.append((partial[0] + 1 if partial else 1, K)) or build(mp, z, K, partial)))
+    monkeypatch.setattr(zeta_z, "_partial_product", lambda mp, z, K: (
+        builds.append((1, K)) or build(mp, z, K)))
     return builds
 
 
@@ -210,9 +210,8 @@ _PRODUCT_GROWTH = [complex(-60.3, 2), -70.7, complex(-100.2, -5)]
 
 @pytest.mark.parametrize("s", _PRODUCT_GROWTH, ids=str)
 def test_product_growth_is_bit_identical(monkeypatch, s):
-    # extending the partial product over the new factors keeps the
-    # truncations of a build from k = 1: value and err equal those at the
-    # final K
+    # the product grown fourfold equals one evaluated at the final K from
+    # the start: value and err carry nothing from the first build
     monkeypatch.setattr(zeta_z, "_PRODUCT_D_PER_BIT", 0)
     builds = _record_builds(monkeypatch)
     ctx = PrecisionContext(1024, 1e-120)
@@ -221,16 +220,6 @@ def test_product_growth_is_bit_identical(monkeypatch, s):
     direct = zeta_z_product(s, ctx, terms=builds[-1][1])
     assert grown.value.value._mpc_ == direct.value.value._mpc_
     assert grown.err == direct.err
-
-
-def test_product_growth_forms_each_factor_once(monkeypatch):
-    # K grows fourfold at s = -60.3+2i: the second build forms only the
-    # factors past the first K, so each factor is formed once
-    monkeypatch.setattr(zeta_z, "_PRODUCT_D_PER_BIT", 0)
-    builds = _record_builds(monkeypatch)
-    zeta_z_product(complex(-60.3, 2), PrecisionContext(1024, 1e-120))
-    (k1, K1), (k2, K2) = builds
-    assert (k1, k2, K2) == (1, K1 + 1, 4 * K1)
 
 
 def test_product_refuses_uncertifiable_truncation(ctx):
@@ -261,6 +250,18 @@ def test_product_refuses_a_huge_value_before_forming_a_factor(monkeypatch, bits,
     assert not calls
 
 
+def _before_work(rule, fired):
+    """``rule`` noting in ``fired`` whether each refusal came before work:
+    there the product passes a float bound, after work an mpf."""
+    def noted(ctx, lb, *args):
+        try:
+            rule(ctx, lb, *args)
+        except NoConvergence:
+            fired.append(isinstance(lb, float))
+            raise
+    return noted
+
+
 @pytest.mark.parametrize("bits, tol, edge", [(64, 1e-12, 22), (256, 1e-30, 88),
                                              (1024, 1e-120, 322)])
 def test_product_precheck_refuses_only_what_the_product_refuses(monkeypatch, bits, tol, edge):
@@ -268,9 +269,9 @@ def test_product_precheck_refuses_only_what_the_product_refuses(monkeypatch, bit
     # -edge, where the product stops serving: wherever the float pre-check
     # fires, the product without it refuses too
     ctx = PrecisionContext(bits, tol)
-    check = zeta_z._rounding_refuses
+    rule = zeta_z.refuse_rounding
     fired = []
-    monkeypatch.setattr(zeta_z, "_rounding_refuses", lambda *a: fired.append(check(*a)) or fired[-1])
+    monkeypatch.setattr(zeta_z, "refuse_rounding", _before_work(rule, fired))
     grid = [Fraction(37 * i + 3, 10) for i in range(109)]
     grid += [edge - 6 + Fraction(4 * i + 1, 16) for i in range(48)]
     for x in grid:
@@ -281,7 +282,8 @@ def test_product_precheck_refuses_only_what_the_product_refuses(monkeypatch, bit
         except NoConvergence:
             if any(fired):
                 with monkeypatch.context() as m:
-                    m.setattr(zeta_z, "_rounding_refuses", lambda *a: False)
+                    m.setattr(zeta_z, "refuse_rounding", lambda ctx, lb, *a: (
+                        None if isinstance(lb, float) else rule(ctx, lb, *a)))
                     with pytest.raises(NoConvergence):
                         zeta_z_product(s, ctx)
         else:

@@ -330,16 +330,57 @@ def test_magnitude_refusal_only_where_the_sum_refuses(monkeypatch):
             return str(exc)
         return r.value.value, r.err
 
+    rule = zeta_zn.refuse_rounding
     refused = 0
     for n, s in points:
         with_check = outcome(n, s)
         with monkeypatch.context() as m:
-            m.setattr(zeta_zn, "_rounding_misses", lambda lb, tol: False)
+            # off before work, where the bound is a float; the after-work
+            # check passes an mpf
+            m.setattr(zeta_zn, "refuse_rounding", lambda ctx, lb, *a: (
+                None if isinstance(lb, float) else rule(ctx, lb, *a)))
             without = outcome(n, s)
         if isinstance(with_check, str) and "precision too low" in with_check:
             refused += 1
         assert with_check == without or isinstance(with_check, str) and isinstance(without, str)
     assert refused >= 10 and not isinstance(outcome(6, 1e12), str)
+
+
+@pytest.mark.parametrize("bits, tol", [(64, 1e-12), (256, 1e-30)])
+def test_sine_sum_refusal_only_where_the_sum_refuses(monkeypatch, bits, tol):
+    # seeded real powers x < 0 whose largest term sin(pi/n)^x lies within
+    # a factor 2^(1/2) in log2 of the edge where, with 1024 extra bits, its
+    # rendering misses the tolerance: each point the rule refuses is refused
+    # by every boosted sum too, and each point served is served bit for bit
+    # as with the rule off
+    ctx = PrecisionContext(bits, tol)
+    rng = random.Random(29)
+    edge = bits + 1024 + 30 + math.log2(tol)
+    points = []
+    for _ in range(24):
+        n = int(math.exp(rng.uniform(math.log(3), math.log(10 ** 5))))
+        points.append((n, rng.uniform(0.5, 1.5) * edge / math.log2(math.sin(math.pi / n))))
+
+    def outcome(n, x):
+        try:
+            r = sine_power_sum(n, x, ctx)
+        except NoConvergence as exc:
+            return str(exc)
+        return r.value, r.err
+
+    refused = served = 0
+    for n, x in points:
+        with_rule = outcome(n, x)
+        with monkeypatch.context() as m:
+            m.setattr(zeta_zn, "refuse_rounding", lambda *a: None)
+            without = outcome(n, x)
+        if isinstance(with_rule, str):
+            refused += "precision too low" in with_rule
+            assert isinstance(without, str)
+        else:
+            served += 1
+            assert with_rule == without
+    assert refused >= 6 and served >= 6
 
 
 def test_route_serves_when_only_it_fits_max_terms(monkeypatch):
