@@ -1,10 +1,12 @@
 """Command-line surface.
 
-Subcommands: eval, verify, sweep, extract, volumes, poly.  Output formats
-are plain, json, and csv; exact rationals are always printed as num/den,
-decimals carry at least ceil(0.3 * precision_bits) digits, and csv decimals
-are scientific.  Data rows go to stdout only and contain nothing volatile,
-so identical invocations are byte-identical; timing goes to stderr.
+Subcommands eval, verify, sweep, extract, volumes and poly return their
+rows; :func:`main` alone builds the context and prints them, once the
+command completes, as plain, json or csv with the same columns.  Exact
+rationals print as num/den, decimals carry at least ceil(0.3 *
+precision_bits) digits, and csv decimals are scientific.  Data rows go to
+stdout only and contain nothing volatile, so identical invocations are
+byte-identical; timing goes to stderr.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage, 3 domain/pole error,
 4 numerical failure.
@@ -17,6 +19,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from math import ceil, isfinite
@@ -75,21 +78,11 @@ def _digits(ctx: PrecisionContext) -> int:
 
 
 def _format_decimal(ctx, x, scientific: bool = False) -> str:
-    mp = ctx.mp
-    digits = _digits(ctx)
+    """x to :func:`_digits` digits; scientific with a mantissa in [1, 10)."""
     if x == 0:
         return "0e+0" if scientific else "0"
-    if not scientific:
-        return mp.nstr(x, digits)
-    neg = x < 0
-    ax = abs(x)
-    e = int(mp.floor(mp.log10(ax)))
-    mant = ax / mp.mpf(10) ** e
-    if mant >= 10:  # boundary rounding
-        mant /= 10
-        e += 1
-    body = mp.nstr(mant, digits)
-    return f"{'-' if neg else ''}{body}e{e:+d}"
+    sci = dict(min_fixed=1, max_fixed=0, show_zero_exponent=True) if scientific else {}
+    return ctx.mp.nstr(x, _digits(ctx), **sci)
 
 
 def _format_rational(q) -> str:
@@ -109,32 +102,40 @@ def _format_number(ctx, v, scientific: bool) -> str:
     return _format_decimal(ctx, getattr(v, "real", v), scientific)
 
 
-def _format_value(ctx, result, scientific: bool = False) -> tuple:
-    """(value string, err string, method, exact flag) for any op result."""
+#: The columns of an op result, after the target's inputs.
+_VALUE_COLUMNS = ["value", "err", "method", "exact"]
+
+
+def _format_value(ctx, result, scientific: bool = False) -> dict:
+    """The :data:`_VALUE_COLUMNS` cells of any op result."""
     if isinstance(result, (int, Fraction)):
-        return _format_rational(result), "0", "exact", True
-    if isinstance(result, EvalResult):
-        if result.exact is not None:
-            return _format_rational(result.exact), "0", result.method, True
-        value, method = result.value.value, result.method
-    else:  # HPComplex
-        value, method = result.value, "direct"
-    return (_format_number(ctx, value, scientific),
-            _format_decimal(ctx, result.err, True), method, False)
+        cells = _format_rational(result), "0", "exact", True
+    elif isinstance(result, EvalResult) and result.exact is not None:
+        cells = _format_rational(result.exact), "0", result.method, True
+    else:  # an EvalResult, or a kernel's HPComplex
+        value, method = ((result.value.value, result.method) if isinstance(result, EvalResult)
+                         else (result.value, "direct"))
+        cells = (_format_number(ctx, value, scientific),
+                 _format_decimal(ctx, result.err, True), method, False)
+    return dict(zip(_VALUE_COLUMNS, cells))
 
 
-def _emit_records(args, records: List[dict], columns: List[str]) -> None:
-    """Write records in the chosen format.  Columns order is fixed."""
-    out = sys.stdout
-    if args.format == "json":
-        out.write(json.dumps(records, indent=2) + "\n")
-    elif args.format == "csv":
-        out.write(",".join(columns) + "\n")
-        for rec in records:
-            out.write(",".join(str(rec.get(c, "")) for c in columns) + "\n")
+#: What a subcommand returns: its records, their columns in order, its exit
+#: code, and the lines of a plain report with a layout of its own.
+_Rows = namedtuple("_Rows", "records columns code plain", defaults=(EXIT_OK, None))
+
+
+def _emit_records(fmt: str, rows: _Rows) -> None:
+    """Write the rows' columns, in order, in the chosen format."""
+    cells = [[rec[c] for c in rows.columns] for rec in rows.records]
+    if fmt == "json":
+        lines = [json.dumps([dict(zip(rows.columns, r)) for r in cells], indent=2)]
+    elif fmt == "csv":
+        lines = [",".join(rows.columns)] + [",".join(map(str, r)) for r in cells]
     else:
-        for rec in records:
-            out.write("  ".join(f"{c}={rec.get(c, '')}" for c in columns) + "\n")
+        lines = rows.plain or ["  ".join(f"{c}={v}" for c, v in zip(rows.columns, r))
+                               for r in cells]
+    sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _context_from_args(args) -> PrecisionContext:
@@ -142,6 +143,16 @@ def _context_from_args(args) -> PrecisionContext:
         return PrecisionContext(args.precision_bits, args.tol, args.max_terms)
     except DomainError as exc:
         raise _Usage(str(exc)) from None
+
+
+def _inputs(args, flags) -> dict:
+    """The values of the flags a target requires, in order; a missing one
+    is a usage error naming them all."""
+    inputs = {f: getattr(args, f) for f in flags}
+    if None in inputs.values():
+        raise _Usage(f"{args.command} {args.target} requires "
+                     + " and ".join(f"--{f}" for f in flags))
+    return inputs
 
 
 # --------------------------------------------------------------------------
@@ -170,46 +181,39 @@ _EVAL_TARGETS = {
     "riemann-zeta": (("s",), lambda ctx, s: numerics.riemann_zeta_numeric(_parse_number(s), ctx)),
 }
 
+#: target: (its range flag, whether the range holds integers, the flags it
+#: requires, as for eval, the range flag's value a point of the range, and
+#: its call); a pole, which only zeta-z meets, prints as a row.
+_SWEEP_TARGETS = {
+    "zeta-zn-direct": ("n", True, ("n", "s"),
+                       lambda ctx, n, s: zeta_zn.zeta_zn_direct(n, _parse_number(s), ctx)),
+    "zeta-z": ("s", False, ("s",), lambda ctx, s: zeta_z.zeta_z_closed(s, ctx)),
+    "volumes": ("n", True, ("n",), lambda ctx, n: spheres.sphere_volume_gamma(n, ctx)),
+}
 
-def _cmd_eval(args) -> int:
-    ctx = _context_from_args(args)
+
+def _cmd_eval(args, ctx) -> _Rows:
     flags, call = _EVAL_TARGETS[args.target]
-    inputs = {f: getattr(args, f) for f in flags}
-    if None in inputs.values():
-        raise _Usage(f"eval {args.target} requires " + " and ".join(f"--{f}" for f in flags))
-    result = call(ctx, *inputs.values())
-    value, err, method, exact = _format_value(ctx, result,
-                                              scientific=args.format == "csv")
-    rec = dict(inputs)
-    rec.update({"value": value, "err": err, "method": method, "exact": exact})
-    _emit_records(args, [rec], list(inputs) + ["value", "err", "method", "exact"])
-    return EXIT_OK
+    inputs = _inputs(args, flags)
+    cells = _format_value(ctx, call(ctx, *inputs.values()), args.format == "csv")
+    return _Rows([{**inputs, **cells}], [*inputs, *_VALUE_COLUMNS])
 
 
 # --------------------------------------------------------------------------
 # verify
 
-def _cmd_verify(args) -> int:
-    ctx = _context_from_args(args)
+def _cmd_verify(args, ctx) -> _Rows:
     results = verify.run_suite(args.suite, ctx)
     records = []
     for r in results:
         sys.stderr.write(f"check {r.name}: {r.seconds:.3f}s\n")
-        records.append({
-            "check": r.name,
-            "status": "PASS" if r.passed else "FAIL",
-            "max_err": f"{r.max_err:.3e}",
-            "detail": r.detail,
-        })
-    if args.format == "plain":
-        for rec in records:
-            sys.stdout.write(
-                f"[{rec['status']}] {rec['check']} (max err {rec['max_err']}) {rec['detail']}\n")
-        passed = sum(r.passed for r in results)
-        sys.stdout.write(f"{passed}/{len(results)} checks passed\n")
-    else:
-        _emit_records(args, records, ["check", "status", "max_err", "detail"])
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL
+        records.append({"check": r.name, "status": "PASS" if r.passed else "FAIL",
+                        "max_err": f"{r.max_err:.3e}", "detail": r.detail})
+    passed = sum(r.passed for r in results)
+    plain = ["[{status}] {check} (max err {max_err}) {detail}".format_map(r) for r in records]
+    return _Rows(records, ["check", "status", "max_err", "detail"],
+                 EXIT_OK if passed == len(results) else EXIT_VERIFY_FAIL,
+                 plain + [f"{passed}/{len(results)} checks passed"])
 
 
 # --------------------------------------------------------------------------
@@ -251,108 +255,65 @@ def _parse_range(text: str, integer: bool) -> List:
     if not out:
         raise _Usage("empty range")
     if integer:
-        vals = []
         for x in out:
-            n = int(round(x))
-            if abs(x - n) > 1e-9:
+            if abs(x - round(x)) > 1e-9:
                 raise _Usage(f"range value {x} is not an integer")
-            vals.append(n)
-        out = vals
+        out = [round(x) for x in out]
     # a step below the spacing of floats at a rounds a + h back to a
     return [x for i, x in enumerate(out) if i == 0 or x != out[i - 1]]
 
 
-_SWEEP_TARGETS = ("zeta-zn-direct", "zeta-z", "volumes")
-
-
-def _cmd_sweep(args) -> int:
-    ctx = _context_from_args(args)
-    sci = args.format == "csv"
+def _cmd_sweep(args, ctx) -> _Rows:
+    ranged, integer, flags, call = _SWEEP_TARGETS[args.target]
+    inputs = _inputs(args, flags)
     records = []
-    if args.target == "zeta-zn-direct":
-        if args.s is None or args.n is None:
-            raise _Usage("sweep zeta-zn-direct requires --s and an --n range")
-        s = _parse_number(args.s)
-        for n in _parse_range(args.n, integer=True):
-            value, err, method, _ = _format_value(
-                ctx, zeta_zn.zeta_zn_direct(n, s, ctx), sci)
-            records.append({"n": n, "s": args.s, "value": value,
-                            "err": err, "method": method})
-        columns = ["n", "s", "value", "err", "method"]
-    elif args.target == "zeta-z":
-        if args.s is None:
-            raise _Usage("sweep zeta-z requires an --s range")
-        for s in _parse_range(args.s, integer=False):
-            try:
-                value, err, method, _ = _format_value(
-                    ctx, zeta_z.zeta_z_closed(s, ctx), sci)
-            except PoleError:
-                value, err, method = "", "", "pole"
-            records.append({"s": repr(s), "value": value,
-                            "err": err, "method": method})
-        columns = ["s", "value", "err", "method"]
-    else:  # volumes
-        if args.n is None:
-            raise _Usage("sweep volumes requires an --n range")
-        for n in _parse_range(args.n, integer=True):
-            value, err, method, _ = _format_value(
-                ctx, spheres.sphere_volume_gamma(n, ctx), sci)
-            records.append({"n": n, "value": value, "err": err, "method": method})
-        columns = ["n", "value", "err", "method"]
-    _emit_records(args, records, columns)
-    return EXIT_OK
+    for x in _parse_range(inputs[ranged], integer):
+        inputs[ranged] = x
+        try:
+            cells = _format_value(ctx, call(ctx, *inputs.values()), args.format == "csv")
+        except PoleError:
+            cells = {"value": "", "err": "", "method": "pole"}
+        records.append({**inputs, ranged: x if integer else repr(x), **cells})
+    return _Rows(records, [*flags, *_VALUE_COLUMNS[:3]])
 
 
 # --------------------------------------------------------------------------
 # extract
 
-def _cmd_extract(args) -> int:
-    ctx = _context_from_args(args)
+def _cmd_extract(args, ctx) -> _Rows:
     sci = args.format == "csv"
     res = asymptotics.extract_zeta(_parse_number(args.s), args.n_min,
                                    args.n_max, ctx, points=args.points)
-    rec = {
-        "s": args.s,
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "estimate": _format_decimal(ctx, res.estimate.value, sci),
-        "reference": _format_decimal(ctx, res.reference, sci),
-        "abs_error": _format_decimal(ctx, res.abs_error, True),
-        "grid_points": len(res.n_grid),
-    }
-    _emit_records(args, [rec], list(rec))
-    return EXIT_OK
+    rec = {"s": args.s, "n_min": args.n_min, "n_max": args.n_max,
+           "estimate": _format_decimal(ctx, res.estimate.value, sci),
+           "reference": _format_decimal(ctx, res.reference, sci),
+           "abs_error": _format_decimal(ctx, res.abs_error, True),
+           "grid_points": len(res.n_grid)}
+    return _Rows([rec], list(rec))
 
 
 # --------------------------------------------------------------------------
 # volumes and poly
 
-def _cmd_volumes(args) -> int:
-    ctx = _context_from_args(args)
+def _cmd_volumes(args, ctx) -> _Rows:
     sci = args.format == "csv"
     records = []
     for n in range(0, args.n_max + 1):
         a = spheres.sphere_volume_gamma(n, ctx)
         b = spheres.sphere_volume_zproduct(n, ctx)
         diff = abs(a.value.value.real - b.value.value.real)
-        records.append({
-            "n": n,
-            "gamma_route": _format_value(ctx, a, sci)[0],
-            "z_product": _format_value(ctx, b, sci)[0],
-            "abs_diff": _format_decimal(ctx, diff, True),
-        })
-    _emit_records(args, records, ["n", "gamma_route", "z_product", "abs_diff"])
-    return EXIT_OK
+        records.append({"n": n, "gamma_route": _format_value(ctx, a, sci)["value"],
+                        "z_product": _format_value(ctx, b, sci)["value"],
+                        "abs_diff": _format_decimal(ctx, diff, True)})
+    return _Rows(records, ["n", "gamma_route", "z_product", "abs_diff"])
 
 
-def _cmd_poly(args) -> int:
-    ctx = _context_from_args(args)
+def _cmd_poly(args, ctx) -> _Rows:
     poly = zeta_zn.zeta_zn_closed_poly(args.m, ctx)
     coeffs = [_format_rational(c) for c in poly.coeffs]
     rec = {"m": args.m, "degree": poly.degree, "polynomial": str(poly),
            "coeffs": coeffs if args.format == "json" else " ".join(coeffs)}
-    _emit_records(args, [rec], ["m", "degree", "polynomial", "coeffs"])
-    return EXIT_OK
+    return _Rows([rec], list(rec))
 
 
 # --------------------------------------------------------------------------
@@ -394,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="evaluate over a grid")
-    p_sweep.add_argument("target", choices=_SWEEP_TARGETS)
+    p_sweep.add_argument("target", choices=tuple(_SWEEP_TARGETS))
     p_sweep.add_argument("--s", help="value or range start:stop[:step]")
     p_sweep.add_argument("--n", help="integer range start:stop[:step|:geometric]")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -422,7 +383,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        code = args.func(args)
+        rows = args.func(args, _context_from_args(args))
+        _emit_records(args.format, rows)
+        return rows.code
     except _Usage as exc:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"error: {exc}\n")
@@ -435,7 +398,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_NUMERIC
     finally:
         sys.stderr.write(f"elapsed: {time.perf_counter() - started:.3f}s\n")
-    return code
 
 
 if __name__ == "__main__":

@@ -74,11 +74,20 @@ def zeta_z_closed(s, ctx: Optional[PrecisionContext] = None) -> EvalResult:
     err is that of its rendering, so C(-2s, -s) refuses from s =
     -51/-148/-532 at 64/256/1024 bits, before it is built where a lower
     bound shows that (:func:`_refuse_wide`, by :func:`core.refuse_rounding`).
+    The Gamma route's err is at least |v| 2^(6 - wb) at wb working bits, so
+    a real s < 1/2 off the exact paths and the poles refuses before any
+    Gamma factor where 2^(lb + 5 - wb) exceeds the tolerance, lb from
+    :func:`_wendel_log2`: |v| >= zeta_Z(s)/2, a factor 2 that also covers
+    the float log2s.
     """
     ctx = get_context(ctx)
     a = argument(ctx, s)
     if a.exact is not None and a.exact <= 0:
         _refuse_wide(ctx, a.exact, "closed-form")
+    elif not a.z.imag and (a.q is None or a.q <= 0):
+        lb = _wendel_log2(ctx.mp, a.z.real)
+        if lb is not None:
+            refuse_rounding(ctx, lb + 5, "closed-form")
     v, err, certified, exact, note = _closed(ctx, a)
     if exact is not None:
         return exact_result(ctx, exact, "closed-form", note)
@@ -146,6 +155,20 @@ def _closed(ctx: PrecisionContext, a):
     return v, abs(v) * rel, False, None, None
 
 
+def _wendel_log2(mp, x):
+    """A lower bound on log2 zeta_Z(x) for a real x < 1/2, else None.
+    Wendel's inequality Gamma(y + 1/2) <= y^(1/2) Gamma(y) at y = 1/2 - x
+    gives zeta_Z(x) >= 4^-x / sqrt(pi (1/2 - x)): in floats down to x =
+    -1e300, and below as the int floor(-2x) - mag(x), since pi (1/2 - x) <=
+    4|x| <= 2^(2 + mag(x)), so that no float overflows."""
+    f = float(x)
+    if f >= 0.5:
+        return None
+    if f > -1e300:
+        return -2 * f - math.log2(math.pi * (0.5 - f)) / 2
+    return int(-2 * x) - mp.mag(x)
+
+
 def _log_deriv_bound(mp, z):
     """Bound on |(log zeta_Z)'(z)| = |psi(1/2-z) - psi(1-z) + log 4|, by which
     the rounding |z - s| <= dz of a converted s grows (:func:`core.argument`;
@@ -194,13 +217,12 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     precision (:func:`_log_deriv_bound`).  The rounding term only grows with
     K, so when it alone exceeds the tolerance NoConvergence is raised at
     once, naming precision (:func:`core.refuse_rounding`).  For real s < 1/2
-    a lower bound decides that in floats before the partial product is
-    formed: Wendel's inequality Gamma(y + 1/2) <= y^(1/2) Gamma(y) at y =
-    1/2 - s gives zeta_Z(s) >= 4^-s / sqrt(pi (1/2 - s)), and the rounding
-    term is at least |v| (3K + 16) 2^(2-prec).  Where that decides, |v| is
-    far above tol, so R is far below 1 and |v| >= zeta_Z(s)/2, a factor 2
-    that also covers the float log2s.  Positive integers and half-integers
-    (zeros and poles of the product) raise NeedsLimitInterpretation.
+    the lower bound on zeta_Z(s) of :func:`_wendel_log2` decides that before
+    the partial product is formed, as the rounding term is at least |v| (3K
+    + 16) 2^(2-prec).  Where that decides, |v| is far above tol, so R is far
+    below 1 and |v| >= zeta_Z(s)/2, a factor 2 that also covers the float
+    log2s.  Positive integers and half-integers (zeros and poles of the
+    product) raise NeedsLimitInterpretation.
     """
     ctx = get_context(ctx)
     mp = ctx.mp
@@ -215,8 +237,7 @@ def zeta_z_product(s, ctx: Optional[PrecisionContext] = None, *,
     tol = ctx.tol
     b = min(mp.prec, max(0, int(-2 * z.real) + 1 - mp.mag(tol)))
     K = terms if terms is not None else int(2 * absz) + int(_PRODUCT_D_PER_BIT * b) + 3
-    x = 0.5 if isinstance(z, mp.mpc) else float(z)
-    lb = -2 * x - math.log2(math.pi * (0.5 - x)) / 2 if x < 0.5 else None  # Wendel
+    lb = None if isinstance(z, mp.mpc) else _wendel_log2(mp, z)
     while True:
         if K > ctx.max_terms:
             raise NoConvergence("product truncation exceeds max_terms")

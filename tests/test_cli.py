@@ -461,3 +461,71 @@ def test_precision_flag_beats_env(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "--precision-bits=256", "eval", "z", "--s=0")
     assert code == 0
     assert "3.1415926535897932384626433832795028841971693993751" in out
+
+
+#: Every subcommand once, and every eval and sweep target: the cases of
+#: test_every_subcommand_prints_the_same_cells_in_each_format.
+FORMAT_CASES = [
+    ("eval", "zeta-z", "--s=1/4"), ("eval", "z", "--s=0"),
+    ("eval", "zeta-zn", "--n=7", "--s=3/4"), ("eval", "zeta-z-deriv", "--s=-1/2"),
+    ("eval", "catalan", "--m=5"), ("eval", "bernoulli", "--k=12"),
+    ("eval", "riemann-zeta", "--s=3/2"),
+    ("sweep", "zeta-z", "--s=-1:0.5:0.25"),
+    ("sweep", "zeta-zn-direct", "--s=1/2", "--n=4:16:geometric"),
+    ("sweep", "volumes", "--n=0:4"),
+    ("extract", "--s=-1", "--n-max=2000"), ("volumes", "--n-max=3"), ("poly", "--m=2"),
+    ("verify", "spheres"),
+]
+
+#: The columns that hold decimals, which csv prints in scientific form.
+_DECIMAL_COLUMNS = {"value", "err", "estimate", "reference", "abs_error",
+                    "gamma_route", "z_product", "abs_diff"}
+
+
+def _rows_in_each_format(capsys, argv):
+    """{format: (columns, rows of cell text)}: json lists joined by spaces,
+    verify's plain report left out (it has a layout of its own)."""
+    out = {}
+    for fmt in ("plain", "json", "csv"):
+        code, text, _ = run_cli(capsys, "--precision-bits=64", "--tol=1e-12",
+                                f"--format={fmt}", *argv)
+        assert code == 0
+        if fmt == "json":
+            records = json.loads(text)
+            rows = [[" ".join(v) if isinstance(v, list) else str(v) for v in rec.values()]
+                    for rec in records]
+            out[fmt] = list(records[0]), rows
+        elif fmt == "csv":
+            header, *lines = text.splitlines()
+            columns = header.split(",")
+            # the last column may hold commas: verify's detail does
+            out[fmt] = columns, [ln.split(",", len(columns) - 1) for ln in lines]
+        elif argv[0] != "verify":
+            cells = [[kv.split("=", 1) for kv in ln.split("  ")] for ln in text.splitlines()]
+            out[fmt] = [c for c, _ in cells[0]], [[v for _, v in row] for row in cells]
+    return out
+
+
+@pytest.mark.parametrize("argv", FORMAT_CASES, ids=" ".join)
+def test_every_subcommand_prints_the_same_cells_in_each_format(capsys, argv):
+    # the same columns in the same order, and the same rows; a cell has the
+    # same text in each format, but a decimal, scientific in csv, need only
+    # be the same number
+    (columns, rows), *others = _rows_in_each_format(capsys, argv).values()
+    assert rows
+    for other_columns, other_rows in others:
+        assert other_columns == columns and len(other_rows) == len(rows)
+        for row, other in zip(rows, other_rows):
+            for c, a, b in zip(columns, row, other, strict=True):
+                assert a == b or (c in _DECIMAL_COLUMNS and Decimal(a) == Decimal(b)), (c, a, b)
+
+
+@pytest.mark.parametrize("x, text", [
+    (lambda mp: 1 - mp.mpf(2) ** -280, "1.0e+0"),
+    (lambda mp: -(100 - mp.mpf(2) ** -270), "-1.0e+2"),
+], ids=["1-2^-280", "-(100-2^-270)"])
+def test_scientific_mantissa_rounds_below_ten(x, text):
+    # the mantissa is rounded before its exponent is read, so a value just
+    # below a power of ten prints as that power, not with a mantissa of 10
+    ctx = PrecisionContext(256, 1e-30)
+    assert cli._format_decimal(ctx, x(ctx.mp), True) == text

@@ -262,13 +262,10 @@ def _before_work(rule, fired):
     return noted
 
 
-@pytest.mark.parametrize("bits, tol, edge", [(64, 1e-12, 22), (256, 1e-30, 88),
-                                             (1024, 1e-120, 322)])
-def test_product_precheck_refuses_only_what_the_product_refuses(monkeypatch, bits, tol, edge):
-    # off-lattice real s in [-400, 0], every 3.7 and every 1/4 within 6 of
-    # -edge, where the product stops serving: wherever the float pre-check
-    # fires, the product without it refuses too
-    ctx = PrecisionContext(bits, tol)
+def _refuses_only_what_work_refuses(monkeypatch, call, ctx, edge):
+    """Off-lattice real s in [-400, 0], every 3.7 and every 1/4 within 6 of
+    -edge, where ``call`` stops serving: wherever the float pre-check fires,
+    ``call`` without it refuses too."""
     rule = zeta_z.refuse_rounding
     fired = []
     monkeypatch.setattr(zeta_z, "refuse_rounding", _before_work(rule, fired))
@@ -278,16 +275,22 @@ def test_product_precheck_refuses_only_what_the_product_refuses(monkeypatch, bit
         s = -x
         fired.clear()
         try:
-            zeta_z_product(s, ctx)
+            call(s, ctx)
         except NoConvergence:
             if any(fired):
                 with monkeypatch.context() as m:
                     m.setattr(zeta_z, "refuse_rounding", lambda ctx, lb, *a: (
                         None if isinstance(lb, float) else rule(ctx, lb, *a)))
                     with pytest.raises(NoConvergence):
-                        zeta_z_product(s, ctx)
+                        call(s, ctx)
         else:
             assert not any(fired)
+
+
+@pytest.mark.parametrize("bits, tol, edge", [(64, 1e-12, 22), (256, 1e-30, 88),
+                                             (1024, 1e-120, 322)])
+def test_product_precheck_refuses_only_what_the_product_refuses(monkeypatch, bits, tol, edge):
+    _refuses_only_what_work_refuses(monkeypatch, zeta_z_product, PrecisionContext(bits, tol), edge)
 
 
 def test_product_needs_limit_interpretation(ctx):
@@ -580,6 +583,28 @@ def test_wide_exact_values_refuse_at_once(bits, tol, call, s):
     with pytest.raises(NoConvergence):
         call(s, PrecisionContext(bits, tol))
     assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("s", [-10 ** 300, -10 ** 400], ids=["-10^300", "-10^400"])
+def test_closed_refuses_a_huge_rounded_integer_before_gamma(monkeypatch, s):
+    # at 256 bits these ints round, so no exact path takes them: Wendel's
+    # bound refuses before the Gamma route, which took 17 to 53 ms to
+    # reach an err with a 6020599-digit exponent
+    def no_gamma(*args):
+        raise AssertionError("Gamma evaluated")
+    monkeypatch.setattr(numerics, "_gamma_raw", no_gamma)
+    ctx = PrecisionContext(256, 1e-30)
+    assert argument(ctx, s).exact is None
+    t0 = time.perf_counter()
+    with pytest.raises(NoConvergence, match="closed-form: precision too low"):
+        zeta_z_closed(s, ctx)
+    assert time.perf_counter() - t0 < 0.05
+
+
+@pytest.mark.parametrize("bits, tol, edge", [(64, 1e-12, 26), (256, 1e-30, 92),
+                                             (1024, 1e-120, 327)])
+def test_closed_precheck_refuses_only_what_the_gamma_route_refuses(monkeypatch, bits, tol, edge):
+    _refuses_only_what_work_refuses(monkeypatch, zeta_z_closed, PrecisionContext(bits, tol), edge)
 
 
 @pytest.mark.parametrize("n", [2 ** 14, 2 ** 14 + 1, 10 ** 5, 10 ** 6])
